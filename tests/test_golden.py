@@ -1,0 +1,113 @@
+"""Golden payloads: cross-version pins of the stream and kernel contract.
+
+The other tests pin self-consistency only (thread invariance, repeated
+runs); these pin the actual bytes, so a silent change of a stream, a
+sampler or a measure kernel fails here.  Each case is the SHA-256 of
+``json.dumps(payload, sort_keys=True)`` of one campaign, or a ``repr`` of
+one number, stored in ``tests/golden/payloads.json``.
+
+Two rules:
+
+* A hash changes only by a deliberate, documented stream or kernel
+  change.  Regenerate with ``PYTHONPATH=src python tests/test_golden.py``
+  in the same change, and say in CHANGES.md which cases moved and why.
+* A refactor that claims to keep payloads passes these tests unchanged.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from cohlab.cli import main
+from cohlab.experiments import (
+    MEASURE_KINDS,
+    first_prob_samples,
+    ks_distance_u11,
+    run_decomposition_check,
+    run_inequality_sweep,
+    run_matrix_integral_check,
+)
+
+GOLDEN = Path(__file__).with_name("golden") / "payloads.json"
+SEED = 20260810
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _payload_sha(payload: dict) -> str:
+    return _sha(json.dumps(payload, sort_keys=True).encode())
+
+
+def _cli_payload(argv: list[str]) -> str:
+    # the CLI prints the envelope to stdout; only its payload is seed-determined
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--seed", str(SEED), "--threads", "2"])
+    assert code == 0
+    return _payload_sha(json.loads(out.getvalue())["payload"])
+
+
+def _concentrate(kind: str, dim: int):
+    trials = {2: 5000, 20: 5000, 1000: 2500}[dim]
+    argv = ["concentrate", "--measure", kind, "--dim", str(dim), "--trials", str(trials)]
+    return lambda: _cli_payload([*argv, "--eps", "0.05,0.2", "--bins", "20"])
+
+
+CASES = {
+    **{f"concentrate-{k}-d{d}": _concentrate(k, d) for k in MEASURE_KINDS for d in (2, 20, 1000)},
+    "subspace-d34000": lambda: _cli_payload(
+        ["subspace", "--dim", "34000", "--eps-frac", "0.99", "--states", "100"]
+    ),
+    **{
+        f"sweep-d{d}": (
+            lambda d=d: _payload_sha(
+                dataclasses.asdict(run_inequality_sweep(d, 3000, SEED, threads=2))
+            )
+        )
+        for d in (1, 2, 20, 1000)
+    },
+    "decomposition-d34000": lambda: _payload_sha(
+        dataclasses.asdict(run_decomposition_check(34000, 0.99 * math.log(34000), 3, 4, SEED, 2, 2))
+    ),
+    **{
+        f"first-prob-d{d}": (lambda d=d: _sha(first_prob_samples(d, 5000, SEED).tobytes()))
+        for d in (2, 100)
+    },
+    **{
+        f"matrix-deviation-d{d}": (
+            lambda d=d: repr(run_matrix_integral_check(d, 3000, SEED).max_abs_deviation)
+        )
+        for d in (2, 4, 8)
+    },
+    "ks-u11-d2": lambda: repr(ks_distance_u11(2, 5000, SEED)),
+}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, golden):
+    assert CASES[name]() == golden[name]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({name: CASES[name]() for name in sorted(CASES)}, indent=2) + "\n")
+    print(f"wrote {len(CASES)} cases to {GOLDEN}")
