@@ -168,10 +168,10 @@ class LevyParams:
     def __post_init__(self):
         if self.sphere_dim_k < 1:
             raise InvalidDimensionError(f"sphere dimension must be >= 1, got {self.sphere_dim_k}")
-        if self.epsilon <= 0.0:
-            raise InvalidEpsilonError(f"epsilon must be positive, got {self.epsilon}")
-        if self.lipschitz_eta <= 0.0:
-            raise InvalidArgumentError(f"Lipschitz constant must be positive, got {self.lipschitz_eta}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise InvalidEpsilonError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not (math.isfinite(self.lipschitz_eta) and self.lipschitz_eta > 0.0):
+            raise InvalidArgumentError(f"Lipschitz constant must be finite and positive, got {self.lipschitz_eta}")
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,7 @@ class BoundValue:
 
     ``raw`` may exceed 1 (vacuous) or underflow to 0; ``effective`` is
     min(raw, 1) and ``log_raw`` stays finite even when raw underflows.
+    :meth:`from_log` raises :class:`OverflowError` when it cannot.
     """
 
     raw: float
@@ -188,6 +189,8 @@ class BoundValue:
 
     @classmethod
     def from_log(cls, log_raw: float) -> "BoundValue":
+        if not math.isfinite(log_raw):
+            raise OverflowError(f"log bound is not finite: {log_raw}")
         raw = math.exp(log_raw)
         return cls(raw=raw, effective=min(raw, 1.0), log_raw=log_raw)
 
@@ -214,8 +217,8 @@ def levy_bound_cr(d: int, eps: float) -> BoundValue:
     """
     if d < 3:
         raise UnsupportedDimensionError(f"the C_r concentration bound needs d >= 3, got {d}")
-    if eps <= 0.0:
-        raise InvalidEpsilonError(f"epsilon must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise InvalidEpsilonError(f"epsilon must be finite and positive, got {eps}")
     log_d = math.log(d)
     exponent = -d * eps * eps / (36.0 * _PI3 * _LN2 * log_d * log_d)
     return BoundValue.from_log(_LN2 + exponent)
@@ -225,8 +228,8 @@ def _levy_eta2(d: int, eps: float) -> BoundValue:
     # shared form for Lipschitz-constant-2 functionals (purity, trace distance)
     if d < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    if eps <= 0.0:
-        raise InvalidEpsilonError(f"epsilon must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise InvalidEpsilonError(f"epsilon must be finite and positive, got {eps}")
     exponent = -d * eps * eps / (18.0 * _PI3 * _LN2)
     return BoundValue.from_log(_LN2 + exponent)
 

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-failure, 4 vacuous guarantee.  Reports are wrapped in a versioned JSON
-envelope; histogram CSV uses ``bin_low,bin_high,count`` rows.  Values are
-in nats unless stated otherwise.
+failure, 4 vacuous guarantee, 5 I/O failure (e.g. an unwritable
+``--out``), 6 out of memory.  Reports are wrapped in a versioned strict
+JSON envelope (no NaN or Infinity); histogram CSV uses
+``bin_low,bin_high,count`` rows.  Values are in nats unless stated
+otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import analytics, experiments
@@ -45,7 +48,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _resolve_threads(flag: int | None) -> int:
@@ -132,7 +135,7 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
         lines += [f"{lo!r},{hi!r},{count}" for lo, hi, count in report.histogram]
         _emit("\n".join(lines), args.out)
     else:
-        _emit(_dump_json(_envelope("concentrate", report.to_dict())), args.out)
+        _emit(_dump_json(_envelope("concentrate", asdict(report))), args.out)
     return 0
 
 
@@ -147,7 +150,7 @@ def cmd_subspace(args: argparse.Namespace) -> int:
         args.seed,
         threads=_resolve_threads(args.threads),
     )
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["eps_frac"] = args.eps_frac
     if args.format == "json":
         _emit(_dump_json(_envelope("subspace", payload)), args.out)
@@ -296,6 +299,12 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return 5
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -6,8 +6,11 @@ Determinism contract
 Trial ``i`` of a campaign draws from ``RandomStream(master_seed, i)`` (or a
 documented per-work-item index), per-trial values are materialized in
 trial order, and every reduction runs over that ordered array (means via
-exact compensated summation).  Worker threads only fill disjoint chunks
-whose partition depends on the problem alone, so reports are byte-identical
+exact compensated summation).  Batches of states and unitaries come from
+the one keyed batch sampler (:func:`cohlab.sampler.keyed_normal_rows`),
+and every campaign runs its chunks through the one chunk runner
+:func:`_run_chunked`.  Chunk partitions depend on the problem alone and
+chunk results are combined in chunk order, so reports are byte-identical
 for any ``threads`` setting.
 """
 
@@ -29,13 +32,13 @@ from .errors import (
 )
 from .sampler import (
     Decomposition,
-    ginibre,
-    positive_qr,
+    haar_amplitude_rows,
+    haar_unitary_rows,
     sample_pure_in_subspace,
     sample_random_decomposition,
     sample_random_subspace,
 )
-from .streams import RandomStream, new_generator
+from .streams import RandomStream
 
 MEASURE_KINDS = ("cr", "l1", "purity", "trdist")
 
@@ -72,21 +75,11 @@ class ExperimentConfig:
                 f"measure_kind must be one of {MEASURE_KINDS}, got {self.measure_kind!r}"
             )
         eps = tuple(float(e) for e in self.epsilons)
-        if any(e <= 0.0 for e in eps):
-            raise InvalidArgumentError("epsilons must be strictly positive")
+        if not all(math.isfinite(e) and e > 0.0 for e in eps):
+            raise InvalidArgumentError("epsilons must be finite and strictly positive")
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise InvalidArgumentError("epsilons must be sorted strictly ascending")
         object.__setattr__(self, "epsilons", eps)
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "epsilons": list(self.epsilons),
-            "histogram_bins": self.histogram_bins,
-            "measure_kind": self.measure_kind,
-        }
 
 
 @dataclass
@@ -111,20 +104,6 @@ class ConcentrationReport:
     histogram: list[tuple[float, float, int]]
     tails: list[tuple[float, float, float | None, float | None]]
     scaled_mean: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "empirical_mean": self.empirical_mean,
-            "empirical_stderr": self.empirical_stderr,
-            "empirical_variance": self.empirical_variance,
-            "analytic_mean": self.analytic_mean,
-            "analytic_kind": self.analytic_kind,
-            "tails_center": self.tails_center,
-            "histogram": [[lo, hi, count] for lo, hi, count in self.histogram],
-            "tails": [[eps, freq, raw, eff] for eps, freq, raw, eff in self.tails],
-            "scaled_mean": self.scaled_mean,
-        }
 
     def scaled_histogram(self) -> list[tuple[float, float, int]]:
         """Histogram with bin edges divided by ln d (cr campaigns only)."""
@@ -152,50 +131,33 @@ def _unitary_chunk(dim: int) -> int:
     return max(8, min(2048, (1 << 20) // max(dim * dim, 1)))
 
 
-def _run_chunked(starts: Sequence[int], fill, threads: int) -> None:
+def _run_chunked(n: int, size: int, fill, threads: int = 1) -> list:
+    """``fill(start, stop)`` over the chunks of [0, n), results in chunk order."""
+    bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for start in starts:
-            fill(start)
+            return list(pool.map(lambda b: fill(*b), bounds))
+    return [fill(*b) for b in bounds]
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2
 
 
 def _haar_prob_rows(master_seed: int, start: int, stop: int, dim: int) -> np.ndarray:
-    """Diagonal probabilities of Haar states for trials [start, stop).
-
-    Trial i draws from stream (master_seed, i); the result row equals
-    ``diagonal_part(sample_haar_pure(dim, RandomStream(master_seed, i)))``.
-    """
-    z = np.empty((stop - start, 2 * dim))
-    for row, trial in enumerate(range(start, stop)):
-        z[row] = new_generator(master_seed, trial).standard_normal(2 * dim)
-    amps = z.view(np.complex128)
-    w = amps.real**2 + amps.imag**2
-    amps /= np.sqrt(w.sum(axis=1))[:, None]
-    return amps.real**2 + amps.imag**2
-
-
-def _haar_unitary_rows(master_seed: int, start: int, stop: int, dim: int) -> np.ndarray:
-    """Stacked Haar unitaries for trials [start, stop), one per stream."""
-    z = np.empty((stop - start, dim, 2 * dim))
-    for row, trial in enumerate(range(start, stop)):
-        z[row] = new_generator(master_seed, trial).standard_normal((dim, 2 * dim))
-    return positive_qr(z.view(np.complex128) / np.sqrt(2.0))
+    """Diagonal probabilities of the Haar states of trials [start, stop)."""
+    return _abs2(haar_amplitude_rows(master_seed, start, stop, dim))
 
 
 def _trial_values(config: ExperimentConfig, threads: int) -> np.ndarray:
     kernel = _MEASURE_KERNELS[config.measure_kind]
-    values = np.empty(config.trials)
-    size = _chunk_size(config.dim)
 
-    def fill(start: int) -> None:
-        stop = min(start + size, config.trials)
-        probs = _haar_prob_rows(config.master_seed, start, stop, config.dim)
-        values[start:stop] = kernel(probs)
+    def fill(start: int, stop: int) -> np.ndarray:
+        return kernel(_haar_prob_rows(config.master_seed, start, stop, config.dim))
 
-    _run_chunked(range(0, config.trials, size), fill, threads)
-    return values
+    return np.concatenate(
+        _run_chunked(config.trials, _chunk_size(config.dim), fill, threads)
+    )
 
 
 def _analytic_target(kind: str, dim: int) -> tuple[float, str]:
@@ -326,19 +288,6 @@ class SubspaceFloorReport:
     violations: int
     master_seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "eps": self.eps,
-            "sub_dim": self.sub_dim,
-            "small_d_warning": self.small_d_warning,
-            "threshold": self.threshold,
-            "n_states": self.n_states,
-            "min_observed_cr": self.min_observed_cr,
-            "violations": self.violations,
-            "master_seed": self.master_seed,
-        }
-
 
 def run_subspace_floor(
     dim: int,
@@ -367,23 +316,11 @@ def run_subspace_floor(
     basis = sample_random_subspace(dim, sdim.s, RandomStream(master_seed, 0))
     frame_t = basis.columns.T.copy()
 
-    values = np.empty(n_states)
-    size = _chunk_size(dim)
+    def fill(start: int, stop: int) -> np.ndarray:
+        coeff = haar_amplitude_rows(master_seed, start + 1, stop + 1, sdim.s)
+        return measures.entropy_from_probs(_abs2(coeff @ frame_t))
 
-    def fill(start: int) -> None:
-        stop = min(start + size, n_states)
-        coeff = np.empty((stop - start, 2 * sdim.s))
-        for row, state_idx in enumerate(range(start, stop)):
-            coeff[row] = new_generator(master_seed, state_idx + 1).standard_normal(
-                2 * sdim.s
-            )
-        camps = coeff.view(np.complex128)
-        w = camps.real**2 + camps.imag**2
-        camps /= np.sqrt(w.sum(axis=1))[:, None]
-        amps = camps @ frame_t
-        values[start:stop] = measures.entropy_from_probs(amps.real**2 + amps.imag**2)
-
-    _run_chunked(range(0, n_states, size), fill, threads)
+    values = np.concatenate(_run_chunked(n_states, _chunk_size(dim), fill, threads))
 
     return SubspaceFloorReport(
         dim=dim,
@@ -414,21 +351,6 @@ class DecompositionCheckReport:
     min_average: float
     violations: int
     master_seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "eps": self.eps,
-            "sub_dim": self.sub_dim,
-            "threshold": self.threshold,
-            "n_ensembles": self.n_ensembles,
-            "ensemble_size": self.ensemble_size,
-            "m_out": self.m_out,
-            "n_redecompositions": self.n_redecompositions,
-            "min_average": self.min_average,
-            "violations": self.violations,
-            "master_seed": self.master_seed,
-        }
 
 
 def run_decomposition_check(
@@ -509,16 +431,6 @@ class MatrixIntegralReport:
     tolerance: float
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_unitaries": self.n_unitaries,
-            "master_seed": self.master_seed,
-            "max_abs_deviation": self.max_abs_deviation,
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-        }
-
 
 def run_matrix_integral_check(
     dim: int,
@@ -552,15 +464,14 @@ def run_matrix_integral_check(
 
     closed_form = (np.trace(x).real * np.eye(dim) + x) / (dim + 1.0)
 
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    size = _unitary_chunk(dim)
-    for start in range(0, n_unitaries, size):
-        stop = min(start + size, n_unitaries)
-        u = _haar_unitary_rows(master_seed, start, stop, dim)
+    def fill(start: int, stop: int) -> np.ndarray:
+        u = haar_unitary_rows(master_seed, start, stop, dim)
         m = u @ x @ u.conj().transpose(0, 2, 1)
         pdiag = np.diagonal(m, axis1=-2, axis2=-1).real
-        total += np.einsum("nji,nj,njk->ik", u.conj(), pdiag, u)
+        return np.einsum("nji,nj,njk->ik", u.conj(), pdiag, u)
 
+    # chunk sums added in chunk order: the total depends on _unitary_chunk
+    total = sum(_run_chunked(n_unitaries, _unitary_chunk(dim), fill))
     deviation = float(np.abs(total / n_unitaries - closed_form).max())
     tolerance = 5.0 / math.sqrt(n_unitaries)
     return MatrixIntegralReport(
@@ -585,23 +496,6 @@ class InequalitySweepReport:
     cr_range_violations: int
     atol: float
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "l1_purity_violations": self.l1_purity_violations,
-            "fannes_violations": self.fannes_violations,
-            "cr_range_violations": self.cr_range_violations,
-            "atol": self.atol,
-        }
-
-
-def _binary_entropy_rows(t: np.ndarray) -> np.ndarray:
-    safe_t = np.where(t > 0.0, t, 1.0)
-    safe_1mt = np.where(t < 1.0, 1.0 - t, 1.0)
-    return -(t * np.log(safe_t) + (1.0 - t) * np.log(safe_1mt))
-
 
 def run_inequality_sweep(
     dim: int,
@@ -621,31 +515,21 @@ def run_inequality_sweep(
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     log_d = math.log(dim)
-    size = _chunk_size(dim)
-    starts = list(range(0, trials, size))
-    partials: list[tuple[int, int, int] | None] = [None] * len(starts)
 
-    def fill(chunk_idx: int) -> None:
-        start = starts[chunk_idx]
-        stop = min(start + size, trials)
+    def fill(start: int, stop: int) -> tuple[int, int, int]:
         probs = _haar_prob_rows(master_seed, start, stop, dim)
         c_r = measures.entropy_from_probs(probs)
         c_l1 = measures.l1_from_probs(probs)
         purity = measures.purity_from_probs(probs)
-        trdist = measures.trdist_mm_from_probs(probs)
+        floor = measures.fannes_floor_from_probs(probs)
         l1_bound = np.sqrt(dim * (dim - 1) * np.clip(1.0 - purity, 0.0, None))
-        if dim == 1:
-            floor = np.zeros_like(c_r)
-        else:
-            t = trdist / 2.0
-            floor = (1.0 - t) * log_d - _binary_entropy_rows(t)
-        partials[chunk_idx] = (
+        return (
             int(np.count_nonzero(c_l1 > l1_bound + atol)),
             int(np.count_nonzero(c_r < floor - atol)),
             int(np.count_nonzero((c_r < -atol) | (c_r > log_d + atol))),
         )
 
-    _run_chunked(range(len(starts)), fill, threads)
+    partials = _run_chunked(trials, _chunk_size(dim), fill, threads)
     totals = [sum(p[i] for p in partials) for i in range(3)]
     return InequalitySweepReport(
         dim=dim,
@@ -662,12 +546,13 @@ def first_prob_samples(dim: int, trials: int, master_seed: int) -> np.ndarray:
     """First diagonal probability of each sampled Haar state, in trial order."""
     if dim < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-    out = np.empty(trials)
-    size = _chunk_size(dim)
-    for start in range(0, trials, size):
-        stop = min(start + size, trials)
-        out[start:stop] = _haar_prob_rows(master_seed, start, stop, dim)[:, 0]
-    return out
+    if trials < 1:
+        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
+
+    def fill(start: int, stop: int) -> np.ndarray:
+        return _haar_prob_rows(master_seed, start, stop, dim)[:, 0]
+
+    return np.concatenate(_run_chunked(trials, _chunk_size(dim), fill))
 
 
 def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:
@@ -677,13 +562,11 @@ def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:
     """
     if dim < 2:
         raise InvalidDimensionError(f"the entry law needs d >= 2, got {dim}")
-    r = np.empty(trials)
-    size = _unitary_chunk(dim)
-    for start in range(0, trials, size):
-        stop = min(start + size, trials)
-        u = _haar_unitary_rows(master_seed, start, stop, dim)
-        r[start:stop] = np.abs(u[:, 0, 0])
-    r.sort()
+
+    def fill(start: int, stop: int) -> np.ndarray:
+        return np.abs(haar_unitary_rows(master_seed, start, stop, dim)[:, 0, 0])
+
+    r = np.sort(np.concatenate(_run_chunked(trials, _unitary_chunk(dim), fill)))
     cdf = 1.0 - (1.0 - r * r) ** (dim - 1)
     grid = np.arange(trials, dtype=np.float64)
     d_plus = float(((grid + 1.0) / trials - cdf).max())

@@ -101,6 +101,26 @@ def l1_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
     return np.maximum(s * s - 1.0, 0.0)
 
 
+def _binary_entropy(t: np.ndarray) -> np.ndarray:
+    safe_t = np.where(t > 0.0, t, 1.0)
+    safe_1mt = np.where(t < 1.0, 1.0 - t, 1.0)
+    return -(t * np.log(safe_t) + (1.0 - t) * np.log(safe_1mt))
+
+
+def fannes_floor_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
+    """Continuity lower bound (1-T) ln d - H2(T) on C_r, T = trace dist / 2.
+
+    May be negative, in which case the bound is vacuous.  Degenerate d = 1
+    gives exactly 0.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    d = p.shape[axis]
+    t = trdist_mm_from_probs(p, axis) / 2.0
+    if d == 1:
+        return np.zeros_like(t)
+    return (1.0 - t) * math.log(d) - _binary_entropy(t)
+
+
 def _probs(psi: PureState) -> np.ndarray:
     amps = psi.amplitudes
     return amps.real**2 + amps.imag**2
@@ -159,25 +179,12 @@ def binary_entropy(t: float) -> float:
     """H2(t) = -t ln t - (1-t) ln(1-t) in nats, with 0 ln 0 = 0."""
     if not 0.0 <= t <= 1.0:
         raise InvalidArgumentError(f"binary entropy argument must be in [0,1], got {t}")
-    out = 0.0
-    if t > 0.0:
-        out -= t * math.log(t)
-    if t < 1.0:
-        out -= (1.0 - t) * math.log(1.0 - t)
-    return out
+    return float(_binary_entropy(np.float64(t)))
 
 
 def fannes_floor(psi: PureState) -> float:
-    """Continuity lower bound (1-T) ln d - H2(T) on C_r, T = trace dist / 2.
-
-    May be negative, in which case the bound is vacuous.  Degenerate d = 1
-    returns 0.
-    """
-    d = psi.dim
-    if d == 1:
-        return 0.0
-    t = trace_distance_diag_mm(psi) / 2.0
-    return (1.0 - t) * math.log(d) - binary_entropy(t)
+    """Continuity lower bound on C_r; see :func:`fannes_floor_from_probs`."""
+    return float(fannes_floor_from_probs(_probs(psi)))
 
 
 def fannes_floor_sharp(psi: PureState) -> float:

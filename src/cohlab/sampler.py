@@ -9,6 +9,11 @@ invariance of the Gaussian) at O(d) instead of O(d^2) cost.  Unitaries and
 subspace frames come from QR factorization of complex Ginibre matrices
 with the R-diagonal phase correction; without that correction QR output is
 NOT Haar-distributed.
+
+Campaigns draw whole batches through :func:`keyed_normal_rows`, the one
+keyed batch draw: row r of a batch comes from stream ``(master_seed,
+first + r)``, so :func:`haar_amplitude_rows` and :func:`haar_unitary_rows`
+reproduce the per-stream samplers row by row.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidDimensionError
-from .streams import RandomStream
+from .streams import RandomStream, new_generator
 
 _NORM_ATOL = 1e-12
 _UNITARY_ATOL_PER_DIM = 1e-10
@@ -166,10 +171,41 @@ def positive_qr(matrix: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
-def _haar_amplitudes(dim: int, generator: np.random.Generator) -> np.ndarray:
-    z = generator.standard_normal(2 * dim).view(np.complex128)
+def _unit_rows(normals: np.ndarray) -> np.ndarray:
+    # pairs of normals along the last axis become complex amplitudes, scaled
+    # in place to unit norm per row (callers pass freshly drawn arrays)
+    z = normals.view(np.complex128)
     w = z.real**2 + z.imag**2
-    return z / np.sqrt(w.sum())
+    z /= np.sqrt(w.sum(axis=-1, keepdims=True))
+    return z
+
+
+def keyed_normal_rows(
+    master_seed: int, first: int, stop: int, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Standard normals of the given row shape for streams [first, stop).
+
+    Row r draws from stream ``(master_seed, first + r)``, exactly as a fresh
+    :class:`~cohlab.streams.RandomStream` for that pair would.
+    """
+    rows = np.empty((stop - first, *shape))
+    for row, index in enumerate(range(first, stop)):
+        rows[row] = new_generator(master_seed, index).standard_normal(shape)
+    return rows
+
+
+def haar_amplitude_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
+    """Haar pure-state amplitudes for streams [first, stop), one row each.
+
+    Row r equals ``sample_haar_pure(dim, RandomStream(master_seed, first + r))``.
+    """
+    return _unit_rows(keyed_normal_rows(master_seed, first, stop, (2 * dim,)))
+
+
+def haar_unitary_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
+    """Stacked Haar unitaries for streams [first, stop), one per stream."""
+    z = keyed_normal_rows(master_seed, first, stop, (dim, 2 * dim))
+    return positive_qr(z.view(np.complex128) / np.sqrt(2.0))
 
 
 def sample_haar_pure(dim: int, stream: RandomStream) -> PureState:
@@ -181,7 +217,7 @@ def sample_haar_pure(dim: int, stream: RandomStream) -> PureState:
     """
     if dim < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-    return PureState(_haar_amplitudes(dim, stream.generator))
+    return PureState(_unit_rows(stream.generator.standard_normal(2 * dim)))
 
 
 def sample_haar_unitary(dim: int, stream: RandomStream) -> UnitaryMatrix:
@@ -213,7 +249,7 @@ def sample_pure_in_subspace(basis: SubspaceBasis, stream: RandomStream) -> PureS
     A Haar state of the subspace dimension is drawn and mapped through the
     frame columns; the result is unit norm in the ambient dimension.
     """
-    coeff = _haar_amplitudes(basis.sub_dim, stream.generator)
+    coeff = _unit_rows(stream.generator.standard_normal(2 * basis.sub_dim))
     return PureState(basis.columns @ coeff)
 
 

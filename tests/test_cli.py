@@ -252,3 +252,62 @@ def test_payload_roundtrips_losslessly(capsys):
     assert code == 0
     payload = json.loads(out)["payload"]
     assert json.loads(json.dumps(payload)) == payload
+
+
+class TestBoundaryExitCodes:
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0.1,nan", "0.1,inf"])
+    def test_concentrate_non_finite_eps_exits_2(self, capsys, eps):
+        code, out, err = run_cli(
+            capsys,
+            ["concentrate", "--measure", "cr", "--dim", "10", "--trials", "20", "--eps", eps],
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("theorem", ["1", "3", "4"])
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_bounds_non_finite_eps_exits_2(self, capsys, theorem, eps):
+        code, out, err = run_cli(
+            capsys, ["bounds", "--dim", "10", "--eps", eps, "--theorem", theorem]
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("eps, eta", [("nan", "2"), ("0.5", "nan"), ("0.5", "inf")])
+    def test_generic_bound_non_finite_exits_2(self, capsys, eps, eta):
+        code, out, _ = run_cli(
+            capsys,
+            ["bounds", "--dim", "10", "--eps", eps, "--eta", eta, "--theorem", "generic"],
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_overflowing_log_bound_exits_3(self, capsys):
+        # eps^2 overflows, so log_raw would be -Infinity: not strict JSON
+        code, out, err = run_cli(capsys, ["bounds", "--dim", "10", "--eps", "1e200"])
+        assert code == 3
+        assert out == ""
+        assert "numeric failure" in err
+
+    def test_unwritable_out_exits_5(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, _, err = run_cli(capsys, ["expect", "--dim", "10", "--out", str(target)])
+        assert code == 5
+        assert "I/O failure" in err
+        assert not target.exists()
+
+    def test_memory_error_exits_6(self, capsys, monkeypatch):
+        from cohlab import experiments
+
+        def exhausted(config, threads=1):
+            raise MemoryError("synthetic allocation failure")
+
+        monkeypatch.setattr(experiments, "run_concentration", exhausted)
+        code, out, err = run_cli(
+            capsys, ["concentrate", "--measure", "cr", "--dim", "10", "--trials", "20"]
+        )
+        assert code == 6
+        assert out == ""
+        assert "out of memory" in err

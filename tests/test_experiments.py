@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -31,7 +32,7 @@ from cohlab.streams import RandomStream
 
 
 def payload_bytes(report):
-    return json.dumps(report.to_dict(), sort_keys=True)
+    return json.dumps(dataclasses.asdict(report), sort_keys=True)
 
 
 class TestConfig:
