@@ -5,7 +5,9 @@ failure, 4 vacuous guarantee, 5 I/O failure (e.g. an unwritable
 ``--out``), 6 out of memory.  Reports are wrapped in a versioned strict
 JSON envelope (no NaN or Infinity); histogram CSV uses
 ``bin_low,bin_high,count`` rows.  Values are in nats unless stated
-otherwise.
+otherwise.  Campaigns run serially below a fixed dimension and otherwise
+on one thread per usable CPU (up to the chunk count); the payload bytes
+are the same either way.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -49,20 +50,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-
-
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        value = flag
-    else:
-        raw = os.environ.get("COHLAB_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"COHLAB_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InvalidArgumentError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 def _parse_eps_list(raw: str | None) -> tuple[float, ...]:
@@ -123,7 +110,7 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
         histogram_bins=args.bins,
         measure_kind=args.measure,
     )
-    report = experiments.run_concentration(config, threads=_resolve_threads(args.threads))
+    report = experiments.run_concentration(config)
     for eps, freq, eff in report.tail_bound_flags():
         print(
             f"warning: tail frequency {freq:.6g} exceeds Levy bound {eff:.6g} "
@@ -140,16 +127,12 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
 
 
 def cmd_subspace(args: argparse.Namespace) -> int:
+    if args.dim < 1:
+        raise InvalidDimensionError(f"dimension must be >= 1, got {args.dim}")
     if not 0.0 < args.eps_frac < 1.0:
         raise InvalidEpsilonError(f"--eps-frac must lie in (0, 1), got {args.eps_frac}")
     eps = args.eps_frac * math.log(args.dim)
-    report = experiments.run_subspace_floor(
-        args.dim,
-        eps,
-        args.states,
-        args.seed,
-        threads=_resolve_threads(args.threads),
-    )
+    report = experiments.run_subspace_floor(args.dim, eps, args.states, args.seed)
     payload = asdict(report)
     payload["eps_frac"] = args.eps_frac
     if args.format == "json":
@@ -249,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conc.add_argument("--eps", default=None, help="comma-separated deviations for tail frequencies")
     p_conc.add_argument("--bins", type=int, default=50)
     p_conc.add_argument("--format", choices=("json", "csv"), default="json")
-    p_conc.add_argument("--threads", type=int, default=None, help="worker threads (COHLAB_THREADS fallback); never affects results")
     p_conc.add_argument("--out", default=None)
     p_conc.set_defaults(func=cmd_concentrate)
 
@@ -259,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--states", type=int, required=True)
     p_sub.add_argument("--seed", type=int, default=0)
     p_sub.add_argument("--format", choices=("json", "text"), default="json")
-    p_sub.add_argument("--threads", type=int, default=None)
     p_sub.add_argument("--out", default=None)
     p_sub.set_defaults(func=cmd_subspace)
 

@@ -11,15 +11,16 @@ the one keyed batch sampler (:func:`cohlab.sampler.keyed_normal_rows`),
 and every campaign runs its chunks through the one chunk runner
 :func:`_run_chunked`.  Chunk partitions depend on the problem alone and
 chunk results are combined in chunk order, so reports are byte-identical
-for any ``threads`` setting.
+whether the runner fills the chunks serially or on a thread pool.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent import futures
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,14 +41,24 @@ from .sampler import (
 )
 from .streams import RandomStream
 
-MEASURE_KINDS = ("cr", "l1", "purity", "trdist")
 
-_MEASURE_KERNELS = {
-    "cr": measures.entropy_from_probs,
-    "l1": measures.l1_from_probs,
-    "purity": measures.purity_from_probs,
-    "trdist": measures.trdist_mm_from_probs,
+class _Measure(NamedTuple):
+    """One measure kind; functions are looked up by name per call, so wrappers see them."""
+
+    kernel: str  # batched kernel in measures
+    target: str  # analytic target in analytics
+    target_kind: str  # "mean", or "l1_upper_bound" where no closed-form mean exists
+    bound: str | None  # Levy tail bound in analytics, None where none is stated
+    bound_min_dim: int = 1
+
+
+_MEASURES = {
+    "cr": _Measure("entropy_from_probs", "expected_cr", "mean", "levy_bound_cr", 3),
+    "l1": _Measure("l1_from_probs", "typical_l1_upper", "l1_upper_bound", None),
+    "purity": _Measure("purity_from_probs", "expected_classical_purity", "mean", "levy_bound_purity"),
+    "trdist": _Measure("trdist_mm_from_probs", "expected_trace_distance", "mean", "levy_bound_trdist"),
 }
+MEASURE_KINDS = tuple(_MEASURES)
 
 
 @dataclass(frozen=True)
@@ -131,11 +142,23 @@ def _unitary_chunk(dim: int) -> int:
     return max(8, min(2048, (1 << 20) // max(dim * dim, 1)))
 
 
-def _run_chunked(n: int, size: int, fill, threads: int = 1) -> list:
+# _run_chunked is serial below this dimension, else it runs one thread per
+# usable CPU up to the chunk count.  On a 2-CPU machine, cr campaigns of 2e7
+# amplitudes on 2 threads against 1 cost CPU +12% at d=1000 and -1% at d=1500
+# (mean of 3 sets of 5-7 runs; -7..+9% up to d=3000); wall fell 35-50%.
+_PARALLEL_MIN_DIM = 1500
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_chunked(n: int, size: int, fill, dim: int) -> list:
     """``fill(start, stop)`` over the chunks of [0, n), results in chunk order."""
     bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = 1 if dim < _PARALLEL_MIN_DIM else min(_usable_cpus(), len(bounds))
+    if workers > 1:
+        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda b: fill(*b), bounds))
     return [fill(*b) for b in bounds]
 
@@ -149,38 +172,18 @@ def _haar_prob_rows(master_seed: int, start: int, stop: int, dim: int) -> np.nda
     return _abs2(haar_amplitude_rows(master_seed, start, stop, dim))
 
 
-def _trial_values(config: ExperimentConfig, threads: int) -> np.ndarray:
-    kernel = _MEASURE_KERNELS[config.measure_kind]
+def _trial_values(config: ExperimentConfig) -> np.ndarray:
+    kernel = getattr(measures, _MEASURES[config.measure_kind].kernel)
 
     def fill(start: int, stop: int) -> np.ndarray:
         return kernel(_haar_prob_rows(config.master_seed, start, stop, config.dim))
 
     return np.concatenate(
-        _run_chunked(config.trials, _chunk_size(config.dim), fill, threads)
+        _run_chunked(config.trials, _chunk_size(config.dim), fill, config.dim)
     )
 
 
-def _analytic_target(kind: str, dim: int) -> tuple[float, str]:
-    if kind == "cr":
-        return analytics.expected_cr(dim), "mean"
-    if kind == "purity":
-        return analytics.expected_classical_purity(dim), "mean"
-    if kind == "trdist":
-        return analytics.expected_trace_distance(dim), "mean"
-    return analytics.typical_l1_upper(dim), "l1_upper_bound"
-
-
-def _tail_bound(kind: str, dim: int, eps: float) -> analytics.BoundValue | None:
-    if kind == "cr":
-        return analytics.levy_bound_cr(dim, eps) if dim >= 3 else None
-    if kind == "purity":
-        return analytics.levy_bound_purity(dim, eps)
-    if kind == "trdist":
-        return analytics.levy_bound_trdist(dim, eps)
-    return None  # no Levy bound is stated for the l1 measure
-
-
-def run_concentration(config: ExperimentConfig, threads: int = 1) -> ConcentrationReport:
+def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
     """Run one concentration campaign of ``config.trials`` independent trials.
 
     Tail frequencies count ``|value - center| > eps`` where the center is
@@ -188,24 +191,29 @@ def run_concentration(config: ExperimentConfig, threads: int = 1) -> Concentrati
     the empirical mean.  cr histograms use the fixed range [0, ln d] so
     campaigns across dimensions are comparable after scaling.
     """
-    values = _trial_values(config, threads)
+    values = _trial_values(config)
     n = config.trials
     mean = math.fsum(values) / n
     variance = math.fsum((values - mean) ** 2) / (n - 1) if n > 1 else 0.0
     stderr = math.sqrt(variance / n)
 
-    analytic_mean, analytic_kind = _analytic_target(config.measure_kind, config.dim)
-    center = mean if analytic_kind == "l1_upper_bound" else analytic_mean
-    tails_center = "empirical" if analytic_kind == "l1_upper_bound" else "analytic"
+    measure = _MEASURES[config.measure_kind]
+    analytic_mean = getattr(analytics, measure.target)(config.dim)
+    empirical = measure.target_kind == "l1_upper_bound"
+    center = mean if empirical else analytic_mean
+    has_bound = measure.bound is not None and config.dim >= measure.bound_min_dim
 
     tails = []
     for eps in config.epsilons:
         freq = float(np.count_nonzero(np.abs(values - center) > eps)) / n
-        bound = _tail_bound(config.measure_kind, config.dim, eps)
-        if bound is None:
-            tails.append((eps, freq, None, None))
-        else:
-            tails.append((eps, freq, bound.raw, bound.effective))
+        raw = effective = None
+        if has_bound:
+            try:
+                bound = getattr(analytics, measure.bound)(config.dim, eps)
+                raw, effective = bound.raw, bound.effective
+            except OverflowError:  # eps^2 overflowed, so the log bound is -inf: the bound is 0
+                raw = effective = 0.0
+        tails.append((eps, freq, raw, effective))
 
     if config.measure_kind == "cr":
         lo, hi = 0.0, math.log(config.dim)
@@ -231,8 +239,8 @@ def run_concentration(config: ExperimentConfig, threads: int = 1) -> Concentrati
         empirical_stderr=stderr,
         empirical_variance=variance,
         analytic_mean=analytic_mean,
-        analytic_kind=analytic_kind,
-        tails_center=tails_center,
+        analytic_kind=measure.target_kind,
+        tails_center="empirical" if empirical else "analytic",
         histogram=histogram,
         tails=tails,
         scaled_mean=scaled,
@@ -244,7 +252,6 @@ def reproduce_fig1(
     trials: int = 10**5,
     master_seed: int = 0,
     histogram_bins: int = 50,
-    threads: int = 1,
 ) -> list[ConcentrationReport]:
     """One cr campaign per dimension, for scaled-coherence frequency plots.
 
@@ -261,8 +268,7 @@ def reproduce_fig1(
                 master_seed=master_seed,
                 histogram_bins=histogram_bins,
                 measure_kind="cr",
-            ),
-            threads=threads,
+            )
         )
         for d in dims
     ]
@@ -294,7 +300,6 @@ def run_subspace_floor(
     eps: float,
     n_states: int,
     master_seed: int,
-    threads: int = 1,
 ) -> SubspaceFloorReport:
     """Sample one random subspace and many Haar states inside it.
 
@@ -320,7 +325,7 @@ def run_subspace_floor(
         coeff = haar_amplitude_rows(master_seed, start + 1, stop + 1, sdim.s)
         return measures.entropy_from_probs(_abs2(coeff @ frame_t))
 
-    values = np.concatenate(_run_chunked(n_states, _chunk_size(dim), fill, threads))
+    values = np.concatenate(_run_chunked(n_states, _chunk_size(dim), fill, dim))
 
     return SubspaceFloorReport(
         dim=dim,
@@ -471,7 +476,7 @@ def run_matrix_integral_check(
         return np.einsum("nji,nj,njk->ik", u.conj(), pdiag, u)
 
     # chunk sums added in chunk order: the total depends on _unitary_chunk
-    total = sum(_run_chunked(n_unitaries, _unitary_chunk(dim), fill))
+    total = sum(_run_chunked(n_unitaries, _unitary_chunk(dim), fill, dim))
     deviation = float(np.abs(total / n_unitaries - closed_form).max())
     tolerance = 5.0 / math.sqrt(n_unitaries)
     return MatrixIntegralReport(
@@ -501,7 +506,6 @@ def run_inequality_sweep(
     dim: int,
     trials: int,
     master_seed: int,
-    threads: int = 1,
     atol: float = 1e-10,
 ) -> InequalitySweepReport:
     """Count violations of three per-state theorems over sampled states.
@@ -529,7 +533,7 @@ def run_inequality_sweep(
             int(np.count_nonzero((c_r < -atol) | (c_r > log_d + atol))),
         )
 
-    partials = _run_chunked(trials, _chunk_size(dim), fill, threads)
+    partials = _run_chunked(trials, _chunk_size(dim), fill, dim)
     totals = [sum(p[i] for p in partials) for i in range(3)]
     return InequalitySweepReport(
         dim=dim,
@@ -552,7 +556,7 @@ def first_prob_samples(dim: int, trials: int, master_seed: int) -> np.ndarray:
     def fill(start: int, stop: int) -> np.ndarray:
         return _haar_prob_rows(master_seed, start, stop, dim)[:, 0]
 
-    return np.concatenate(_run_chunked(trials, _chunk_size(dim), fill))
+    return np.concatenate(_run_chunked(trials, _chunk_size(dim), fill, dim))
 
 
 def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:
@@ -562,11 +566,13 @@ def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:
     """
     if dim < 2:
         raise InvalidDimensionError(f"the entry law needs d >= 2, got {dim}")
+    if trials < 1:
+        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
 
     def fill(start: int, stop: int) -> np.ndarray:
         return np.abs(haar_unitary_rows(master_seed, start, stop, dim)[:, 0, 0])
 
-    r = np.sort(np.concatenate(_run_chunked(trials, _unitary_chunk(dim), fill)))
+    r = np.sort(np.concatenate(_run_chunked(trials, _unitary_chunk(dim), fill, dim)))
     cdf = 1.0 - (1.0 - r * r) ** (dim - 1)
     grid = np.arange(trials, dtype=np.float64)
     d_plus = float(((grid + 1.0) / trials - cdf).max())

@@ -65,7 +65,7 @@ def concentrate(dim, trials, kind, epsilons=()):
     return report
 
 
-def test_01_fig1_scaled_means(capsys):
+def test_01_fig1_scaled_means(capsys, chunk_workers):
     with criterion(1, "scaled-coherence means at d=20/30/40/500 (< 60 s, thread-stable)"):
         start = time.perf_counter()
         payloads = {}
@@ -73,7 +73,7 @@ def test_01_fig1_scaled_means(capsys):
                                     (40, 100000, 0.89), (500, 10000, 0.93)):
             env = cli_json(capsys, [
                 "concentrate", "--measure", "cr", "--dim", str(dim),
-                "--trials", str(trials), "--seed", str(SEED), "--threads", "1",
+                "--trials", str(trials), "--seed", str(SEED),
             ])
             payloads[dim] = env["payload"]
             assert abs(env["payload"]["scaled_mean"] - target) <= 0.01, (
@@ -81,10 +81,12 @@ def test_01_fig1_scaled_means(capsys):
             )
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"serial runtime {elapsed:.1f} s exceeds 60 s"
+        pools = chunk_workers(4)  # every d below the cutoff runs serially unless forced
         parallel = cli_json(capsys, [
             "concentrate", "--measure", "cr", "--dim", "20",
-            "--trials", "100000", "--seed", str(SEED), "--threads", "4",
+            "--trials", "100000", "--seed", str(SEED),
         ])
+        assert pools == [4], "the parallel run did not use a thread pool"
         assert json.dumps(parallel["payload"], sort_keys=True) == json.dumps(
             payloads[20], sort_keys=True
         ), "parallel payload differs from serial"

@@ -75,22 +75,15 @@ class TestConcentrate:
         assert sum(row[2] for row in payload["histogram"]) == 2000
         assert len(payload["tails"]) == 2
 
-    def test_payload_identical_across_threads(self, capsys):
-        one = run_json(capsys, self.ARGS + ["--threads", "1"])["payload"]
-        four = run_json(capsys, self.ARGS + ["--threads", "4"])["payload"]
+    def test_payload_identical_across_threads(self, capsys, chunk_workers):
+        # 10000 trials at d = 10 are 3 chunks of at most 4096 (the last --trials wins)
+        args = self.ARGS + ["--trials", "10000"]
+        pools = chunk_workers(1)
+        one = run_json(capsys, args)["payload"]
+        chunk_workers(4)
+        four = run_json(capsys, args)["payload"]
+        assert pools == [3]
         assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
-
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("COHLAB_THREADS", "2")
-        env_run = run_json(capsys, self.ARGS)["payload"]
-        monkeypatch.delenv("COHLAB_THREADS")
-        plain = run_json(capsys, self.ARGS)["payload"]
-        assert json.dumps(env_run, sort_keys=True) == json.dumps(plain, sort_keys=True)
-
-    def test_bad_env_threads_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("COHLAB_THREADS", "many")
-        code, _, err = run_cli(capsys, self.ARGS)
-        assert code == 2
 
     def test_csv_matches_json_histogram(self, capsys):
         env = run_json(capsys, self.ARGS)
@@ -135,6 +128,15 @@ class TestSubspace:
             ["subspace", "--dim", "1000", "--eps-frac", "1.5", "--states", "10"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("dim", ["0", "-5"])
+    def test_nonpositive_dim_exits_2(self, capsys, dim):
+        code, out, err = run_cli(
+            capsys, ["subspace", "--dim", dim, "--eps-frac", "0.5", "--states", "10"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "dimension must be >= 1" in err
 
     def test_smoke_run(self, capsys):
         env = run_json(
@@ -284,6 +286,14 @@ class TestBoundaryExitCodes:
         assert code == 2
         assert out == ""
 
+    def test_underflowing_tail_bound_reports_zero(self, capsys):
+        # the bound whose log is -inf is 0, and concentrate reports only raw and effective
+        tails = run_json(
+            capsys,
+            ["concentrate", "--measure", "cr", "--dim", "10", "--trials", "20", "--eps", "1e200"],
+        )["payload"]["tails"]
+        assert tails == [[1e200, 0.0, 0.0, 0.0]]
+
     def test_overflowing_log_bound_exits_3(self, capsys):
         # eps^2 overflows, so log_raw would be -Infinity: not strict JSON
         code, out, err = run_cli(capsys, ["bounds", "--dim", "10", "--eps", "1e200"])
@@ -301,7 +311,7 @@ class TestBoundaryExitCodes:
     def test_memory_error_exits_6(self, capsys, monkeypatch):
         from cohlab import experiments
 
-        def exhausted(config, threads=1):
+        def exhausted(config):
             raise MemoryError("synthetic allocation failure")
 
         monkeypatch.setattr(experiments, "run_concentration", exhausted)

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from cohlab import experiments
 from cohlab.analytics import expected_cr, subspace_threshold
 from cohlab.errors import (
     InvalidArgumentError,
@@ -58,10 +60,14 @@ class TestConfig:
 
 
 class TestRunConcentration:
-    def test_thread_count_does_not_change_bytes(self):
-        cfg = ExperimentConfig(dim=10, trials=2000, master_seed=5, epsilons=(0.2, 0.5))
-        serial = run_concentration(cfg, threads=1)
-        threaded = run_concentration(cfg, threads=3)
+    def test_thread_count_does_not_change_bytes(self, chunk_workers):
+        # 10000 trials at d = 10 are 3 chunks of at most 4096
+        cfg = ExperimentConfig(dim=10, trials=10000, master_seed=5, epsilons=(0.2, 0.5))
+        pools = chunk_workers(1)
+        serial = run_concentration(cfg)
+        chunk_workers(3)
+        threaded = run_concentration(cfg)
+        assert pools == [3]
         assert payload_bytes(serial) == payload_bytes(threaded)
 
     def test_rerun_is_identical(self):
@@ -184,10 +190,14 @@ class TestSubspaceFloor:
         assert report.sub_dim == 1
         assert report.violations == 0
 
-    def test_threads_do_not_change_bytes(self):
+    def test_threads_do_not_change_bytes(self, chunk_workers):
+        # 64 states at d = 34000 are 3 chunks of at most 30
         eps = 0.999 * math.log(34000)
-        a = run_subspace_floor(34000, eps, 64, 5, threads=1)
-        b = run_subspace_floor(34000, eps, 64, 5, threads=2)
+        pools = chunk_workers(1)
+        a = run_subspace_floor(34000, eps, 64, 5)
+        chunk_workers(2)
+        b = run_subspace_floor(34000, eps, 64, 5)
+        assert pools == [2]
         assert payload_bytes(a) == payload_bytes(b)
 
 
@@ -277,13 +287,50 @@ class TestInequalitySweep:
         assert report.fannes_violations == 0
         assert report.cr_range_violations == 0
 
-    def test_threads_match(self):
-        a = run_inequality_sweep(10, 2000, 4, threads=1)
-        b = run_inequality_sweep(10, 2000, 4, threads=3)
+    def test_threads_match(self, chunk_workers):
+        # 10000 trials at d = 10 are 3 chunks of at most 4096
+        pools = chunk_workers(1)
+        a = run_inequality_sweep(10, 10000, 4)
+        chunk_workers(3)
+        b = run_inequality_sweep(10, 10000, 4)
+        assert pools == [3]
         assert payload_bytes(a) == payload_bytes(b)
 
 
+class TestChunkRunner:
+    @staticmethod
+    def run(dim):
+        threads = set()
+
+        def fill(start, stop):
+            threads.add(threading.get_ident())
+            return (start, stop)
+
+        chunks = experiments._run_chunked(10, 3, fill, dim)
+        assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        return threads
+
+    def test_serial_below_cutoff_threaded_at_and_above(self, chunk_workers):
+        cutoff = experiments._PARALLEL_MIN_DIM
+        pools = chunk_workers(2, cutoff)
+        assert self.run(cutoff - 1) == {threading.get_ident()}
+        assert pools == []
+        assert threading.get_ident() not in self.run(cutoff)
+        assert threading.get_ident() not in self.run(10 * cutoff)
+        assert pools == [2, 2]
+
+    def test_workers_capped_by_chunk_count(self, chunk_workers):
+        pools = chunk_workers(16)
+        self.run(2)
+        assert pools == [4]
+
+
 class TestSamplingHelpers:
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_ks_distance_rejects_no_trials(self, trials):
+        with pytest.raises(InvalidArgumentError):
+            ks_distance_u11(2, trials, 0)
+
     def test_first_prob_samples_match_per_state_path(self):
         samples = first_prob_samples(5, 10, 9)
         for i in range(10):

@@ -52,7 +52,7 @@ def _cli_payload(argv: list[str]) -> str:
     # the CLI prints the envelope to stdout; only its payload is seed-determined
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([*argv, "--seed", str(SEED), "--threads", "2"])
+        code = main([*argv, "--seed", str(SEED)])
     assert code == 0
     return _payload_sha(json.loads(out.getvalue())["payload"])
 
@@ -71,7 +71,7 @@ CASES = {
     **{
         f"sweep-d{d}": (
             lambda d=d: _payload_sha(
-                dataclasses.asdict(run_inequality_sweep(d, 3000, SEED, threads=2))
+                dataclasses.asdict(run_inequality_sweep(d, 3000, SEED))
             )
         )
         for d in (1, 2, 20, 1000)
