@@ -88,8 +88,10 @@ class ExperimentConfig:
         eps = tuple(float(e) for e in self.epsilons)
         if not all(math.isfinite(e) and e > 0.0 for e in eps):
             raise InvalidArgumentError("epsilons must be finite and strictly positive")
-        if any(b <= a for a, b in zip(eps, eps[1:])):
-            raise InvalidArgumentError("epsilons must be sorted strictly ascending")
+        if len(set(eps)) < len(eps):
+            raise InvalidArgumentError("epsilons must be distinct")
+        if any(b < a for a, b in zip(eps, eps[1:])):
+            raise InvalidArgumentError("epsilons must be sorted ascending")
         object.__setattr__(self, "epsilons", eps)
 
 
@@ -144,9 +146,12 @@ def _unitary_chunk(dim: int) -> int:
 
 # _run_chunked is serial below this dimension, else it runs one thread per
 # usable CPU up to the chunk count.  On a 2-CPU machine, cr campaigns of 2e7
-# amplitudes on 2 threads against 1 cost CPU +12% at d=1000 and -1% at d=1500
-# (mean of 3 sets of 5-7 runs; -7..+9% up to d=3000); wall fell 35-50%.
-_PARALLEL_MIN_DIM = 1500
+# amplitudes on 2 threads against 1 (3 sets of 6 interleaved runs, medians)
+# cost CPU +41% at d=300, +10% at d=450, -2..-4% at d=600 and d=1000, and
+# -1..-7% at d=1250 and d=1500; wall fell 46-52% from d=600 on.  The cutoff
+# stays above 1000, the smallest measured d past it, so d=1000 keeps the
+# serial path and the benchmark keeps one workload on each side of it.
+_PARALLEL_MIN_DIM = 1250
 
 
 def _usable_cpus() -> int:
@@ -524,9 +529,8 @@ def run_inequality_sweep(
         probs = _haar_prob_rows(master_seed, start, stop, dim)
         c_r = measures.entropy_from_probs(probs)
         c_l1 = measures.l1_from_probs(probs)
-        purity = measures.purity_from_probs(probs)
         floor = measures.fannes_floor_from_probs(probs)
-        l1_bound = np.sqrt(dim * (dim - 1) * np.clip(1.0 - purity, 0.0, None))
+        l1_bound = np.sqrt(dim * (dim - 1) * measures.mixedness_from_probs(probs))
         return (
             int(np.count_nonzero(c_l1 > l1_bound + atol)),
             int(np.count_nonzero(c_r < floor - atol)),

@@ -71,8 +71,11 @@ class CoherenceProfile:
 def entropy_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
     """Shannon entropy in nats along ``axis``, with 0 ln 0 = 0."""
     p = np.asarray(probs, dtype=np.float64)
-    safe = np.where(p > _ZERO_PROB, p, 1.0)
-    out = -(p * np.log(safe)).sum(axis=axis)
+    # one temporary: p ln p, with ln 1 = 0 standing in for the zero terms
+    terms = np.where(p > _ZERO_PROB, p, 1.0)
+    np.log(terms, out=terms)
+    terms *= p
+    out = -terms.sum(axis=axis)
     # entropy is nonnegative; clip the ~1 ulp undershoot of near-pure vectors
     return np.maximum(out, 0.0)
 
@@ -81,6 +84,21 @@ def purity_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
     """Classical purity sum_i p_i^2 along ``axis``."""
     p = np.asarray(probs, dtype=np.float64)
     return (p * p).sum(axis=axis)
+
+
+def mixedness_from_probs(probs: np.ndarray) -> np.ndarray | float:
+    """1 - sum_i p_i^2 along the last axis, as sum_i p_i sum_{j != i} p_j.
+
+    Equal to ``1 - purity_from_probs(probs)`` for normalized ``probs``, but
+    with no cancellation when one p_i is within rounding of 1: the sums over
+    j != i are built from exclusive prefix and suffix sums, never by
+    subtraction.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    rest = np.zeros_like(p)
+    rest[..., 1:] = np.cumsum(p[..., :-1], axis=-1)
+    rest[..., :-1] += np.cumsum(p[..., :0:-1], axis=-1)[..., ::-1]
+    return (p * rest).sum(axis=-1)
 
 
 def trdist_mm_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:

@@ -13,7 +13,10 @@ NOT Haar-distributed.
 Campaigns draw whole batches through :func:`keyed_normal_rows`, the one
 keyed batch draw: row r of a batch comes from stream ``(master_seed,
 first + r)``, so :func:`haar_amplitude_rows` and :func:`haar_unitary_rows`
-reproduce the per-stream samplers row by row.
+reproduce the per-stream samplers row by row.  A batch constructs one
+generator and rekeys it (:func:`~cohlab.streams.rekey`) to each row's
+stream, so keying costs a state reset per row rather than a generator
+construction, and concurrent batches never share a generator.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidDimensionError
-from .streams import RandomStream, new_generator
+from .streams import RandomStream, new_generator, rekey
 
 _NORM_ATOL = 1e-12
 _UNITARY_ATOL_PER_DIM = 1e-10
@@ -173,10 +176,12 @@ def positive_qr(matrix: np.ndarray) -> np.ndarray:
 
 def _unit_rows(normals: np.ndarray) -> np.ndarray:
     # pairs of normals along the last axis become complex amplitudes, scaled
-    # in place to unit norm per row (callers pass freshly drawn arrays)
+    # in place to unit norm per row (callers pass freshly drawn arrays).
+    # Multiplying the floats by 1/norm gives the bytes of the complex division
+    # z / norm, which numpy computes as z * (1/norm) for a real divisor.
     z = normals.view(np.complex128)
     w = z.real**2 + z.imag**2
-    z /= np.sqrt(w.sum(axis=-1, keepdims=True))
+    normals *= 1.0 / np.sqrt(w.sum(axis=-1, keepdims=True))
     return z
 
 
@@ -186,11 +191,14 @@ def keyed_normal_rows(
     """Standard normals of the given row shape for streams [first, stop).
 
     Row r draws from stream ``(master_seed, first + r)``, exactly as a fresh
-    :class:`~cohlab.streams.RandomStream` for that pair would.
+    :class:`~cohlab.streams.RandomStream` for that pair would.  One generator
+    is constructed per call and rekeyed to each row's stream.
     """
     rows = np.empty((stop - first, *shape))
+    gen = new_generator(master_seed, first)
     for row, index in enumerate(range(first, stop)):
-        rows[row] = new_generator(master_seed, index).standard_normal(shape)
+        rekey(gen, master_seed, index)
+        gen.standard_normal(out=rows[row])
     return rows
 
 

@@ -9,7 +9,11 @@ concurrently and the combined experiment stays bit-reproducible.
 Streams are backed by the Philox counter-based bit generator with the
 128-bit key set directly to ``(master_seed, stream_index)``, so stream
 derivation is a pure function of the pair and involves no shared seeding
-state.
+state.  Because a Philox stream is its key plus a counter, one generator
+can serve many streams in turn: :func:`rekey` points an existing generator
+at the start of another stream, which draws exactly what a fresh
+:func:`new_generator` for that pair would, at a fraction of the cost of
+constructing one.
 """
 
 from __future__ import annotations
@@ -19,6 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _UINT64_MASK = (1 << 64) - 1
+# counter and output buffer of a Philox state at the start of a stream; the
+# state setter copies them, so one read-only array serves every call
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+_ZEROS4.flags.writeable = False
+
+
+def _key(master_seed: int, stream_index: int) -> np.ndarray:
+    return np.array(
+        [master_seed & _UINT64_MASK, stream_index & _UINT64_MASK],
+        dtype=np.uint64,
+    )
 
 
 def new_generator(master_seed: int, stream_index: int) -> np.random.Generator:
@@ -26,11 +41,25 @@ def new_generator(master_seed: int, stream_index: int) -> np.random.Generator:
 
     Negative inputs wrap modulo 2**64, matching two's-complement intent.
     """
-    key = np.array(
-        [master_seed & _UINT64_MASK, stream_index & _UINT64_MASK],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(master_seed, stream_index)))
+
+
+def rekey(generator: np.random.Generator, master_seed: int, stream_index: int) -> None:
+    """Point a Philox ``generator`` at the start of stream (master_seed, stream_index).
+
+    Sets the key, a zero counter and an empty output buffer, and drops any
+    buffered 32-bit half, so whatever the generator drew before, it now
+    draws exactly what ``new_generator(master_seed, stream_index)`` would.
+    Inputs wrap modulo 2**64 as in :func:`new_generator`.
+    """
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4, "key": _key(master_seed, stream_index)},
+        "buffer": _ZEROS4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass

@@ -267,6 +267,15 @@ class TestBoundaryExitCodes:
         assert out == ""
         assert "finite" in err
 
+    def test_concentrate_duplicate_eps_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["concentrate", "--measure", "cr", "--dim", "10", "--trials", "20", "--eps", "0.1,0.1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "distinct" in err
+
     @pytest.mark.parametrize("theorem", ["1", "3", "4"])
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_bounds_non_finite_eps_exits_2(self, capsys, theorem, eps):

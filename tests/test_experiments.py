@@ -54,6 +54,10 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig(dim=4, trials=10, master_seed=0, epsilons=(0.5, 0.1))
 
+    def test_rejects_duplicate_epsilons(self):
+        with pytest.raises(InvalidArgumentError, match="distinct"):
+            ExperimentConfig(dim=4, trials=10, master_seed=0, epsilons=(0.1, 0.1))
+
     def test_rejects_nonpositive_epsilons(self):
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig(dim=4, trials=10, master_seed=0, epsilons=(0.0, 0.1))
@@ -318,6 +322,9 @@ class TestChunkRunner:
         assert threading.get_ident() not in self.run(cutoff)
         assert threading.get_ident() not in self.run(10 * cutoff)
         assert pools == [2, 2]
+
+    def test_cutoff_keeps_d1000_serial_and_d1e5_threaded(self):
+        assert 1000 < experiments._PARALLEL_MIN_DIM <= 100_000
 
     def test_workers_capped_by_chunk_count(self, chunk_workers):
         pools = chunk_workers(16)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohlab.errors import InvalidArgumentError
@@ -19,6 +19,7 @@ from cohlab.measures import (
     fannes_floor,
     fannes_floor_sharp,
     l1_coherence_pure,
+    mixedness_from_probs,
     relative_entropy_coherence,
     shannon_entropy,
     trace_distance_diag_mm,
@@ -319,12 +320,25 @@ def test_permutation_covariance(z, pyrandom):
 
 
 @given(amplitude_vectors())
+# 1 - P cancels to 0 for these while C_l1 is a few 1e-9; 1 - sum p_i (1 - p_i)
+# still falls short of the bound for the second and third
+@example(np.array([1j, 1e-9j]))
+@example(np.array([1.0, 3e-9]))
+@example(np.array([1.0, 2e-9, 2e-9]))
 @settings(max_examples=80, deadline=None)
 def test_l1_purity_inequality_property(z):
     psi = PureState(z)
     d = psi.dim
-    bound = math.sqrt(d * (d - 1) * max(1.0 - classical_purity(psi), 0.0))
+    bound = math.sqrt(d * (d - 1) * mixedness_from_probs(diagonal_part(psi).probs))
     assert l1_coherence_pure(psi) <= bound + 1e-9
+
+
+def test_mixedness_matches_one_minus_purity(rng):
+    probs = rng.dirichlet(np.ones(7), size=5)
+    assert np.allclose(mixedness_from_probs(probs), 1.0 - (probs**2).sum(axis=1), atol=1e-15)
+    # one p_i within rounding of 1: the exact value is 2 p_0 p_1, not 0
+    assert mixedness_from_probs(np.array([1.0, 1e-18])) == 2e-18
+    assert mixedness_from_probs(np.array([1.0])) == 0.0
 
 
 def test_entropy_kernel_batch_matches_scalar(rng):

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from cohlab.streams import RandomStream, new_generator
+from cohlab.sampler import keyed_normal_rows
+from cohlab.streams import RandomStream, new_generator, rekey
 
 
 def test_identical_pair_replays_sequence():
@@ -42,3 +44,37 @@ def test_index_does_not_alias_seed():
     a = new_generator(5, 9).standard_normal(8)
     b = new_generator(9, 5).standard_normal(8)
     assert not np.array_equal(a, b)
+
+
+WRAPPING_PAIRS = [(-1, 0), (0, -5), ((1 << 64) + 3, 7), (11, (1 << 70) + 2), (-(1 << 65), -(1 << 64) - 1)]
+
+
+@pytest.mark.parametrize("seed, index", WRAPPING_PAIRS)
+def test_rekey_matches_fresh_generator(seed, index):
+    gen = new_generator(99, 12)
+    rekey(gen, seed, index)
+    assert np.array_equal(gen.standard_normal(50), new_generator(seed, index).standard_normal(50))
+
+
+@pytest.mark.parametrize("seed, index", WRAPPING_PAIRS)
+def test_rekey_after_partial_consumption(seed, index):
+    gen = new_generator(3, 4)
+    gen.standard_normal(7)  # counter moved, output buffer partly used
+    gen.integers(0, 1000, dtype=np.uint32)  # buffers the other 32-bit half
+    gen.random()
+    assert gen.bit_generator.state["has_uint32"] == 1
+    rekey(gen, seed, index)
+    fresh = new_generator(seed, index)
+    u32 = dict(size=5, dtype=np.uint32)
+    assert np.array_equal(gen.integers(0, 1 << 32, **u32), fresh.integers(0, 1 << 32, **u32))
+    assert np.array_equal(gen.standard_normal(20), fresh.standard_normal(20))
+    assert gen.random() == fresh.random()
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 4)])
+def test_keyed_normal_rows_match_per_row_streams(shape):
+    first, stop = 5, 9
+    rows = keyed_normal_rows(77, first, stop, shape)
+    assert rows.shape == (stop - first, *shape)
+    for row, index in zip(rows, range(first, stop)):
+        assert np.array_equal(row, RandomStream(77, index).generator.standard_normal(shape))
