@@ -5,9 +5,10 @@ failure, 4 vacuous guarantee, 5 I/O failure (e.g. an unwritable
 ``--out``), 6 out of memory.  Reports are wrapped in a versioned strict
 JSON envelope (no NaN or Infinity); histogram CSV uses
 ``bin_low,bin_high,count`` rows.  Values are in nats unless stated
-otherwise.  Campaigns run serially below a fixed dimension and otherwise
-on one thread per usable CPU (up to the chunk count); the payload bytes
-are the same either way.
+otherwise.  Campaigns split their states into chunks of at most 4 MiB of
+amplitudes (one state where a state is larger) and run them serially
+below d = 450 and otherwise on one thread per usable CPU (up to the chunk
+count); the payload bytes are the same either way.
 """
 
 from __future__ import annotations

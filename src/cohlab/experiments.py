@@ -134,10 +134,17 @@ class ConcentrationReport:
         ]
 
 
+# bytes of complex amplitudes (16 per entry) one row chunk may hold; every
+# campaign computes per-row values and reduces them in trial order, so the
+# rows per chunk change no payload byte, only the memory a chunk holds
+_CHUNK_BYTES = 1 << 22
+
+
 def _chunk_size(dim: int) -> int:
     # fixed function of the problem so chunk boundaries (and therefore
-    # reductions) cannot depend on the worker count
-    return max(16, min(4096, (1 << 21) // max(2 * dim, 1)))
+    # reductions) cannot depend on the worker count; a row larger than the
+    # budget is a chunk of its own
+    return max(1, min(4096, _CHUNK_BYTES // (16 * dim)))
 
 
 def _unitary_chunk(dim: int) -> int:
@@ -146,12 +153,12 @@ def _unitary_chunk(dim: int) -> int:
 
 # _run_chunked is serial below this dimension, else it runs one thread per
 # usable CPU up to the chunk count.  On a 2-CPU machine, cr campaigns of 2e7
-# amplitudes on 2 threads against 1 (3 sets of 6 interleaved runs, medians)
-# cost CPU +41% at d=300, +10% at d=450, -2..-4% at d=600 and d=1000, and
-# -1..-7% at d=1250 and d=1500; wall fell 46-52% from d=600 on.  The cutoff
-# stays above 1000, the smallest measured d past it, so d=1000 keeps the
-# serial path and the benchmark keeps one workload on each side of it.
-_PARALLEL_MIN_DIM = 1250
+# amplitudes in _CHUNK_BYTES chunks on 2 threads against 1 (3 sets of 6
+# interleaved runs, medians) cost CPU +10..+23% at d=300, +8..+15% at d=350,
+# -1..+6% at d=400, -4..-9% at d=450 and d=500, and -4..-10% at d=600 and
+# -12..-16% at d=1000; wall fell 44-54% from d=450 on.  The cutoff is the
+# smallest measured d at which a second thread cost no CPU in every set.
+_PARALLEL_MIN_DIM = 450
 
 
 def _usable_cpus() -> int:

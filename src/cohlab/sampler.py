@@ -212,8 +212,9 @@ def haar_amplitude_rows(master_seed: int, first: int, stop: int, dim: int) -> np
 
 def haar_unitary_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
     """Stacked Haar unitaries for streams [first, stop), one per stream."""
-    z = keyed_normal_rows(master_seed, first, stop, (dim, 2 * dim))
-    return positive_qr(z.view(np.complex128) / np.sqrt(2.0))
+    normals = keyed_normal_rows(master_seed, first, stop, (dim, 2 * dim))
+    normals *= 1.0 / np.sqrt(2.0)  # the bytes of z / sqrt(2), without a copy
+    return positive_qr(normals.view(np.complex128))
 
 
 def sample_haar_pure(dim: int, stream: RandomStream) -> PureState:

@@ -195,7 +195,7 @@ class TestSubspaceFloor:
         assert report.violations == 0
 
     def test_threads_do_not_change_bytes(self, chunk_workers):
-        # 64 states at d = 34000 are 3 chunks of at most 30
+        # 64 states at d = 34000 are 10 chunks of at most 7
         eps = 0.999 * math.log(34000)
         pools = chunk_workers(1)
         a = run_subspace_floor(34000, eps, 64, 5)
@@ -323,13 +323,53 @@ class TestChunkRunner:
         assert threading.get_ident() not in self.run(10 * cutoff)
         assert pools == [2, 2]
 
-    def test_cutoff_keeps_d1000_serial_and_d1e5_threaded(self):
-        assert 1000 < experiments._PARALLEL_MIN_DIM <= 100_000
+    def test_cutoff_threads_d1000_and_d1e5_keeps_d300_serial(self, chunk_workers):
+        # measured: a second thread saves CPU at d = 1000, costs +10..+23% at d = 300
+        pools = chunk_workers(2, experiments._PARALLEL_MIN_DIM)
+        assert self.run(300) == {threading.get_ident()}
+        assert threading.get_ident() not in self.run(1000)
+        assert threading.get_ident() not in self.run(100_000)
+        assert pools == [2, 2]
+
+    @pytest.mark.parametrize("dim", [1, 2, 10, 1000, 10**5, 10**7, 10**9])
+    def test_chunk_bytes_bounded(self, dim):
+        rows = experiments._chunk_size(dim)
+        assert rows >= 1
+        assert rows * 16 * dim <= max(experiments._CHUNK_BYTES, 16 * dim)
 
     def test_workers_capped_by_chunk_count(self, chunk_workers):
         pools = chunk_workers(16)
         self.run(2)
         assert pools == [4]
+
+
+_SUBSPACE_EPS = 0.999 * math.log(34000)
+_CHUNKED_CAMPAIGNS = {
+    **{
+        f"concentration-{kind}": lambda kind=kind: payload_bytes(run_concentration(
+            ExperimentConfig(dim=30, trials=50, master_seed=3, epsilons=(0.1,), measure_kind=kind)
+        ))
+        for kind in experiments.MEASURE_KINDS
+    },
+    "inequality-sweep": lambda: payload_bytes(run_inequality_sweep(30, 50, 3)),
+    "first-prob-samples": lambda: first_prob_samples(30, 50, 3).tobytes(),
+    "subspace-d34000": lambda: payload_bytes(run_subspace_floor(34000, _SUBSPACE_EPS, 16, 3)),
+}
+
+
+@pytest.mark.parametrize("campaign", sorted(_CHUNKED_CAMPAIGNS))
+def test_chunk_rows_do_not_change_bytes(campaign, monkeypatch, chunk_workers):
+    # per-row values reduced in trial order: any rows per chunk give the same bytes
+    run = _CHUNKED_CAMPAIGNS[campaign]
+    default = experiments._chunk_size
+    outputs = set()
+    for size in (lambda dim: 1, lambda dim: 7, default):
+        monkeypatch.setattr(experiments, "_chunk_size", size)
+        for cpus in (1, 2):
+            pools = chunk_workers(cpus)
+            outputs.add(run())
+    assert pools, "no threaded run used a thread pool"
+    assert len(outputs) == 1
 
 
 class TestSamplingHelpers:
