@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 failure, 4 vacuous guarantee, 5 I/O failure (e.g. an unwritable
-``--out``), 6 out of memory.  Reports are wrapped in a versioned strict
-JSON envelope (no NaN or Infinity); histogram CSV uses
+``--out``), 6 out of memory.  Reports are wrapped in a strict JSON envelope
+(no NaN or Infinity) that carries the schema version and the stream
+contract version next to the payload; histogram CSV uses
 ``bin_low,bin_high,count`` rows.  Values are in nats unless stated
 otherwise.  Campaigns split their states into chunks of at most 4 MiB of
 amplitudes (one state where a state is larger) and run them serially
@@ -28,6 +29,7 @@ from .errors import (
     UnsupportedDimensionError,
     VacuousGuaranteeError,
 )
+from .streams import STREAM_VERSION
 
 SCHEMA_VERSION = "1"
 
@@ -35,6 +37,7 @@ SCHEMA_VERSION = "1"
 def _envelope(command: str, payload: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
+        "stream_version": STREAM_VERSION,
         "command": command,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "payload": payload,

@@ -6,12 +6,20 @@ Determinism contract
 Trial ``i`` of a campaign draws from ``RandomStream(master_seed, i)`` (or a
 documented per-work-item index), per-trial values are materialized in
 trial order, and every reduction runs over that ordered array (means via
-exact compensated summation).  Batches of states and unitaries come from
-the one keyed batch sampler (:func:`cohlab.sampler.keyed_normal_rows`),
-and every campaign runs its chunks through the one chunk runner
-:func:`_run_chunked`.  Chunk partitions depend on the problem alone and
-chunk results are combined in chunk order, so reports are byte-identical
-whether the runner fills the chunks serially or on a thread pool.
+exact compensated summation).  Batches come from the one keyed batch
+sampler (:func:`cohlab.sampler.keyed_rows`), and every campaign runs its
+chunks through the one chunk runner :func:`_run_chunked`.  Chunk partitions
+depend on the problem alone and chunk results are combined in chunk order,
+so reports are byte-identical whether the runner fills the chunks serially
+or on a thread pool.
+
+Campaigns that need only a Haar state's diagonal draw it as normalised
+standard exponentials (:func:`cohlab.sampler.haar_prob_rows`, stream
+contract v2): every concentration measure, the inequality sweep and
+:func:`first_prob_samples`.  A concentration trial therefore has the law of
+``measure(sample_haar_pure(...))`` but not its value.  The subspace,
+decomposition, matrix-integral and |U_11| campaigns need amplitudes or
+unitaries and draw standard normals.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .errors import (
 from .sampler import (
     Decomposition,
     haar_amplitude_rows,
+    haar_prob_rows,
     haar_unitary_rows,
     sample_pure_in_subspace,
     sample_random_decomposition,
@@ -134,9 +143,10 @@ class ConcentrationReport:
         ]
 
 
-# bytes of complex amplitudes (16 per entry) one row chunk may hold; every
-# campaign computes per-row values and reduces them in trial order, so the
-# rows per chunk change no payload byte, only the memory a chunk holds
+# bytes of complex amplitudes (16 per entry) one row chunk may hold;
+# probability rows (8 bytes per entry) fill half of it.  Every campaign
+# computes per-row values and reduces them in trial order, so the rows per
+# chunk change no payload byte, only the memory a chunk holds
 _CHUNK_BYTES = 1 << 22
 
 
@@ -179,16 +189,11 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _haar_prob_rows(master_seed: int, start: int, stop: int, dim: int) -> np.ndarray:
-    """Diagonal probabilities of the Haar states of trials [start, stop)."""
-    return _abs2(haar_amplitude_rows(master_seed, start, stop, dim))
-
-
 def _trial_values(config: ExperimentConfig) -> np.ndarray:
     kernel = getattr(measures, _MEASURES[config.measure_kind].kernel)
 
     def fill(start: int, stop: int) -> np.ndarray:
-        return kernel(_haar_prob_rows(config.master_seed, start, stop, config.dim))
+        return kernel(haar_prob_rows(config.master_seed, start, stop, config.dim))
 
     return np.concatenate(
         _run_chunked(config.trials, _chunk_size(config.dim), fill, config.dim)
@@ -533,7 +538,7 @@ def run_inequality_sweep(
     log_d = math.log(dim)
 
     def fill(start: int, stop: int) -> tuple[int, int, int]:
-        probs = _haar_prob_rows(master_seed, start, stop, dim)
+        probs = haar_prob_rows(master_seed, start, stop, dim)
         c_r = measures.entropy_from_probs(probs)
         c_l1 = measures.l1_from_probs(probs)
         floor = measures.fannes_floor_from_probs(probs)
@@ -565,7 +570,7 @@ def first_prob_samples(dim: int, trials: int, master_seed: int) -> np.ndarray:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
 
     def fill(start: int, stop: int) -> np.ndarray:
-        return _haar_prob_rows(master_seed, start, stop, dim)[:, 0]
+        return haar_prob_rows(master_seed, start, stop, dim)[:, 0]
 
     return np.concatenate(_run_chunked(trials, _chunk_size(dim), fill, dim))
 

@@ -10,13 +10,23 @@ subspace frames come from QR factorization of complex Ginibre matrices
 with the R-diagonal phase correction; without that correction QR output is
 NOT Haar-distributed.
 
-Campaigns draw whole batches through :func:`keyed_normal_rows`, the one
-keyed batch draw: row r of a batch comes from stream ``(master_seed,
-first + r)``, so :func:`haar_amplitude_rows` and :func:`haar_unitary_rows`
-reproduce the per-stream samplers row by row.  A batch constructs one
-generator and rekeys it (:func:`~cohlab.streams.rekey`) to each row's
-stream, so keying costs a state reset per row rather than a generator
-construction, and concurrent batches never share a generator.
+Campaigns draw whole batches through :func:`keyed_rows`, the one keyed
+batch draw: row r of a batch comes from stream ``(master_seed, first + r)``.
+A batch constructs one generator and rekeys it
+(:func:`~cohlab.streams.rekey`) to each row's stream, so keying costs a
+state reset per row rather than a generator construction, and concurrent
+batches never share a generator.  Under stream contract v2
+(:data:`~cohlab.streams.STREAM_VERSION`) a row draws one of two variates:
+
+* standard normals, for whatever needs amplitudes or unitaries:
+  :func:`haar_amplitude_rows` and :func:`haar_unitary_rows`, which
+  reproduce :func:`sample_haar_pure` and :func:`sample_haar_unitary` row by
+  row;
+* standard exponentials, for whatever needs only the diagonal
+  p_i = |psi_i|^2 of a Haar state: :func:`haar_prob_rows` divides d
+  exponentials by their sum, which is Dirichlet(1, ..., 1), the law of that
+  diagonal.  Its rows have the law of ``|sample_haar_pure(...)|^2`` but not
+  its values.
 """
 
 from __future__ import annotations
@@ -185,20 +195,23 @@ def _unit_rows(normals: np.ndarray) -> np.ndarray:
     return z
 
 
-def keyed_normal_rows(
-    master_seed: int, first: int, stop: int, shape: tuple[int, ...]
+def keyed_rows(
+    master_seed: int, first: int, stop: int, shape: tuple[int, ...], variate: str
 ) -> np.ndarray:
-    """Standard normals of the given row shape for streams [first, stop).
+    """Variates of the given row shape for streams [first, stop).
 
-    Row r draws from stream ``(master_seed, first + r)``, exactly as a fresh
+    ``variate`` names the generator's draw method, ``"standard_normal"`` or
+    ``"standard_exponential"``.  Row r draws from stream
+    ``(master_seed, first + r)``, exactly as a fresh
     :class:`~cohlab.streams.RandomStream` for that pair would.  One generator
     is constructed per call and rekeyed to each row's stream.
     """
     rows = np.empty((stop - first, *shape))
     gen = new_generator(master_seed, first)
+    draw = getattr(gen, variate)
     for row, index in enumerate(range(first, stop)):
         rekey(gen, master_seed, index)
-        gen.standard_normal(out=rows[row])
+        draw(out=rows[row])
     return rows
 
 
@@ -207,12 +220,25 @@ def haar_amplitude_rows(master_seed: int, first: int, stop: int, dim: int) -> np
 
     Row r equals ``sample_haar_pure(dim, RandomStream(master_seed, first + r))``.
     """
-    return _unit_rows(keyed_normal_rows(master_seed, first, stop, (2 * dim,)))
+    return _unit_rows(keyed_rows(master_seed, first, stop, (2 * dim,), "standard_normal"))
+
+
+def haar_prob_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
+    """Diagonals p_i = |psi_i|^2 of Haar states for streams [first, stop).
+
+    Row r is ``e / e.sum()`` for
+    ``e = RandomStream(master_seed, first + r).generator.standard_exponential(dim)``:
+    Dirichlet(1, ..., 1), the law of a Haar state's diagonal, from d
+    variates instead of the 2d normals of an amplitude row.
+    """
+    rows = keyed_rows(master_seed, first, stop, (dim,), "standard_exponential")
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
 def haar_unitary_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
     """Stacked Haar unitaries for streams [first, stop), one per stream."""
-    normals = keyed_normal_rows(master_seed, first, stop, (dim, 2 * dim))
+    normals = keyed_rows(master_seed, first, stop, (dim, 2 * dim), "standard_normal")
     normals *= 1.0 / np.sqrt(2.0)  # the bytes of z / sqrt(2), without a copy
     return positive_qr(normals.view(np.complex128))
 

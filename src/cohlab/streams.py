@@ -14,6 +14,14 @@ can serve many streams in turn: :func:`rekey` points an existing generator
 at the start of another stream, which draws exactly what a fresh
 :func:`new_generator` for that pair would, at a fraction of the cost of
 constructing one.
+
+:data:`STREAM_VERSION` names the stream contract: which variates each
+campaign draws from which stream.  It changes only with a deliberate change
+of the sampled bytes, together with the golden payloads that pin them.
+Version 2 draws standard exponentials for campaigns that need only a Haar
+state's diagonal (every concentration measure, the inequality sweep and the
+outcome-probability samples) and standard normals for amplitudes, unitaries
+and subspace frames; version 1 drew normals everywhere.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+STREAM_VERSION = "2"
 
 _UINT64_MASK = (1 << 64) - 1
 # counter and output buffer of a Philox state at the start of a stream; the

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from cohlab.cli import main
+from cohlab.streams import STREAM_VERSION
 
 
 def run_cli(capsys, argv):
@@ -17,8 +18,27 @@ def run_json(capsys, argv):
     assert code == 0, err
     envelope = json.loads(out)
     assert envelope["schema_version"] == "1"
+    assert envelope["stream_version"] == STREAM_VERSION
+    assert "stream_version" not in envelope["payload"]
     assert "timestamp_utc" in envelope
     return envelope
+
+
+# every command that writes a JSON envelope (verify prints text only)
+ENVELOPE_COMMANDS = {
+    "expect": ["expect", "--dim", "20"],
+    "concentrate": ["concentrate", "--measure", "cr", "--dim", "5", "--trials", "50"],
+    "subspace": ["subspace", "--dim", "34000", "--eps-frac", "0.99", "--states", "4"],
+    "bounds": ["bounds", "--dim", "100", "--eps", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENVELOPE_COMMANDS))
+def test_envelope_carries_stream_version(capsys, command):
+    env = run_json(capsys, ENVELOPE_COMMANDS[command])
+    assert env["command"] == command
+    assert env["stream_version"] == "2"
+    assert set(env) == {"schema_version", "stream_version", "command", "timestamp_utc", "payload"}
 
 
 class TestExpect:

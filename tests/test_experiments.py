@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cohlab import experiments
 from cohlab.analytics import expected_cr, subspace_threshold
@@ -103,12 +104,13 @@ class TestRunConcentration:
         assert hits >= 20 * 0.99
 
     def test_trial_values_match_public_sampler(self):
-        # the report is the statistics of measure(sample_haar_pure(...)) per trial
+        # stream contract v2: trial i is measure(e / e.sum()), e = d exponentials of stream i
         cfg = ExperimentConfig(dim=6, trials=40, master_seed=77, measure_kind="purity")
         report = run_concentration(cfg)
         values = []
         for i in range(40):
-            probs = diagonal_part(sample_haar_pure(6, RandomStream(77, i))).probs
+            e = RandomStream(77, i).generator.standard_exponential(6)
+            probs = e / e.sum()
             values.append(float((probs * probs).sum()))
         assert abs(report.empirical_mean - math.fsum(values) / 40) < 1e-15
 
@@ -381,8 +383,20 @@ class TestSamplingHelpers:
     def test_first_prob_samples_match_per_state_path(self):
         samples = first_prob_samples(5, 10, 9)
         for i in range(10):
-            probs = diagonal_part(sample_haar_pure(5, RandomStream(9, i))).probs
-            assert samples[i] == probs[0]
+            e = RandomStream(9, i).generator.standard_exponential(5)
+            assert samples[i] == (e / e.sum())[0]
+
+    @pytest.mark.parametrize("dim", [2, 5, 50])
+    def test_first_prob_law_matches_sample_haar_pure(self, dim):
+        # exponential diagonals and |psi_1|^2 of Gaussian amplitudes share one law;
+        # the two samples use different seeds, so they are independent
+        trials = 4000
+        v2 = first_prob_samples(dim, trials, 31)
+        amplitudes = [
+            diagonal_part(sample_haar_pure(dim, RandomStream(32, i))).probs[0]
+            for i in range(trials)
+        ]
+        assert stats.ks_2samp(v2, amplitudes).pvalue > 0.01
 
     def test_ks_distance_small_at_d2(self):
         assert ks_distance_u11(2, 20000, 5) < 0.02

@@ -6,11 +6,16 @@ sampler or a measure kernel fails here.  Each case is the SHA-256 of
 ``json.dumps(payload, sort_keys=True)`` of one campaign, or a ``repr`` of
 one number, stored in ``tests/golden/payloads.json``.
 
+The file also records the stream contract version
+(:data:`cohlab.streams.STREAM_VERSION`) its cases were generated under.
 Two rules:
 
 * A hash changes only by a deliberate, documented stream or kernel
-  change.  Regenerate with ``PYTHONPATH=src python tests/test_golden.py``
-  in the same change, and say in CHANGES.md which cases moved and why.
+  change, which bumps ``STREAM_VERSION``.  Regenerate with
+  ``PYTHONPATH=src python tests/test_golden.py`` in the same change, and
+  say in CHANGES.md which cases moved and why.  The regeneration refuses
+  to move a case without a bump, and ``test_golden_stream_version`` fails
+  on a bump without a regeneration.
 * A refactor that claims to keep payloads passes these tests unchanged.
 """
 
@@ -22,6 +27,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +41,7 @@ from cohlab.experiments import (
     run_inequality_sweep,
     run_matrix_integral_check,
 )
+from cohlab.streams import STREAM_VERSION
 
 GOLDEN = Path(__file__).with_name("golden") / "payloads.json"
 SEED = 20260810
@@ -98,16 +105,37 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
+def test_golden_stream_version(golden):
+    assert golden["stream_version"] == STREAM_VERSION
+
+
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(CASES)
+    assert sorted(golden["cases"]) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, golden):
-    assert CASES[name]() == golden[name]
+    assert CASES[name]() == golden["cases"][name]
+
+
+def _regenerate() -> int:
+    cases = {name: CASES[name]() for name in sorted(CASES)}
+    if GOLDEN.exists():
+        old = json.loads(GOLDEN.read_text())
+        moved = sorted(n for n, v in old["cases"].items() if n in cases and cases[n] != v)
+        if moved and old["stream_version"] == STREAM_VERSION:
+            print(
+                f"{len(moved)} cases moved under stream_version {STREAM_VERSION!r} "
+                f"({', '.join(moved)}); bump cohlab.streams.STREAM_VERSION first",
+                file=sys.stderr,
+            )
+            return 1
+    GOLDEN.parent.mkdir(exist_ok=True)
+    golden = {"stream_version": STREAM_VERSION, "cases": cases}
+    GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
+    print(f"wrote {len(cases)} cases under stream_version {STREAM_VERSION!r} to {GOLDEN}")
+    return 0
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({name: CASES[name]() for name in sorted(CASES)}, indent=2) + "\n")
-    print(f"wrote {len(CASES)} cases to {GOLDEN}")
+    sys.exit(_regenerate())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cohlab.sampler import keyed_normal_rows
+from cohlab.sampler import haar_prob_rows, keyed_rows
 from cohlab.streams import RandomStream, new_generator, rekey
 
 
@@ -74,7 +74,24 @@ def test_rekey_after_partial_consumption(seed, index):
 @pytest.mark.parametrize("shape", [(6,), (3, 4)])
 def test_keyed_normal_rows_match_per_row_streams(shape):
     first, stop = 5, 9
-    rows = keyed_normal_rows(77, first, stop, shape)
+    rows = keyed_rows(77, first, stop, shape, "standard_normal")
     assert rows.shape == (stop - first, *shape)
     for row, index in zip(rows, range(first, stop)):
         assert np.array_equal(row, RandomStream(77, index).generator.standard_normal(shape))
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 4)])
+def test_keyed_exponential_rows_match_per_row_streams(shape):
+    first, stop = 5, 9
+    rows = keyed_rows(77, first, stop, shape, "standard_exponential")
+    assert rows.shape == (stop - first, *shape)
+    for row, index in zip(rows, range(first, stop)):
+        assert np.array_equal(row, RandomStream(77, index).generator.standard_exponential(shape))
+
+
+def test_haar_prob_rows_are_normalised_exponentials():
+    first, stop, dim = 3, 8, 7
+    rows = haar_prob_rows(77, first, stop, dim)
+    for row, index in zip(rows, range(first, stop)):
+        e = RandomStream(77, index).generator.standard_exponential(dim)
+        assert np.array_equal(row, e / e.sum())
