@@ -23,7 +23,6 @@ from .analytics import (
     fannes_asymptote,
     haar_prob_moment,
     harmonic,
-    l1_upper_bound_from_purity,
     levy_bound_cr,
     levy_bound_purity,
     levy_bound_trdist,
@@ -53,7 +52,6 @@ from .experiments import (
     SubspaceFloorReport,
     first_prob_samples,
     ks_distance_u11,
-    reproduce_fig1,
     run_concentration,
     run_decomposition_check,
     run_inequality_sweep,
@@ -65,30 +63,21 @@ from .experiments import (
     verify_moments,
 )
 from .measures import (
-    CoherenceProfile,
-    DiagonalDistribution,
-    binary_entropy,
     classical_purity,
     coherence_of_formation_pure,
-    coherence_profile,
     decomposition_average_coherence,
-    diagonal_part,
     fannes_floor,
-    fannes_floor_sharp,
     l1_coherence_pure,
     relative_entropy_coherence,
-    shannon_entropy,
     trace_distance_diag_mm,
 )
 from .sampler import (
     Decomposition,
     PureState,
     SubspaceBasis,
-    UnitaryMatrix,
     ginibre,
     positive_qr,
     sample_haar_pure,
-    sample_haar_unitary,
     sample_pure_in_subspace,
     sample_random_decomposition,
     sample_random_subspace,

@@ -28,8 +28,9 @@ EULER_GAMMA = 0.5772156649015329
 #: denominator of the constant K = 1/16461 in the coherent-subspace dimension
 SUBSPACE_K_DENOM = 16461
 
-#: smallest ambient dimension at which the subspace guarantee can reach s >= 2
-MIN_DIM_FOR_NONTRIVIAL_SUBSPACE = 32921
+#: smallest ambient dimension at which the subspace guarantee can reach s >= 2:
+#: s < d / SUBSPACE_K_DENOM for every eps < ln d, so s >= 2 needs d > 2 * SUBSPACE_K_DENOM
+MIN_DIM_FOR_NONTRIVIAL_SUBSPACE = 2 * SUBSPACE_K_DENOM + 1
 
 # harmonic numbers are summed exactly up to here, Euler-Maclaurin beyond;
 # the two branches agree to ~1e-14 relative at the switchover
@@ -264,8 +265,9 @@ def subspace_dimension(d: int, eps: float) -> SubspaceDimension:
     """Dimension floor(d (eps/ln d)^2.5 / 16461) of the guaranteed coherent subspace.
 
     Returns 0 when the formula gives less than 1 (the guarantee is then
-    vacuous); the warning flag is set for d < 32921, below which no
-    parameter choice reaches s >= 2.
+    vacuous); the warning flag is set for
+    d < :data:`MIN_DIM_FOR_NONTRIVIAL_SUBSPACE` (32923), below which no
+    eps < ln d reaches s >= 2.
     """
     log_d = _check_subspace_args(d, eps)
     s = math.floor(d * (eps / log_d) ** 2.5 / SUBSPACE_K_DENOM)
@@ -289,21 +291,6 @@ def net_log_size(d: int, eps0: float) -> float:
     if not 0.0 < eps0 < 1.0:
         raise InvalidEpsilonError(f"net resolution must lie in (0, 1), got {eps0}")
     return 2.0 * d * math.log(5.0 / eps0)
-
-
-def l1_upper_bound_from_purity(d: int, purity: float) -> float:
-    """Per-state bound sqrt(d(d-1)(1 - P)) on the l1 coherence.
-
-    ``purity`` must lie in [1/d, 1]; inputs within 1e-9 of the boundary are
-    clamped onto it to absorb rounding of computed purities.
-    """
-    if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    lo = 1.0 / d
-    if purity < lo - 1e-9 or purity > 1.0 + 1e-9:
-        raise InvalidArgumentError(f"purity must lie in [1/d, 1] = [{lo:.6g}, 1], got {purity}")
-    p = min(max(purity, lo), 1.0)
-    return math.sqrt(d * (d - 1) * (1.0 - p))
 
 
 def typical_l1_upper(d: int) -> float:

@@ -28,7 +28,7 @@ import math
 import os
 from concurrent import futures
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,13 +126,6 @@ class ConcentrationReport:
     histogram: list[tuple[float, float, int]]
     tails: list[tuple[float, float, float | None, float | None]]
     scaled_mean: float | None
-
-    def scaled_histogram(self) -> list[tuple[float, float, int]]:
-        """Histogram with bin edges divided by ln d (cr campaigns only)."""
-        if self.config.measure_kind != "cr" or self.config.dim < 2:
-            raise InvalidArgumentError("scaled histograms only apply to cr at d >= 2")
-        log_d = math.log(self.config.dim)
-        return [(lo / log_d, hi / log_d, count) for lo, hi, count in self.histogram]
 
     def tail_bound_flags(self) -> list[tuple[float, float, float]]:
         """Tail entries exceeding a non-vacuous bound (statistical red flags)."""
@@ -262,33 +255,6 @@ def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
         tails=tails,
         scaled_mean=scaled,
     )
-
-
-def reproduce_fig1(
-    dims: Sequence[int],
-    trials: int = 10**5,
-    master_seed: int = 0,
-    histogram_bins: int = 50,
-) -> list[ConcentrationReport]:
-    """One cr campaign per dimension, for scaled-coherence frequency plots.
-
-    Defaults to 1e5 trials per dimension; histograms span [0, ln d] so the
-    curves are directly comparable after dividing the edges by ln d.
-    """
-    if not dims:
-        raise InvalidArgumentError("dims must be nonempty")
-    return [
-        run_concentration(
-            ExperimentConfig(
-                dim=d,
-                trials=trials,
-                master_seed=master_seed,
-                histogram_bins=histogram_bins,
-                measure_kind="cr",
-            )
-        )
-        for d in dims
-    ]
 
 
 @dataclass
@@ -605,8 +571,9 @@ class CheckResult:
     detail: str
 
 
-def verify_integral(d_max: int = 10**4) -> list[CheckResult]:
-    """Cross-formula identities: Beta route for all d <= d_max, quadrature to 50."""
+def verify_integral() -> list[CheckResult]:
+    """Cross-formula identities: Beta route for all d <= 1e4, quadrature to 50."""
+    d_max = 10**4
     max_beta_diff = 0.0
     for d in range(2, d_max + 1):
         diff = abs(analytics.expected_cr(d) - analytics.expected_cr_via_beta(d))
@@ -631,14 +598,11 @@ def verify_integral(d_max: int = 10**4) -> list[CheckResult]:
     ]
 
 
-def verify_matrix(
-    master_seed: int,
-    dims: Sequence[int] = (2, 4, 8),
-    n_unitaries: int = 10**5,
-) -> list[CheckResult]:
-    """Monte Carlo dephasing twirl against (Tr X I + X)/(d+1) per dimension."""
+def verify_matrix(master_seed: int) -> list[CheckResult]:
+    """Monte Carlo dephasing twirl against (Tr X I + X)/(d+1) at d = 2, 4, 8."""
+    n_unitaries = 10**5
     results = []
-    for d in dims:
+    for d in (2, 4, 8):
         report = run_matrix_integral_check(d, n_unitaries, master_seed)
         results.append(
             CheckResult(
@@ -653,14 +617,11 @@ def verify_matrix(
     return results
 
 
-def verify_inequalities(
-    master_seed: int,
-    dims: Sequence[int] = (2, 3, 10, 100),
-    trials: int = 10**4,
-) -> list[CheckResult]:
-    """Per-state theorem sweeps; every violation count must be zero."""
+def verify_inequalities(master_seed: int) -> list[CheckResult]:
+    """Per-state theorem sweeps at d = 2, 3, 10, 100; every violation count must be zero."""
+    trials = 10**4
     results = []
-    for d in dims:
+    for d in (2, 3, 10, 100):
         report = run_inequality_sweep(d, trials, master_seed)
         total = (
             report.l1_purity_violations
@@ -681,17 +642,12 @@ def verify_inequalities(
     return results
 
 
-def verify_moments(
-    master_seed: int,
-    dims: Sequence[int] = (2, 10, 100),
-    trials: int = 10**5,
-    ks_trials: int = 10**5,
-    max_sigma: float = 4.0,
-    ks_tolerance: float = 0.01,
-) -> list[CheckResult]:
-    """Outcome-probability moments against Beta(1, d-1), plus the |U_11| law."""
+def verify_moments(master_seed: int) -> list[CheckResult]:
+    """Outcome-probability moments against Beta(1, d-1) at d = 2, 10, 100, plus the |U_11| law."""
+    trials = ks_trials = 10**5
+    max_sigma, ks_tolerance = 4.0, 0.01
     results = []
-    for d in dims:
+    for d in (2, 10, 100):
         p1 = first_prob_samples(d, trials, master_seed)
         for k in (1, 2):
             sample = p1 if k == 1 else p1 * p1

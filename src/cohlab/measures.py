@@ -10,62 +10,23 @@ Conventions used throughout the package:
   so underflow can never produce NaN.
 
 The ``*_from_probs`` functions are array kernels operating on (batches of)
-probability vectors along the last axis; the scalar operations delegate to
-them so both paths share one numerical definition.
+probability vectors along the last axis; the batched campaigns evaluate
+their measures through them.  The scalar functions take one
+:class:`~cohlab.sampler.PureState` and delegate to the same kernels, so
+both paths share one numerical definition; the decomposition check sums
+:func:`relative_entropy_coherence` over ensemble members.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
 from .sampler import Decomposition, PureState
 
-_PROB_SUM_ATOL = 1e-12
 # probabilities at or below this are treated as exact zeros (0 ln 0 = 0)
 _ZERO_PROB = 1e-300
-
-
-@dataclass
-class DiagonalDistribution:
-    """Probability vector p_i = |<i|psi>|^2 of a state's diagonal part."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size < 1:
-            raise InvalidArgumentError("probs must be a nonempty 1-d vector")
-        if p.min() < 0.0:
-            raise InvalidArgumentError("probabilities must be nonnegative")
-        total = float(p.sum())
-        if abs(total - 1.0) > _PROB_SUM_ATOL:
-            raise InvalidArgumentError(f"probabilities must sum to 1, got {total!r}")
-        self.probs = p
-
-    @property
-    def dim(self) -> int:
-        return self.probs.size
-
-
-@dataclass
-class CoherenceProfile:
-    """All per-state quantities evaluated on one pure state.
-
-    ``fannes_floor`` is the headline lower bound (1-T) ln d - H2(T);
-    ``fannes_floor_sharp`` is the tighter ln d - T ln(d-1) - H2(T) variant.
-    """
-
-    dim: int
-    c_r: float
-    c_l1: float
-    purity: float
-    trace_dist_mm: float
-    fannes_floor: float
-    fannes_floor_sharp: float
 
 
 def entropy_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
@@ -144,16 +105,6 @@ def _probs(psi: PureState) -> np.ndarray:
     return amps.real**2 + amps.imag**2
 
 
-def diagonal_part(psi: PureState) -> DiagonalDistribution:
-    """Diagonal part of |psi><psi| in the reference basis, as probabilities."""
-    return DiagonalDistribution(_probs(psi))
-
-
-def shannon_entropy(dist: DiagonalDistribution) -> float:
-    """Entropy -sum_i p_i ln p_i in nats."""
-    return float(entropy_from_probs(dist.probs))
-
-
 def relative_entropy_coherence(psi: PureState) -> float:
     """C_r of a pure state: the entropy of its diagonal part, in [0, ln d]."""
     return float(entropy_from_probs(_probs(psi)))
@@ -193,35 +144,6 @@ def decomposition_average_coherence(dec: Decomposition) -> float:
     return float(np.dot(dec.weights, entropies))
 
 
-def binary_entropy(t: float) -> float:
-    """H2(t) = -t ln t - (1-t) ln(1-t) in nats, with 0 ln 0 = 0."""
-    if not 0.0 <= t <= 1.0:
-        raise InvalidArgumentError(f"binary entropy argument must be in [0,1], got {t}")
-    return float(_binary_entropy(np.float64(t)))
-
-
 def fannes_floor(psi: PureState) -> float:
     """Continuity lower bound on C_r; see :func:`fannes_floor_from_probs`."""
     return float(fannes_floor_from_probs(_probs(psi)))
-
-
-def fannes_floor_sharp(psi: PureState) -> float:
-    """Sharper variant ln d - T ln(d-1) - H2(T) of the coherence floor."""
-    d = psi.dim
-    if d == 1:
-        return 0.0
-    t = trace_distance_diag_mm(psi) / 2.0
-    return math.log(d) - t * math.log(d - 1) - binary_entropy(t)
-
-
-def coherence_profile(psi: PureState) -> CoherenceProfile:
-    """Evaluate every per-state functional on one state."""
-    return CoherenceProfile(
-        dim=psi.dim,
-        c_r=relative_entropy_coherence(psi),
-        c_l1=l1_coherence_pure(psi),
-        purity=classical_purity(psi),
-        trace_dist_mm=trace_distance_diag_mm(psi),
-        fannes_floor=fannes_floor(psi),
-        fannes_floor_sharp=fannes_floor_sharp(psi),
-    )

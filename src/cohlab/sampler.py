@@ -19,9 +19,10 @@ batches never share a generator.  Under stream contract v2
 (:data:`~cohlab.streams.STREAM_VERSION`) a row draws one of two variates:
 
 * standard normals, for whatever needs amplitudes or unitaries:
-  :func:`haar_amplitude_rows` and :func:`haar_unitary_rows`, which
-  reproduce :func:`sample_haar_pure` and :func:`sample_haar_unitary` row by
-  row;
+  :func:`haar_amplitude_rows`, whose row r is
+  :func:`sample_haar_pure` on stream ``(master_seed, first + r)``, and
+  :func:`haar_unitary_rows`, which stacks phase-corrected QR factors of
+  Ginibre matrices;
 * standard exponentials, for whatever needs only the diagonal
   p_i = |psi_i|^2 of a Haar state: :func:`haar_prob_rows` divides d
   exponentials by their sum, which is Dirichlet(1, ..., 1), the law of that
@@ -40,7 +41,6 @@ from .errors import InvalidArgumentError, InvalidDimensionError
 from .streams import RandomStream, new_generator, rekey
 
 _NORM_ATOL = 1e-12
-_UNITARY_ATOL_PER_DIM = 1e-10
 _ORTHO_ATOL = 1e-10
 _WEIGHT_SUM_ATOL = 1e-12
 _GRAM_ATOL = 1e-9
@@ -69,29 +69,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-
-@dataclass
-class UnitaryMatrix:
-    """d x d complex matrix with U^dag U = I within Frobenius tolerance."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        u = np.ascontiguousarray(self.entries, dtype=np.complex128)
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
-            raise InvalidDimensionError("entries must be a square matrix")
-        d = u.shape[0]
-        defect = np.linalg.norm(u.conj().T @ u - np.eye(d))
-        if defect > _UNITARY_ATOL_PER_DIM * d:
-            raise InvalidArgumentError(
-                f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}"
-            )
-        self.entries = u
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass
@@ -253,14 +230,6 @@ def sample_haar_pure(dim: int, stream: RandomStream) -> PureState:
     if dim < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
     return PureState(_unit_rows(stream.generator.standard_normal(2 * dim)))
-
-
-def sample_haar_unitary(dim: int, stream: RandomStream) -> UnitaryMatrix:
-    """Draw a Haar-distributed unitary via phase-corrected Ginibre QR."""
-    if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-    q = positive_qr(ginibre(stream.generator, dim, dim))
-    return UnitaryMatrix(q)
 
 
 def sample_random_subspace(dim: int, sub_dim: int, stream: RandomStream) -> SubspaceBasis:

@@ -197,30 +197,27 @@ def test_08_formation_floor_via_decompositions():
 
 def test_09_analytic_identities():
     with criterion(9, "beta identity to 1e-10 on [2, 1e4]; quadrature to 1e-6 on [2, 50]"):
-        results = verify_integral(d_max=10**4)
+        results = verify_integral()
         for res in results:
             assert res.passed, f"{res.name}: {res.detail}"
 
 
 def test_10_matrix_integral():
     with criterion(10, "dephasing twirl matches (Tr X I + X)/(d+1) at d in {2, 4, 8}"):
-        results = verify_matrix(SEED, dims=(2, 4, 8), n_unitaries=10**5)
+        results = verify_matrix(SEED)
         for res in results:
             assert res.passed, f"{res.name}: {res.detail}"
 
 
 def test_11_deterministic_inequalities():
     with criterion(11, "zero violations of l1/purity and Fannes floors, 1e4 states"):
-        results = verify_inequalities(SEED, dims=(2, 3, 10, 100), trials=10**4)
+        results = verify_inequalities(SEED)
         for res in results:
             assert res.passed, f"{res.name}: {res.detail}"
 
 
 def test_12_sampler_statistics():
     with criterion(12, "Beta(1, d-1) moments within 4 stderr; |U_11| KS < 0.01"):
-        results = verify_moments(
-            SEED, dims=(2, 10, 100), trials=10**5, ks_trials=10**5,
-            max_sigma=4.0, ks_tolerance=0.01,
-        )
+        results = verify_moments(SEED)
         for res in results:
             assert res.passed, f"{res.name}: {res.detail}"

@@ -21,7 +21,6 @@ from cohlab.analytics import (
     fannes_asymptote,
     haar_prob_moment,
     harmonic,
-    l1_upper_bound_from_purity,
     levy_bound_cr,
     levy_bound_purity,
     levy_bound_trdist,
@@ -38,7 +37,7 @@ from cohlab.errors import (
     InvalidEpsilonError,
     UnsupportedDimensionError,
 )
-from cohlab.measures import relative_entropy_coherence
+from cohlab.measures import mixedness_from_probs, relative_entropy_coherence
 from cohlab.sampler import PureState
 
 from conftest import random_state_vector
@@ -326,7 +325,10 @@ class TestSubspaceDimension:
     def test_small_d_warning_flag(self):
         assert subspace_dimension(34000, 0.999 * math.log(34000)).small_d_warning is False
         assert subspace_dimension(10000, 0.9 * math.log(10000)).small_d_warning is True
-        assert MIN_DIM_FOR_NONTRIVIAL_SUBSPACE == 32921
+        # s grows with eps, so the largest eps < ln d decides whether any reaches s >= 2
+        below, at = MIN_DIM_FOR_NONTRIVIAL_SUBSPACE - 1, MIN_DIM_FOR_NONTRIVIAL_SUBSPACE
+        assert subspace_dimension(below, math.nextafter(math.log(below), 0.0)) == (1, True)
+        assert subspace_dimension(at, math.nextafter(math.log(at), 0.0)) == (2, False)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(InvalidEpsilonError):
@@ -396,20 +398,22 @@ class TestNetLogSize:
             net_log_size(10, 1.0)
 
 
+def l1_upper_bound(probs):
+    # sqrt(d(d-1)(1 - P)) as the inequality sweep computes it
+    d = len(probs)
+    return math.sqrt(d * (d - 1) * mixedness_from_probs(np.asarray(probs)))
+
+
 class TestL1Bounds:
     def test_upper_bound_from_purity(self):
-        assert l1_upper_bound_from_purity(5, 1.0) == 0.0
-        assert abs(l1_upper_bound_from_purity(4, 0.25) - 3.0) < 1e-12
-        assert abs(l1_upper_bound_from_purity(4, 0.625) - 2.1213203435596424) < 1e-12
+        assert l1_upper_bound([1.0, 0.0, 0.0, 0.0, 0.0]) == 0.0
+        assert abs(l1_upper_bound([0.25] * 4) - 3.0) < 1e-12
+        # purity 0.625 at d = 4
+        assert abs(l1_upper_bound([0.75, 0.25, 0.0, 0.0]) - 2.1213203435596424) < 1e-12
 
     def test_upper_bound_clamps_boundary_rounding(self):
-        assert l1_upper_bound_from_purity(4, 1.0 + 1e-12) == 0.0
-
-    def test_upper_bound_rejects_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            l1_upper_bound_from_purity(4, 0.1)
-        with pytest.raises(InvalidArgumentError):
-            l1_upper_bound_from_purity(4, 1.1)
+        # a diagonal whose purity rounds above 1 still gets the bound 0, not NaN
+        assert l1_upper_bound([1.0 + 1e-12, 0.0, 0.0, 0.0]) == 0.0
 
     def test_typical_upper(self):
         assert abs(typical_l1_upper(2) - math.sqrt(2.0 / 3.0)) < 1e-15

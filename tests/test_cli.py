@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cohlab.analytics import MIN_DIM_FOR_NONTRIVIAL_SUBSPACE
 from cohlab.cli import main
 from cohlab.streams import STREAM_VERSION
 
@@ -140,7 +141,7 @@ class TestSubspace:
             ["subspace", "--dim", "1000", "--eps-frac", "0.5", "--states", "10"],
         )
         assert code == 4
-        assert "32921" in err
+        assert str(MIN_DIM_FOR_NONTRIVIAL_SUBSPACE) in err
 
     def test_bad_frac_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -5,23 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohlab.errors import InvalidArgumentError
 from cohlab.measures import (
-    CoherenceProfile,
-    DiagonalDistribution,
-    binary_entropy,
+    _binary_entropy,
+    _probs,
     classical_purity,
     coherence_of_formation_pure,
-    coherence_profile,
     decomposition_average_coherence,
-    diagonal_part,
     entropy_from_probs,
     fannes_floor,
-    fannes_floor_sharp,
     l1_coherence_pure,
     mixedness_from_probs,
     relative_entropy_coherence,
-    shannon_entropy,
     trace_distance_diag_mm,
 )
 from cohlab.sampler import Decomposition, PureState, sample_random_decomposition
@@ -71,37 +65,29 @@ def cr_rank2_mixture(weights, states):
 
 
 class TestDiagonalPart:
+    # _probs is the diagonal |<i|psi>|^2 every scalar measure starts from
     def test_basis_state(self):
-        assert np.array_equal(diagonal_part(BASIS3).probs, [1.0, 0.0, 0.0])
+        assert np.array_equal(_probs(BASIS3), [1.0, 0.0, 0.0])
 
     def test_uniform(self):
-        assert np.allclose(diagonal_part(UNIFORM4).probs, 0.25, atol=1e-15)
+        assert np.allclose(_probs(UNIFORM4), 0.25, atol=1e-15)
 
     def test_quarter(self):
-        assert np.allclose(diagonal_part(QUARTER).probs, [0.25, 0.75], atol=1e-15)
-
-    def test_distribution_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            DiagonalDistribution(np.array([0.5, 0.6]))
-        with pytest.raises(InvalidArgumentError):
-            DiagonalDistribution(np.array([1.2, -0.2]))
+        assert np.allclose(_probs(QUARTER), [0.25, 0.75], atol=1e-15)
 
 
 class TestShannonEntropy:
     def test_deterministic_distribution(self):
-        assert shannon_entropy(DiagonalDistribution(np.array([1.0, 0.0, 0.0]))) == 0.0
+        assert entropy_from_probs(np.array([1.0, 0.0, 0.0])) == 0.0
 
     def test_uniform(self):
-        dist = DiagonalDistribution(np.full(4, 0.25))
-        assert abs(shannon_entropy(dist) - math.log(4)) < 1e-15
+        assert abs(entropy_from_probs(np.full(4, 0.25)) - math.log(4)) < 1e-15
 
     def test_quarter(self):
-        dist = DiagonalDistribution(np.array([0.25, 0.75]))
-        assert abs(shannon_entropy(dist) - ENTROPY_QUARTER) < 1e-15
+        assert abs(entropy_from_probs(np.array([0.25, 0.75])) - ENTROPY_QUARTER) < 1e-15
 
     def test_underflow_is_zero_not_nan(self):
-        dist = DiagonalDistribution(np.array([1.0, 1e-310]))
-        assert shannon_entropy(dist) == 0.0
+        assert entropy_from_probs(np.array([1.0, 1e-310])) == 0.0
 
 
 class TestRelativeEntropyCoherence:
@@ -201,15 +187,11 @@ class TestDecompositionAverage:
 
 class TestBinaryEntropy:
     def test_half_is_ln2(self):
-        assert abs(binary_entropy(0.5) - math.log(2)) < 1e-15
+        assert abs(_binary_entropy(np.float64(0.5)) - math.log(2)) < 1e-15
 
     def test_edges(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-
-    def test_rejects_outside_unit_interval(self):
-        with pytest.raises(InvalidArgumentError):
-            binary_entropy(1.5)
+        assert _binary_entropy(np.float64(0.0)) == 0.0
+        assert _binary_entropy(np.float64(1.0)) == 0.0
 
 
 class TestFannesFloor:
@@ -227,50 +209,31 @@ class TestFannesFloor:
     def test_degenerate_d1(self):
         psi = PureState(np.array([1.0], dtype=complex))
         assert fannes_floor(psi) == 0.0
-        assert fannes_floor_sharp(psi) == 0.0
 
     def test_floor_holds_for_samples(self, rng):
         for _ in range(50):
             psi = PureState(random_state_vector(100, rng))
             c_r = relative_entropy_coherence(psi)
             assert c_r >= fannes_floor(psi) - 1e-12
-            assert c_r >= fannes_floor_sharp(psi) - 1e-12
-
-    def test_sharp_floor_dominates(self, rng):
-        for dim in (2, 4, 50):
-            psi = PureState(random_state_vector(dim, rng))
-            assert fannes_floor_sharp(psi) >= fannes_floor(psi) - 1e-12
 
 
 class TestProfile:
-    def test_profile_consistency(self, rng):
-        psi = PureState(random_state_vector(12, rng))
-        prof = coherence_profile(psi)
-        assert isinstance(prof, CoherenceProfile)
-        assert prof.dim == 12
-        assert prof.c_r == relative_entropy_coherence(psi)
-        assert prof.c_l1 == l1_coherence_pure(psi)
-        assert prof.purity == classical_purity(psi)
-        assert prof.trace_dist_mm == trace_distance_diag_mm(psi)
-        assert prof.fannes_floor == fannes_floor(psi)
-        assert prof.fannes_floor_sharp == fannes_floor_sharp(psi)
-
     def test_profile_invariants(self, rng):
         for dim in (2, 3, 17, 100):
             psi = PureState(random_state_vector(dim, rng))
-            prof = coherence_profile(psi)
-            assert 0.0 <= prof.c_r <= math.log(dim) + 1e-12
-            assert 0.0 <= prof.c_l1 <= dim - 1 + 1e-9
-            assert 1.0 / dim - 1e-12 <= prof.purity <= 1.0 + 1e-12
-            assert 0.0 <= prof.trace_dist_mm <= 2.0 * (1 - 1 / dim) + 1e-12
-            assert prof.c_r >= prof.fannes_floor - 1e-12
+            c_r = relative_entropy_coherence(psi)
+            assert 0.0 <= c_r <= math.log(dim) + 1e-12
+            assert 0.0 <= l1_coherence_pure(psi) <= dim - 1 + 1e-9
+            assert 1.0 / dim - 1e-12 <= classical_purity(psi) <= 1.0 + 1e-12
+            assert 0.0 <= trace_distance_diag_mm(psi) <= 2.0 * (1 - 1 / dim) + 1e-12
+            assert c_r >= fannes_floor(psi) - 1e-12
 
     def test_l1_purity_bound_tight_at_uniform(self):
         d = 4
-        prof = coherence_profile(UNIFORM4)
-        bound = math.sqrt(d * (d - 1) * (1.0 - prof.purity))
-        assert abs(prof.c_l1 - bound) < 1e-12
-        assert abs(prof.c_l1 - (d - 1)) < 1e-12
+        c_l1 = l1_coherence_pure(UNIFORM4)
+        bound = math.sqrt(d * (d - 1) * (1.0 - classical_purity(UNIFORM4)))
+        assert abs(c_l1 - bound) < 1e-12
+        assert abs(c_l1 - (d - 1)) < 1e-12
 
 
 @st.composite
@@ -329,7 +292,7 @@ def test_permutation_covariance(z, pyrandom):
 def test_l1_purity_inequality_property(z):
     psi = PureState(z)
     d = psi.dim
-    bound = math.sqrt(d * (d - 1) * mixedness_from_probs(diagonal_part(psi).probs))
+    bound = math.sqrt(d * (d - 1) * mixedness_from_probs(np.abs(psi.amplitudes) ** 2))
     assert l1_coherence_pure(psi) <= bound + 1e-9
 
 
@@ -345,4 +308,4 @@ def test_entropy_kernel_batch_matches_scalar(rng):
     probs = rng.dirichlet(np.ones(6), size=10)
     batch = entropy_from_probs(probs)
     for row, p in zip(batch, probs):
-        assert abs(row - shannon_entropy(DiagonalDistribution(p))) < 1e-12
+        assert abs(row - -math.fsum(x * math.log(x) for x in p if x > 0)) < 1e-12

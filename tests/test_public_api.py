@@ -1,0 +1,91 @@
+"""The names ``cohlab`` re-exports, pinned: adding or removing a public name
+must show up as a diff of this list."""
+
+import inspect
+
+import cohlab
+
+PUBLIC_NAMES = [
+    "BoundValue",
+    "CheckResult",
+    "CohlabError",
+    "ConcentrationReport",
+    "Decomposition",
+    "DecompositionCheckReport",
+    "EULER_GAMMA",
+    "ExperimentConfig",
+    "InequalitySweepReport",
+    "InvalidArgumentError",
+    "InvalidDimensionError",
+    "InvalidEpsilonError",
+    "LevyParams",
+    "MEASURE_KINDS",
+    "MIN_DIM_FOR_NONTRIVIAL_SUBSPACE",
+    "MatrixIntegralReport",
+    "PureState",
+    "RandomStream",
+    "SUBSPACE_K_DENOM",
+    "SubspaceBasis",
+    "SubspaceDimension",
+    "SubspaceFloorReport",
+    "UnsupportedDimensionError",
+    "VacuousGuaranteeError",
+    "beta",
+    "classical_purity",
+    "coherence_of_formation_pure",
+    "decomposition_average_coherence",
+    "digamma_integer",
+    "expected_classical_purity",
+    "expected_cr",
+    "expected_cr_via_beta",
+    "expected_cr_via_quadrature",
+    "expected_trace_distance",
+    "fannes_asymptote",
+    "fannes_floor",
+    "first_prob_samples",
+    "ginibre",
+    "haar_prob_moment",
+    "harmonic",
+    "ks_distance_u11",
+    "l1_coherence_pure",
+    "levy_bound_cr",
+    "levy_bound_purity",
+    "levy_bound_trdist",
+    "levy_generic",
+    "lipschitz_cr",
+    "net_log_size",
+    "new_generator",
+    "positive_qr",
+    "relative_entropy_coherence",
+    "run_concentration",
+    "run_decomposition_check",
+    "run_inequality_sweep",
+    "run_matrix_integral_check",
+    "run_subspace_floor",
+    "sample_haar_pure",
+    "sample_pure_in_subspace",
+    "sample_random_decomposition",
+    "sample_random_subspace",
+    "subspace_dimension",
+    "subspace_threshold",
+    "trace_distance_diag_mm",
+    "typical_l1_upper",
+    "verify_inequalities",
+    "verify_integral",
+    "verify_matrix",
+    "verify_moments",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    exported = sorted(
+        name
+        for name, value in vars(cohlab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert exported == PUBLIC_NAMES
+    # each name is the object of the submodule that defines it, not a copy
+    modules = [m for m in vars(cohlab).values() if inspect.ismodule(m)]
+    for name in PUBLIC_NAMES:
+        value = getattr(cohlab, name)
+        assert any(getattr(m, name, None) is value for m in modules), name

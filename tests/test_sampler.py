@@ -10,12 +10,12 @@ from cohlab.sampler import (
     Decomposition,
     PureState,
     SubspaceBasis,
-    UnitaryMatrix,
     _mix_ensemble,
     ginibre,
+    haar_amplitude_rows,
+    haar_unitary_rows,
     positive_qr,
     sample_haar_pure,
-    sample_haar_unitary,
     sample_pure_in_subspace,
     sample_random_decomposition,
     sample_random_subspace,
@@ -43,14 +43,6 @@ class TestTypes:
     def test_pure_state_dim(self):
         psi = PureState(np.array([0.0, 1.0], dtype=complex))
         assert psi.dim == 2
-
-    def test_unitary_rejects_nonunitary(self):
-        with pytest.raises(InvalidArgumentError):
-            UnitaryMatrix(np.ones((2, 2), dtype=complex))
-
-    def test_unitary_rejects_nonsquare(self):
-        with pytest.raises(InvalidDimensionError):
-            UnitaryMatrix(np.zeros((2, 3), dtype=complex))
 
     def test_subspace_rejects_nonorthonormal(self):
         with pytest.raises(InvalidArgumentError):
@@ -105,6 +97,13 @@ class TestHaarPure:
         b = sample_haar_pure(50, RandomStream(1, 2))
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
+    def test_amplitude_rows_match_per_stream_states(self):
+        # a batch that starts past stream 0 keys row r to stream first + r
+        rows = haar_amplitude_rows(13, 5, 12, 9)
+        for r in range(rows.shape[0]):
+            psi = sample_haar_pure(9, RandomStream(13, 5 + r))
+            assert rows[r].tobytes() == psi.amplitudes.tobytes()
+
     @pytest.mark.parametrize("dim", [2, 10, 100])
     def test_first_prob_moments(self, dim):
         n = 40000
@@ -147,31 +146,25 @@ class TestHaarPure:
 
 
 class TestHaarUnitary:
-    def test_rejects_zero_dim(self):
-        with pytest.raises(InvalidDimensionError):
-            sample_haar_unitary(0, RandomStream(0, 0))
-
     def test_d1_is_phase(self):
-        u = sample_haar_unitary(1, RandomStream(0, 3))
-        assert abs(abs(u.entries[0, 0]) - 1.0) < 1e-15
+        (u,) = haar_unitary_rows(0, 3, 4, 1)
+        assert abs(abs(u[0, 0]) - 1.0) < 1e-15
 
     def test_d16_unitarity(self):
-        u = sample_haar_unitary(16, RandomStream(8, 1))
-        defect = np.linalg.norm(u.entries.conj().T @ u.entries - np.eye(16))
+        (u,) = haar_unitary_rows(8, 1, 2, 16)
+        defect = np.linalg.norm(u.conj().T @ u - np.eye(16))
         assert defect <= 1e-10 * 16
 
     def test_deterministic(self):
-        a = sample_haar_unitary(6, RandomStream(4, 4))
-        b = sample_haar_unitary(6, RandomStream(4, 4))
-        assert np.array_equal(a.entries, b.entries)
+        # stream (4, 4) gives the same unitary alone and as row 2 of a batch
+        a = haar_unitary_rows(4, 4, 5, 6)
+        b = haar_unitary_rows(4, 2, 6, 6)
+        assert np.array_equal(a[0], b[2])
 
     def test_entry_second_moment(self):
         # E|U_11|^2 = 1/d by unitarity and symmetry
         d, n = 5, 20000
-        vals = np.empty(n)
-        for i in range(n):
-            u = sample_haar_unitary(d, RandomStream(21, i))
-            vals[i] = abs(u.entries[0, 0]) ** 2
+        vals = np.abs(haar_unitary_rows(21, 0, n, d)[:, 0, 0]) ** 2
         stderr = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - 1.0 / d) < 4 * stderr
 
