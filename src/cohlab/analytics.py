@@ -3,7 +3,10 @@ and the special functions they are built from.
 
 Everything here is deterministic arithmetic; the Monte Carlo side of the
 package (:mod:`cohlab.experiments`) is checked against these values.
-Entropic quantities are in nats.
+Entropic quantities are in nats.  scipy is imported only inside
+:func:`expected_cr_via_quadrature`, the quadrature cross-check of the mean
+(``cohlab verify --suite integral``), so importing the package loads numpy
+and the standard library alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     InvalidArgumentError,
@@ -113,8 +115,11 @@ def expected_cr_via_beta(d: int) -> float:
 def expected_cr_via_quadrature(d: int) -> float:
     """Average C_r by adaptive quadrature of -d(d-1) Int_0^1 r (1-r)^(d-2) ln r dr.
 
-    Supported for 2 <= d <= 50 where the integrand is tame.
+    Supported for 2 <= d <= 50 where the integrand is tame.  The only
+    function of the package that uses scipy, so scipy is imported here.
     """
+    from scipy import integrate
+
     if not 2 <= d <= 50:
         raise UnsupportedDimensionError(f"quadrature route supports 2 <= d <= 50, got {d}")
 

@@ -164,12 +164,32 @@ def _unitary_chunk(dim: int) -> int:
 _PARALLEL_MIN_DIM = 450
 
 
+# largest array of complex amplitudes a campaign may request: one state
+# (16 d bytes, the least a chunk holds) or a subspace frame (16 d s bytes).
+# Larger requests raise MemoryError before anything is allocated (CLI exit
+# 6); every acceptance and golden campaign stays far inside it (the largest
+# frame, d=1e5 and s=4, is 6.4 MB)
+MAX_ALLOC_BYTES = 1 << 30
+
+
+def _check_alloc(nbytes: int, what: str) -> None:
+    if nbytes > MAX_ALLOC_BYTES:
+        raise MemoryError(
+            f"{what} needs {nbytes} bytes, over the cap of {MAX_ALLOC_BYTES} bytes"
+        )
+
+
+def _check_frame(dim: int, sub_dim: int) -> None:
+    _check_alloc(16 * dim * sub_dim, f"a {dim} x {sub_dim} subspace frame")
+
+
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _run_chunked(n: int, size: int, fill, dim: int) -> list:
     """``fill(start, stop)`` over the chunks of [0, n), results in chunk order."""
+    _check_alloc(16 * dim, f"one state of dimension {dim}")
     bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
     workers = 1 if dim < _PARALLEL_MIN_DIM else min(_usable_cpus(), len(bounds))
     if workers > 1:
@@ -300,6 +320,7 @@ def run_subspace_floor(
             f"a nontrivial guarantee (s >= 2) requires "
             f"d >= {analytics.MIN_DIM_FOR_NONTRIVIAL_SUBSPACE}"
         )
+    _check_frame(dim, sdim.s)
     threshold = analytics.subspace_threshold(dim, eps)
     basis = sample_random_subspace(dim, sdim.s, RandomStream(master_seed, 0))
     frame_t = basis.columns.T.copy()
@@ -376,6 +397,7 @@ def run_decomposition_check(
             f"s = {sdim.s} at dim={dim}, eps={eps:.6g}; this requires "
             f"d >= {analytics.MIN_DIM_FOR_NONTRIVIAL_SUBSPACE}"
         )
+    _check_frame(dim, sdim.s)
     threshold = analytics.subspace_threshold(dim, eps)
     basis = sample_random_subspace(dim, sdim.s, RandomStream(master_seed, 0))
 

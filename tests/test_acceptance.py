@@ -182,6 +182,8 @@ def test_07_coherent_subspace_at_scale():
         assert report34.violations == 0
         assert report34.threshold == subspace_threshold(34000, eps34)
         assert report34.min_observed_cr >= report34.threshold
+        # the threshold is -0.412 and C_r >= 0, so this half cannot fail
+        assert report34.threshold < 0
 
 
 def test_08_formation_floor_via_decompositions():

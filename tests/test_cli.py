@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from cohlab.analytics import MIN_DIM_FOR_NONTRIVIAL_SUBSPACE
+from cohlab import experiments
+from cohlab.analytics import MIN_DIM_FOR_NONTRIVIAL_SUBSPACE, subspace_dimension
 from cohlab.cli import main
 from cohlab.streams import STREAM_VERSION
 
@@ -23,6 +24,22 @@ def run_json(capsys, argv):
     assert "stream_version" not in envelope["payload"]
     assert "timestamp_utc" in envelope
     return envelope
+
+
+def subspace_frame_bytes(dim, eps_frac):
+    return 16 * dim * subspace_dimension(dim, eps_frac * math.log(dim)).s
+
+
+def least_subspace_dim_past_cap(eps_frac):
+    # the frame grows with d at fixed eps_frac: bisect on 16 d s > MAX_ALLOC_BYTES
+    lo, hi = MIN_DIM_FOR_NONTRIVIAL_SUBSPACE, 10**9
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if subspace_frame_bytes(mid, eps_frac) > experiments.MAX_ALLOC_BYTES:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # every command that writes a JSON envelope (verify prints text only)
@@ -351,3 +368,32 @@ class TestBoundaryExitCodes:
         assert code == 6
         assert out == ""
         assert "out of memory" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["concentrate", "--measure", "cr", "--dim", str(10**30), "--trials", "1"],
+            ["subspace", "--dim", str(10**30), "--eps-frac", "0.5", "--states", "1"],
+            # one state of 16 d bytes just past the cap
+            ["concentrate", "--measure", "cr", "--dim", str(experiments.MAX_ALLOC_BYTES // 16 + 1), "--trials", "1"],
+            # the least d whose subspace frame of 16 d s bytes is past the cap
+            ["subspace", "--dim", str(least_subspace_dim_past_cap(0.5)), "--eps-frac", "0.5", "--states", "1"],
+        ],
+        ids=["concentrate-1e30", "subspace-1e30", "concentrate-past-cap", "subspace-past-cap"],
+    )
+    def test_oversize_request_exits_6_before_allocating(self, capsys, monkeypatch, argv):
+        def allocate(*args):
+            raise AssertionError("a refused request reached the sampler")
+
+        monkeypatch.setattr(experiments, "haar_prob_rows", allocate)
+        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 6
+        assert out == ""
+        assert f"over the cap of {experiments.MAX_ALLOC_BYTES} bytes" in err
+
+    def test_sizes_just_inside_the_cap_pass_the_check(self):
+        # arithmetic only: these sizes would allocate about 1 GiB if run
+        experiments._check_alloc(16 * (experiments.MAX_ALLOC_BYTES // 16), "one state")
+        d = least_subspace_dim_past_cap(0.5) - 1
+        experiments._check_alloc(subspace_frame_bytes(d, 0.5), "a subspace frame")

@@ -204,6 +204,14 @@ class TestDecompositionCheck:
         with pytest.raises(VacuousGuaranteeError, match=str(MIN_DIM_FOR_NONTRIVIAL_SUBSPACE)):
             run_decomposition_check(34000, eps, 2, 4, 0)
 
+    def test_oversize_frame_raises_before_sampling(self, monkeypatch):
+        def allocate(*args):
+            raise AssertionError("a refused frame reached the sampler")
+
+        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
+        with pytest.raises(MemoryError, match="subspace frame"):
+            run_decomposition_check(10**30, 0.5 * math.log(10**30), 2, 4, 0)
+
     def test_rejects_small_m_out(self):
         eps = 0.999 * math.log(34000)
         with pytest.raises(InvalidArgumentError):
