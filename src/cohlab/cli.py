@@ -9,7 +9,9 @@ contract version next to the payload; histogram CSV uses
 otherwise.  Campaigns split their states into chunks of at most 4 MiB of
 amplitudes (one state where a state is larger) and run them serially
 below d = 450 and otherwise on one thread per usable CPU (up to the chunk
-count); the payload bytes are the same either way.
+count); the payload bytes are the same either way.  A reader that closes
+stdout early (``| head``) is no I/O failure: the unread output is dropped
+and the command's exit code stands.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -45,11 +48,18 @@ def _envelope(command: str, payload: dict) -> dict:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        print(text)
-    else:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader of stdout has gone; point stdout at devnull so that the
+        # flush at exit, with the unread rest still buffered, stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _dump_json(obj: dict) -> str:
@@ -205,11 +215,13 @@ _SUITES = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = _SUITES[args.suite](args.seed)
-    for res in results:
-        tag = "PASS" if res.passed else "FAIL"
-        print(f"[{tag}] {res.name}: {res.detail}")
+    lines = [
+        f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}"
+        for res in results
+    ]
     failed = sum(1 for res in results if not res.passed)
-    print(f"suite {args.suite}: {len(results) - failed}/{len(results)} checks passed")
+    lines.append(f"suite {args.suite}: {len(results) - failed}/{len(results)} checks passed")
+    _emit("\n".join(lines), None)
     return 0 if failed == 0 else 1
 
 

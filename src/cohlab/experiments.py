@@ -164,8 +164,9 @@ def _unitary_chunk(dim: int) -> int:
 _PARALLEL_MIN_DIM = 450
 
 
-# largest array of complex amplitudes a campaign may request: one state
-# (16 d bytes, the least a chunk holds) or a subspace frame (16 d s bytes).
+# largest array a campaign may request: one row of a chunk (a state of 16 d
+# bytes, or a unitary of 16 d^2), the least a chunk holds, or a subspace
+# frame (16 d s bytes).
 # Larger requests raise MemoryError before anything is allocated (CLI exit
 # 6); every acceptance and golden campaign stays far inside it (the largest
 # frame, d=1e5 and s=4, is 6.4 MB)
@@ -187,9 +188,13 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_chunked(n: int, size: int, fill, dim: int) -> list:
-    """``fill(start, stop)`` over the chunks of [0, n), results in chunk order."""
-    _check_alloc(16 * dim, f"one state of dimension {dim}")
+def _run_chunked(n: int, size: int, fill, dim: int, row_bytes: int) -> list:
+    """``fill(start, stop)`` over the chunks of [0, n), results in chunk order.
+
+    ``row_bytes`` is the size of one drawn row, checked against the cap
+    before any chunk runs; ``dim`` alone picks serial or threaded.
+    """
+    _check_alloc(row_bytes, f"one row of a d={dim} campaign")
     bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
     workers = 1 if dim < _PARALLEL_MIN_DIM else min(_usable_cpus(), len(bounds))
     if workers > 1:
@@ -199,7 +204,15 @@ def _run_chunked(n: int, size: int, fill, dim: int) -> list:
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real**2 + z.imag**2
+    """|z|^2 of complex ``z`` with a contiguous last axis; consumes ``z``.
+
+    The floats of ``z`` are squared in place, then the strided real and
+    imaginary halves are added into the one new array, the bytes of
+    ``z.real**2 + z.imag**2`` without its two temporaries.
+    """
+    f = z.view(np.float64)
+    f *= f
+    return f[..., 0::2] + f[..., 1::2]
 
 
 def _trial_values(config: ExperimentConfig) -> np.ndarray:
@@ -209,7 +222,9 @@ def _trial_values(config: ExperimentConfig) -> np.ndarray:
         return kernel(haar_prob_rows(config.master_seed, start, stop, config.dim))
 
     return np.concatenate(
-        _run_chunked(config.trials, _chunk_size(config.dim), fill, config.dim)
+        _run_chunked(
+            config.trials, _chunk_size(config.dim), fill, config.dim, 16 * config.dim
+        )
     )
 
 
@@ -329,7 +344,7 @@ def run_subspace_floor(
         coeff = haar_amplitude_rows(master_seed, start + 1, stop + 1, sdim.s)
         return measures.entropy_from_probs(_abs2(coeff @ frame_t))
 
-    values = np.concatenate(_run_chunked(n_states, _chunk_size(dim), fill, dim))
+    values = np.concatenate(_run_chunked(n_states, _chunk_size(dim), fill, dim, 16 * dim))
 
     return SubspaceFloorReport(
         dim=dim,
@@ -481,7 +496,9 @@ def run_matrix_integral_check(
         return np.einsum("nji,nj,njk->ik", u.conj(), pdiag, u)
 
     # chunk sums added in chunk order: the total depends on _unitary_chunk
-    total = sum(_run_chunked(n_unitaries, _unitary_chunk(dim), fill, dim))
+    total = sum(
+        _run_chunked(n_unitaries, _unitary_chunk(dim), fill, dim, 16 * dim * dim)
+    )
     deviation = float(np.abs(total / n_unitaries - closed_form).max())
     tolerance = 5.0 / math.sqrt(n_unitaries)
     return MatrixIntegralReport(
@@ -537,7 +554,7 @@ def run_inequality_sweep(
             int(np.count_nonzero((c_r < -atol) | (c_r > log_d + atol))),
         )
 
-    partials = _run_chunked(trials, _chunk_size(dim), fill, dim)
+    partials = _run_chunked(trials, _chunk_size(dim), fill, dim, 16 * dim)
     totals = [sum(p[i] for p in partials) for i in range(3)]
     return InequalitySweepReport(
         dim=dim,
@@ -560,7 +577,7 @@ def first_prob_samples(dim: int, trials: int, master_seed: int) -> np.ndarray:
     def fill(start: int, stop: int) -> np.ndarray:
         return haar_prob_rows(master_seed, start, stop, dim)[:, 0]
 
-    return np.concatenate(_run_chunked(trials, _chunk_size(dim), fill, dim))
+    return np.concatenate(_run_chunked(trials, _chunk_size(dim), fill, dim, 16 * dim))
 
 
 def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:
@@ -576,7 +593,11 @@ def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:
     def fill(start: int, stop: int) -> np.ndarray:
         return np.abs(haar_unitary_rows(master_seed, start, stop, dim)[:, 0, 0])
 
-    r = np.sort(np.concatenate(_run_chunked(trials, _unitary_chunk(dim), fill, dim)))
+    r = np.sort(
+        np.concatenate(
+            _run_chunked(trials, _unitary_chunk(dim), fill, dim, 16 * dim * dim)
+        )
+    )
     cdf = 1.0 - (1.0 - r * r) ** (dim - 1)
     grid = np.arange(trials, dtype=np.float64)
     d_plus = float(((grid + 1.0) / trials - cdf).max())

@@ -32,9 +32,11 @@ _ZERO_PROB = 1e-300
 def entropy_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
     """Shannon entropy in nats along ``axis``, with 0 ln 0 = 0."""
     p = np.asarray(probs, dtype=np.float64)
-    # one temporary: p ln p, with ln 1 = 0 standing in for the zero terms
-    terms = np.where(p > _ZERO_PROB, p, 1.0)
-    np.log(terms, out=terms)
+    # one temporary: p ln p, its terms at p <= _ZERO_PROB (where the log is
+    # -inf, or nan below 0) set to 0 before the product, as 0 ln 0 = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(p)
+    terms[p <= _ZERO_PROB] = 0.0
     terms *= p
     out = -terms.sum(axis=axis)
     # entropy is nonnegative; clip the ~1 ulp undershoot of near-pure vectors
@@ -66,7 +68,10 @@ def trdist_mm_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | floa
     """Trace distance (no 1/2 factor) to the uniform distribution."""
     p = np.asarray(probs, dtype=np.float64)
     d = p.shape[axis]
-    return np.abs(p - 1.0 / d).sum(axis=axis)
+    # one temporary: the difference, its absolute value taken in place
+    diff = p - 1.0 / d
+    np.abs(diff, out=diff)
+    return diff.sum(axis=axis)
 
 
 def l1_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -354,6 +358,29 @@ class TestBoundaryExitCodes:
         assert code == 5
         assert "I/O failure" in err
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["expect", "--dim", "10"], ["verify", "--suite", "integral"]],
+        ids=["expect", "verify"],
+    )
+    def test_closed_stdout_exits_0_silently(self, argv):
+        # like `cohlab ... | head -c 1`: the reader closes before anything is written
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cohlab.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert err == b""
 
     def test_memory_error_exits_6(self, capsys, monkeypatch):
         from cohlab import experiments

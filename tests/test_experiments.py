@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cohlab import experiments
+from cohlab import experiments, sampler
 from cohlab.analytics import (
     MIN_DIM_FOR_NONTRIVIAL_SUBSPACE,
     expected_cr,
@@ -197,6 +197,29 @@ class TestSubspaceFloor:
         assert pools == [2]
         assert payload_bytes(a) == payload_bytes(b)
 
+    def test_frame_is_left_unmodified(self, monkeypatch):
+        # _abs2 consumes its argument: it must get the fresh projection of a
+        # chunk, never the frame or a view of it
+        eps = 0.999 * math.log(34000)
+        bases, consumed = [], []
+        draw_subspace, abs2 = experiments.sample_random_subspace, experiments._abs2
+
+        def spy_subspace(*args):
+            bases.append(draw_subspace(*args))
+            return bases[-1]
+
+        def spy_abs2(z):
+            consumed.append(z.flags.owndata)
+            return abs2(z)
+
+        monkeypatch.setattr(experiments, "sample_random_subspace", spy_subspace)
+        monkeypatch.setattr(experiments, "_abs2", spy_abs2)
+        first = payload_bytes(run_subspace_floor(34000, eps, 20, 8))
+        fresh = draw_subspace(34000, 2, RandomStream(8, 0))
+        assert np.array_equal(bases[0].columns, fresh.columns)
+        assert consumed and all(consumed)
+        assert payload_bytes(run_subspace_floor(34000, eps, 20, 8)) == first
+
 
 class TestDecompositionCheck:
     def test_requires_s_at_least_2(self):
@@ -311,7 +334,7 @@ class TestChunkRunner:
             threads.add(threading.get_ident())
             return (start, stop)
 
-        chunks = experiments._run_chunked(10, 3, fill, dim)
+        chunks = experiments._run_chunked(10, 3, fill, dim, 16 * dim)
         assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
         return threads
 
@@ -343,6 +366,15 @@ class TestChunkRunner:
         self.run(2)
         assert pools == [4]
 
+    def test_unitary_rows_are_checked_against_the_cap(self, monkeypatch):
+        # a d = 10^4 unitary is 16 d^2 = 1.6 GB, past the cap although 16 d is not
+        def allocate(*args):
+            raise AssertionError("a refused request reached the sampler")
+
+        monkeypatch.setattr(sampler, "keyed_rows", allocate)
+        with pytest.raises(MemoryError, match="over the cap"):
+            ks_distance_u11(10_000, 1, 0)
+
 
 _SUBSPACE_EPS = 0.999 * math.log(34000)
 _CHUNKED_CAMPAIGNS = {
@@ -371,6 +403,15 @@ def test_chunk_rows_do_not_change_bytes(campaign, monkeypatch, chunk_workers):
             outputs.add(run())
     assert pools, "no threaded run used a thread pool"
     assert len(outputs) == 1
+
+
+def test_abs2_matches_real_and_imaginary_squares(rng):
+    z = rng.normal(size=(3, 2000)) + 1j * rng.normal(size=(3, 2000))
+    z[0, :5] = [0.0, 1e-170j, 1e150, np.inf, 1e-320]
+    expected = z.real**2 + z.imag**2
+    result = experiments._abs2(z.copy())
+    assert result.dtype == expected.dtype and result.shape == expected.shape
+    assert result.tobytes() == expected.tobytes()
 
 
 class TestSamplingHelpers:

@@ -17,6 +17,7 @@ from cohlab.measures import (
     mixedness_from_probs,
     relative_entropy_coherence,
     trace_distance_diag_mm,
+    trdist_mm_from_probs,
 )
 from cohlab.sampler import Decomposition, PureState, sample_random_decomposition
 from cohlab.streams import RandomStream
@@ -309,3 +310,51 @@ def test_entropy_kernel_batch_matches_scalar(rng):
     batch = entropy_from_probs(probs)
     for row, p in zip(batch, probs):
         assert abs(row - -math.fsum(x * math.log(x) for x in p if x > 0)) < 1e-12
+
+
+def old_entropy(probs):
+    # the expression before the kernel took the log under errstate
+    p = np.asarray(probs, dtype=np.float64)
+    terms = np.where(p > 1e-300, p, 1.0)
+    np.log(terms, out=terms)
+    terms *= p
+    return np.maximum(-terms.sum(axis=-1), 0.0)
+
+
+def old_trdist(probs):
+    # the expression before the kernel took abs in place
+    p = np.asarray(probs, dtype=np.float64)
+    return np.abs(p - 1.0 / p.shape[-1]).sum(axis=-1)
+
+
+def edge_batches():
+    rng = np.random.default_rng(909)
+    dirichlet = rng.dirichlet(np.ones(9), size=6)
+    dirichlet[0, :3] = 0.0
+    # one-hot rows with one tiny entry, whose p ln p is not lost in the sum
+    edges = np.zeros((6, 9))
+    edges[:, 7] = 1.0
+    edges[1, 2] = 1e-310
+    edges[2, 4] = 1e-300
+    edges[3, 5] = np.nextafter(1e-300, 1.0)
+    edges[4, 1] = np.nextafter(1e-300, 0.0)
+    edges[5, 0] = 1e-200
+    return {
+        "dirichlet": dirichlet,
+        "edges": edges,
+        "d1": np.ones((4, 1)),
+        "single-row": edges[2],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(edge_batches()))
+@pytest.mark.parametrize(
+    "kernel, oracle",
+    [(entropy_from_probs, old_entropy), (trdist_mm_from_probs, old_trdist)],
+    ids=["entropy", "trdist"],
+)
+def test_kernels_match_old_expressions_byte_for_byte(kernel, oracle, name):
+    probs = edge_batches()[name]
+    before = probs.copy()
+    assert np.array_equal(kernel(probs), oracle(probs))
+    assert np.array_equal(probs, before)  # the input is not mutated
