@@ -11,7 +11,9 @@ sampler (:func:`cohlab.sampler.keyed_rows`), and every campaign runs its
 chunks through the one chunk runner :func:`_run_chunked`.  Chunk partitions
 depend on the problem alone and chunk results are combined in chunk order,
 so reports are byte-identical whether the runner fills the chunks serially
-or on a thread pool.
+or on a thread pool.  Campaigns that draw diagonals draw every chunk into
+the rows buffer of the worker that fills it and evaluate their kernels in
+its work buffer; both live only as long as the campaign.
 
 Campaigns that need only a Haar state's diagonal draw it as normalised
 standard exponentials (:func:`cohlab.sampler.haar_prob_rows`, stream
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent import futures
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -165,8 +168,9 @@ _PARALLEL_MIN_DIM = 450
 
 
 # largest array a campaign may request: one row of a chunk (a state of 16 d
-# bytes, or a unitary of 16 d^2), the least a chunk holds, or a subspace
-# frame (16 d s bytes).
+# bytes, or a unitary of 16 d^2), the least a chunk holds, a subspace frame
+# (16 d s bytes), the values of every trial (8 bytes each) or a histogram
+# with its payload (_HISTOGRAM_BIN_BYTES per bin).
 # Larger requests raise MemoryError before anything is allocated (CLI exit
 # 6); every acceptance and golden campaign stays far inside it (the largest
 # frame, d=1e5 and s=4, is 6.4 MB)
@@ -180,6 +184,14 @@ def _check_alloc(nbytes: int, what: str) -> None:
         )
 
 
+# bytes one histogram bin costs on its way to the output: the numpy counts
+# and edges, a Python 3-tuple in the report, its copy in the JSON payload
+# and its indented JSON text.  Measured: peak RSS of `concentrate --dim 1000
+# --trials 5` grew 645 bytes per bin from 1e6 to 2e6 bins with JSON output
+# (340 with CSV)
+_HISTOGRAM_BIN_BYTES = 650
+
+
 def _check_frame(dim: int, sub_dim: int) -> None:
     _check_alloc(16 * dim * sub_dim, f"a {dim} x {sub_dim} subspace frame")
 
@@ -188,19 +200,53 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_chunked(n: int, size: int, fill, dim: int, row_bytes: int) -> list:
+def _run_chunked(
+    n: int, size: int, fill, dim: int, row_bytes: int, scratch_cols: int = 0
+) -> list:
     """``fill(start, stop)`` over the chunks of [0, n), results in chunk order.
 
     ``row_bytes`` is the size of one drawn row, checked against the cap
-    before any chunk runs; ``dim`` alone picks serial or threaded.
+    before any chunk runs, as are the 8 bytes per trial that a campaign may
+    keep; ``dim`` alone picks serial or threaded.  Workers take the chunks
+    in order from one lazily generated sequence.
+
+    With ``scratch_cols``, each worker owns two float64 arrays of
+    ``min(size, n) x scratch_cols``, rows and work, allocated on its first
+    chunk and dropped when the campaign returns; every chunk is filled
+    as ``fill(start, stop, rows, work)`` with their first ``stop - start``
+    rows.  ``fill`` may overwrite both but must not return a view of them.
     """
     _check_alloc(row_bytes, f"one row of a d={dim} campaign")
-    bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
-    workers = 1 if dim < _PARALLEL_MIN_DIM else min(_usable_cpus(), len(bounds))
+    _check_alloc(8 * n, f"the values of {n} trials")
+    count = -(-n // size)
+    results = [None] * count
+    chunks = enumerate((start, min(start + size, n)) for start in range(0, n, size))
+    take = threading.Lock()
+
+    def work() -> None:
+        scratch = None
+        while True:
+            with take:
+                item = next(chunks, None)
+            if item is None:
+                return
+            i, (start, stop) = item
+            if scratch_cols and scratch is None:
+                # one block for both: once a campaign has freed one, glibc
+                # serves the next from its heap without trimming it, so a
+                # serial laws iteration (3 campaigns of 77 chunks at d=1000)
+                # takes about 15 minor faults instead of 3k for two blocks
+                scratch = np.empty((2, min(size, n), scratch_cols))
+            results[i] = fill(start, stop, *(() if scratch is None else scratch[:, : stop - start]))
+
+    workers = 1 if dim < _PARALLEL_MIN_DIM else min(_usable_cpus(), count)
     if workers > 1:
         with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda b: fill(*b), bounds))
-    return [fill(*b) for b in bounds]
+            for done in [pool.submit(work) for _ in range(workers)]:
+                done.result()
+    else:
+        work()
+    return results
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -218,14 +264,12 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def _trial_values(config: ExperimentConfig) -> np.ndarray:
     kernel = getattr(measures, _MEASURES[config.measure_kind].kernel)
 
-    def fill(start: int, stop: int) -> np.ndarray:
-        return kernel(haar_prob_rows(config.master_seed, start, stop, config.dim))
+    seed, d = config.master_seed, config.dim
 
-    return np.concatenate(
-        _run_chunked(
-            config.trials, _chunk_size(config.dim), fill, config.dim, 16 * config.dim
-        )
-    )
+    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
+        return kernel(haar_prob_rows(seed, start, stop, d, rows), work=work)
+
+    return np.concatenate(_run_chunked(config.trials, _chunk_size(d), fill, d, 16 * d, d))
 
 
 def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
@@ -236,6 +280,8 @@ def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
     the empirical mean.  cr histograms use the fixed range [0, ln d] so
     campaigns across dimensions are comparable after scaling.
     """
+    bins = config.histogram_bins
+    _check_alloc(_HISTOGRAM_BIN_BYTES * bins, f"a histogram of {bins} bins")
     values = _trial_values(config)
     n = config.trials
     mean = math.fsum(values) / n
@@ -542,10 +588,10 @@ def run_inequality_sweep(
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     log_d = math.log(dim)
 
-    def fill(start: int, stop: int) -> tuple[int, int, int]:
-        probs = haar_prob_rows(master_seed, start, stop, dim)
-        c_r = measures.entropy_from_probs(probs)
-        c_l1 = measures.l1_from_probs(probs)
+    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> tuple[int, int, int]:
+        probs = haar_prob_rows(master_seed, start, stop, dim, rows)
+        c_r = measures.entropy_from_probs(probs, work=work)
+        c_l1 = measures.l1_from_probs(probs, work=work)
         floor = measures.fannes_floor_from_probs(probs)
         l1_bound = np.sqrt(dim * (dim - 1) * measures.mixedness_from_probs(probs))
         return (
@@ -554,7 +600,7 @@ def run_inequality_sweep(
             int(np.count_nonzero((c_r < -atol) | (c_r > log_d + atol))),
         )
 
-    partials = _run_chunked(trials, _chunk_size(dim), fill, dim, 16 * dim)
+    partials = _run_chunked(trials, _chunk_size(dim), fill, dim, 16 * dim, dim)
     totals = [sum(p[i] for p in partials) for i in range(3)]
     return InequalitySweepReport(
         dim=dim,
@@ -574,10 +620,11 @@ def first_prob_samples(dim: int, trials: int, master_seed: int) -> np.ndarray:
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
 
-    def fill(start: int, stop: int) -> np.ndarray:
-        return haar_prob_rows(master_seed, start, stop, dim)[:, 0]
+    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
+        # a copy: the next chunk overwrites rows
+        return haar_prob_rows(master_seed, start, stop, dim, rows)[:, 0].copy()
 
-    return np.concatenate(_run_chunked(trials, _chunk_size(dim), fill, dim, 16 * dim))
+    return np.concatenate(_run_chunked(trials, _chunk_size(dim), fill, dim, 16 * dim, dim))
 
 
 def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:

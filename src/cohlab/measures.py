@@ -11,7 +11,10 @@ Conventions used throughout the package:
 
 The ``*_from_probs`` functions are array kernels operating on (batches of)
 probability vectors along the last axis; the batched campaigns evaluate
-their measures through them.  The scalar functions take one
+their measures through them.  The four measure kernels (entropy, purity,
+trace distance, l1) make one float64 temporary the shape of ``probs``; a
+caller may pass it as ``work``, a float64 array of that shape that is
+overwritten, with the same result bytes.  The scalar functions take one
 :class:`~cohlab.sampler.PureState` and delegate to the same kernels, so
 both paths share one numerical definition; the decomposition check sums
 :func:`relative_entropy_coherence` over ensemble members.
@@ -29,13 +32,16 @@ from .sampler import Decomposition, PureState
 _ZERO_PROB = 1e-300
 
 
-def entropy_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
+def entropy_from_probs(
+    probs: np.ndarray, axis: int = -1, work: np.ndarray | None = None
+) -> np.ndarray | float:
     """Shannon entropy in nats along ``axis``, with 0 ln 0 = 0."""
     p = np.asarray(probs, dtype=np.float64)
-    # one temporary: p ln p, its terms at p <= _ZERO_PROB (where the log is
-    # -inf, or nan below 0) set to 0 before the product, as 0 ln 0 = 0
+    # one temporary (``work`` if given): p ln p, its terms at p <= _ZERO_PROB
+    # (where the log is -inf, or nan below 0) set to 0 before the product,
+    # as 0 ln 0 = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log(p)
+        terms = np.log(p, out=work)
     terms[p <= _ZERO_PROB] = 0.0
     terms *= p
     out = -terms.sum(axis=axis)
@@ -43,10 +49,12 @@ def entropy_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
     return np.maximum(out, 0.0)
 
 
-def purity_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
+def purity_from_probs(
+    probs: np.ndarray, axis: int = -1, work: np.ndarray | None = None
+) -> np.ndarray | float:
     """Classical purity sum_i p_i^2 along ``axis``."""
     p = np.asarray(probs, dtype=np.float64)
-    return (p * p).sum(axis=axis)
+    return np.multiply(p, p, out=work).sum(axis=axis)
 
 
 def mixedness_from_probs(probs: np.ndarray) -> np.ndarray | float:
@@ -64,24 +72,29 @@ def mixedness_from_probs(probs: np.ndarray) -> np.ndarray | float:
     return (p * rest).sum(axis=-1)
 
 
-def trdist_mm_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
+def trdist_mm_from_probs(
+    probs: np.ndarray, axis: int = -1, work: np.ndarray | None = None
+) -> np.ndarray | float:
     """Trace distance (no 1/2 factor) to the uniform distribution."""
     p = np.asarray(probs, dtype=np.float64)
     d = p.shape[axis]
-    # one temporary: the difference, its absolute value taken in place
-    diff = p - 1.0 / d
+    # one temporary (``work`` if given): the difference, its absolute value
+    # taken in place
+    diff = np.subtract(p, 1.0 / d, out=work)
     np.abs(diff, out=diff)
     return diff.sum(axis=axis)
 
 
-def l1_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
+def l1_from_probs(
+    probs: np.ndarray, axis: int = -1, work: np.ndarray | None = None
+) -> np.ndarray | float:
     """l1 coherence of a pure state from its diagonal probabilities.
 
     Uses the O(d) simplification (sum_i |psi_i|)^2 - 1 of the off-diagonal
     double sum, clamped below at 0 against rounding.
     """
     p = np.asarray(probs, dtype=np.float64)
-    s = np.sqrt(p).sum(axis=axis)
+    s = np.sqrt(p, out=work).sum(axis=axis)
     return np.maximum(s * s - 1.0, 0.0)
 
 

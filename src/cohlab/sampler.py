@@ -12,10 +12,12 @@ NOT Haar-distributed.
 
 Campaigns draw whole batches through :func:`keyed_rows`, the one keyed
 batch draw: row r of a batch comes from stream ``(master_seed, first + r)``.
-A batch constructs one generator and rekeys it
-(:func:`~cohlab.streams.rekey`) to each row's stream, so keying costs a
-state reset per row rather than a generator construction, and concurrent
-batches never share a generator.  Under stream contract v2
+A batch constructs one generator and keys it to each row's stream
+(:func:`~cohlab.streams.stream_setter`, built once per batch), so keying
+costs a state reset per row rather than a generator construction, and
+concurrent batches never share a generator.  A batch may draw into a
+caller's array (``out=``), which lets a campaign reuse one buffer for all
+of its chunks.  Under stream contract v2
 (:data:`~cohlab.streams.STREAM_VERSION`) a row draws one of two variates:
 
 * standard normals, for whatever needs amplitudes or unitaries:
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidDimensionError
-from .streams import RandomStream, new_generator, rekey
+from .streams import RandomStream, new_generator, stream_setter
 
 _NORM_ATOL = 1e-12
 _ORTHO_ATOL = 1e-10
@@ -173,7 +175,12 @@ def _unit_rows(normals: np.ndarray) -> np.ndarray:
 
 
 def keyed_rows(
-    master_seed: int, first: int, stop: int, shape: tuple[int, ...], variate: str
+    master_seed: int,
+    first: int,
+    stop: int,
+    shape: tuple[int, ...],
+    variate: str,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Variates of the given row shape for streams [first, stop).
 
@@ -181,15 +188,25 @@ def keyed_rows(
     ``"standard_exponential"``.  Row r draws from stream
     ``(master_seed, first + r)``, exactly as a fresh
     :class:`~cohlab.streams.RandomStream` for that pair would.  One generator
-    is constructed per call and rekeyed to each row's stream.
+    is constructed per call and keyed to each row's stream through one
+    :func:`~cohlab.streams.stream_setter`.  The rows are drawn into ``out``
+    when given, a C-contiguous float64 array of shape
+    ``(stop - first, *shape)`` that is overwritten and returned, and into a
+    new array otherwise.
     """
-    rows = np.empty((stop - first, *shape))
+    if out is None:
+        out = np.empty((stop - first, *shape))
+    elif out.shape != (stop - first, *shape):
+        raise InvalidArgumentError(
+            f"out has shape {out.shape}, expected {(stop - first, *shape)}"
+        )
     gen = new_generator(master_seed, first)
+    set_stream = stream_setter(gen, master_seed)
     draw = getattr(gen, variate)
     for row, index in enumerate(range(first, stop)):
-        rekey(gen, master_seed, index)
-        draw(out=rows[row])
-    return rows
+        set_stream(index)
+        draw(out=out[row])
+    return out
 
 
 def haar_amplitude_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
@@ -200,15 +217,19 @@ def haar_amplitude_rows(master_seed: int, first: int, stop: int, dim: int) -> np
     return _unit_rows(keyed_rows(master_seed, first, stop, (2 * dim,), "standard_normal"))
 
 
-def haar_prob_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
+def haar_prob_rows(
+    master_seed: int, first: int, stop: int, dim: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Diagonals p_i = |psi_i|^2 of Haar states for streams [first, stop).
 
     Row r is ``e / e.sum()`` for
     ``e = RandomStream(master_seed, first + r).generator.standard_exponential(dim)``:
     Dirichlet(1, ..., 1), the law of a Haar state's diagonal, from d
-    variates instead of the 2d normals of an amplitude row.
+    variates instead of the 2d normals of an amplitude row.  With ``out``
+    (as in :func:`keyed_rows`) the rows are drawn and normalised in place
+    there, with the same bytes, and ``out`` is returned.
     """
-    rows = keyed_rows(master_seed, first, stop, (dim,), "standard_exponential")
+    rows = keyed_rows(master_seed, first, stop, (dim,), "standard_exponential", out)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
 

@@ -405,8 +405,19 @@ class TestBoundaryExitCodes:
             ["concentrate", "--measure", "cr", "--dim", str(experiments.MAX_ALLOC_BYTES // 16 + 1), "--trials", "1"],
             # the least d whose subspace frame of 16 d s bytes is past the cap
             ["subspace", "--dim", str(least_subspace_dim_past_cap(0.5)), "--eps-frac", "0.5", "--states", "1"],
+            # a histogram payload of about 650 bytes per bin
+            ["concentrate", "--measure", "cr", "--dim", "1000", "--trials", "5", "--bins", str(10**9)],
+            # 8 bytes per trial value; the chunk bounds alone would be 3.8e9 tuples
+            ["concentrate", "--measure", "cr", "--dim", "1000", "--trials", str(10**12)],
         ],
-        ids=["concentrate-1e30", "subspace-1e30", "concentrate-past-cap", "subspace-past-cap"],
+        ids=[
+            "concentrate-1e30",
+            "subspace-1e30",
+            "concentrate-past-cap",
+            "subspace-past-cap",
+            "concentrate-1e9-bins",
+            "concentrate-1e12-trials",
+        ],
     )
     def test_oversize_request_exits_6_before_allocating(self, capsys, monkeypatch, argv):
         def allocate(*args):
@@ -424,3 +435,6 @@ class TestBoundaryExitCodes:
         experiments._check_alloc(16 * (experiments.MAX_ALLOC_BYTES // 16), "one state")
         d = least_subspace_dim_past_cap(0.5) - 1
         experiments._check_alloc(subspace_frame_bytes(d, 0.5), "a subspace frame")
+        bins = experiments.MAX_ALLOC_BYTES // experiments._HISTOGRAM_BIN_BYTES
+        experiments._check_alloc(experiments._HISTOGRAM_BIN_BYTES * bins, "a histogram")
+        experiments._check_alloc(8 * (experiments.MAX_ALLOC_BYTES // 8), "trial values")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cohlab import experiments, sampler
+from cohlab import experiments, measures, sampler
 from cohlab.analytics import (
     MIN_DIM_FOR_NONTRIVIAL_SUBSPACE,
     expected_cr,
@@ -412,6 +412,93 @@ def test_abs2_matches_real_and_imaginary_squares(rng):
     result = experiments._abs2(z.copy())
     assert result.dtype == expected.dtype and result.shape == expected.shape
     assert result.tobytes() == expected.tobytes()
+
+
+class TestChunkScratch:
+    """Each worker reuses one rows buffer and one work buffer for the chunks of a campaign."""
+
+    @staticmethod
+    def spy_rows(monkeypatch):
+        """Record (buffer address, shape) of every ``out`` that haar_prob_rows gets."""
+        seen = []
+        real = experiments.haar_prob_rows
+
+        def spy(master_seed, first, stop, dim, out):
+            seen.append((out.__array_interface__["data"][0], out.shape))
+            return real(master_seed, first, stop, dim, out)
+
+        monkeypatch.setattr(experiments, "haar_prob_rows", spy)
+        return seen
+
+    @pytest.mark.parametrize("cpus, buffers", [(1, {1}), (2, {1, 2})])
+    def test_77_chunks_use_one_buffer_per_worker(self, monkeypatch, chunk_workers, cpus, buffers):
+        seen = self.spy_rows(monkeypatch)
+        chunk_workers(cpus)
+        run_concentration(ExperimentConfig(dim=1000, trials=20000, master_seed=5))
+        assert len(seen) == 77
+        assert len({address for address, _ in seen}) in buffers
+
+    def test_tail_chunk_uses_a_prefix_of_the_buffer(self, monkeypatch, chunk_workers):
+        seen = self.spy_rows(monkeypatch)
+        chunk_workers(1)
+        run_concentration(ExperimentConfig(dim=1000, trials=263, master_seed=5))
+        assert [shape for _, shape in seen] == [(262, 1000), (1, 1000)]
+        assert seen[0][0] == seen[1][0]
+
+    @pytest.mark.parametrize("kind", experiments.MEASURE_KINDS)
+    @pytest.mark.parametrize("trials", [1, 261, 262, 263, 20000])
+    def test_payload_equals_a_fresh_allocation_run(self, monkeypatch, kind, trials):
+        config = ExperimentConfig(
+            dim=1000, trials=trials, master_seed=6, epsilons=(0.01,), measure_kind=kind
+        )
+        reused = payload_bytes(run_concentration(config))
+        # reference: every chunk draws into a new array and every kernel
+        # makes its own temporary
+        kernel = experiments._MEASURES[kind].kernel
+        fresh_kernel = getattr(measures, kernel)
+        monkeypatch.setattr(measures, kernel, lambda probs, work: fresh_kernel(probs))
+        monkeypatch.setattr(
+            experiments, "haar_prob_rows", lambda *args: sampler.haar_prob_rows(*args[:4])
+        )
+        assert reused == payload_bytes(run_concentration(config))
+
+    def test_concurrent_campaigns_equal_sequential_ones(self, chunk_workers):
+        chunk_workers(2)
+        configs = [ExperimentConfig(dim=1000, trials=3000, master_seed=s) for s in (11, 12)]
+        sequential = [payload_bytes(run_concentration(c)) for c in configs]
+        concurrent = [None, None]
+        start = threading.Barrier(2)
+
+        def run(i):
+            start.wait()
+            concurrent[i] = payload_bytes(run_concentration(configs[i]))
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join()
+        assert concurrent == sequential
+
+    def test_first_prob_samples_own_their_data(self, chunk_workers):
+        chunk_workers(2)
+        samples = first_prob_samples(1000, 600, 8)
+        kept = samples.copy()
+        assert samples.flags.owndata
+        first_prob_samples(1000, 600, 9)
+        run_inequality_sweep(1000, 600, 9)
+        assert np.array_equal(samples, kept)
+        for i in (0, 261, 262, 599):
+            e = RandomStream(8, i).generator.standard_exponential(1000)
+            assert samples[i] == (e / e.sum())[0]
+
+    def test_trial_values_past_the_cap_are_refused_before_any_chunk(self):
+        def fill(*args):
+            raise AssertionError("a refused campaign ran a chunk")
+
+        n = experiments.MAX_ALLOC_BYTES // 8 + 1
+        with pytest.raises(MemoryError, match="over the cap"):
+            experiments._run_chunked(n, 1, fill, 2, 32, 2)
 
 
 class TestSamplingHelpers:

@@ -14,7 +14,9 @@ from cohlab.measures import (
     entropy_from_probs,
     fannes_floor,
     l1_coherence_pure,
+    l1_from_probs,
     mixedness_from_probs,
+    purity_from_probs,
     relative_entropy_coherence,
     trace_distance_diag_mm,
     trdist_mm_from_probs,
@@ -357,4 +359,18 @@ def test_kernels_match_reference_expressions_byte_for_byte(kernel, oracle, name)
     probs = edge_batches()[name]
     before = probs.copy()
     assert np.array_equal(kernel(probs), oracle(probs))
+    assert np.array_equal(probs, before)  # the input is not mutated
+
+
+@pytest.mark.parametrize("name", sorted(edge_batches()))
+@pytest.mark.parametrize(
+    "kernel",
+    [entropy_from_probs, purity_from_probs, trdist_mm_from_probs, l1_from_probs],
+    ids=["entropy", "purity", "trdist", "l1"],
+)
+def test_kernels_give_the_same_bytes_with_a_work_array(kernel, name):
+    probs = edge_batches()[name]
+    before = probs.copy()
+    work = np.full_like(probs, np.nan)
+    assert kernel(probs, work=work).tobytes() == kernel(probs).tobytes()
     assert np.array_equal(probs, before)  # the input is not mutated

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cohlab.sampler import haar_prob_rows, keyed_rows
-from cohlab.streams import RandomStream, new_generator, rekey
+from cohlab.errors import InvalidArgumentError
+from cohlab.streams import RandomStream, new_generator, rekey, stream_setter
 
 
 def test_identical_pair_replays_sequence():
@@ -71,6 +72,21 @@ def test_rekey_after_partial_consumption(seed, index):
     assert gen.random() == fresh.random()
 
 
+@pytest.mark.parametrize("seed, index", WRAPPING_PAIRS)
+def test_stream_setter_matches_fresh_generator(seed, index):
+    gen = new_generator(99, 12)
+    set_stream = stream_setter(gen, seed)
+    for i in (index, index + 1, index):  # one setter, the key swapped per call
+        gen.standard_normal(7)  # counter moved, output buffer partly used
+        gen.integers(0, 1000, dtype=np.uint32)  # buffers the other 32-bit half
+        set_stream(i)
+        fresh = new_generator(seed, i)
+        u32 = dict(size=5, dtype=np.uint32)
+        assert np.array_equal(gen.integers(0, 1 << 32, **u32), fresh.integers(0, 1 << 32, **u32))
+        assert np.array_equal(gen.standard_normal(20), fresh.standard_normal(20))
+        assert gen.random() == fresh.random()
+
+
 @pytest.mark.parametrize("shape", [(6,), (3, 4)])
 def test_keyed_normal_rows_match_per_row_streams(shape):
     first, stop = 5, 9
@@ -95,3 +111,24 @@ def test_haar_prob_rows_are_normalised_exponentials():
     for row, index in zip(rows, range(first, stop)):
         e = RandomStream(77, index).generator.standard_exponential(dim)
         assert np.array_equal(row, e / e.sum())
+
+
+@pytest.mark.parametrize("variate", ["standard_normal", "standard_exponential"])
+def test_keyed_rows_draw_into_out(variate):
+    out = np.full((4, 3, 2), np.nan)
+    rows = keyed_rows(77, 5, 9, (3, 2), variate, out)
+    assert rows is out
+    assert np.array_equal(out, keyed_rows(77, 5, 9, (3, 2), variate))
+
+
+def test_keyed_rows_reject_a_mismatched_out():
+    with pytest.raises(InvalidArgumentError):
+        keyed_rows(77, 5, 9, (3,), "standard_normal", np.empty((5, 3)))
+
+
+def test_haar_prob_rows_normalise_in_out():
+    out = np.full((10, 6), np.nan)
+    rows = haar_prob_rows(77, 3, 8, 6, out[:5])
+    assert np.shares_memory(rows, out) and rows.shape == (5, 6)
+    assert rows.tobytes() == haar_prob_rows(77, 3, 8, 6).tobytes()
+    assert np.isnan(out[5:]).all()  # rows past the batch are untouched
