@@ -215,6 +215,11 @@ def lipschitz_cr(d: int) -> float:
     return math.sqrt(8.0) * math.log(d)
 
 
+def lipschitz_eta2(d: int) -> float:
+    """Lipschitz constant 2 of classical purity and diagonal trace distance, any d."""
+    return 2.0
+
+
 def levy_bound_cr(d: int, eps: float) -> BoundValue:
     """Concentration bound for C_r: 2 exp(-d eps^2 / (36 pi^3 ln 2 (ln d)^2)).
 

@@ -60,17 +60,29 @@ class _Measure(NamedTuple):
     kernel: str  # batched kernel in measures
     target: str  # analytic target in analytics
     target_kind: str  # "mean", or "l1_upper_bound" where no closed-form mean exists
-    bound: str | None  # Levy tail bound in analytics, None where none is stated
-    bound_min_dim: int = 1
+    bound: str | None = None  # Levy tail bound in analytics, None where none is stated
+    theorem: str | None = None  # the paper's number of that bound, as `cohlab bounds` names it
+    lipschitz: str | None = None  # Lipschitz constant in analytics that the bound is built on
+    bound_min_dim: int = 1  # least d at which the bound holds
 
 
 _MEASURES = {
-    "cr": _Measure("entropy_from_probs", "expected_cr", "mean", "levy_bound_cr", 3),
-    "l1": _Measure("l1_from_probs", "typical_l1_upper", "l1_upper_bound", None),
-    "purity": _Measure("purity_from_probs", "expected_classical_purity", "mean", "levy_bound_purity"),
-    "trdist": _Measure("trdist_mm_from_probs", "expected_trace_distance", "mean", "levy_bound_trdist"),
+    "cr": _Measure("entropy_from_probs", "expected_cr", "mean",
+                   "levy_bound_cr", "1", "lipschitz_cr", 3),
+    "l1": _Measure("l1_from_probs", "typical_l1_upper", "l1_upper_bound"),
+    "purity": _Measure("purity_from_probs", "expected_classical_purity", "mean",
+                       "levy_bound_purity", "3", "lipschitz_eta2"),
+    "trdist": _Measure("trdist_mm_from_probs", "expected_trace_distance", "mean",
+                       "levy_bound_trdist", "4", "lipschitz_eta2"),
 }
 MEASURE_KINDS = tuple(_MEASURES)
+
+
+def _check_counts(dim: int, trials: int) -> None:
+    if dim < 1:
+        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
+    if trials < 1:
+        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -85,10 +97,7 @@ class ExperimentConfig:
     measure_kind: str = "cr"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidDimensionError(f"dimension must be >= 1, got {self.dim}")
-        if self.trials < 1:
-            raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
+        _check_counts(self.dim, self.trials)
         if self.histogram_bins < 2:
             raise InvalidArgumentError(
                 f"histogram_bins must be >= 2, got {self.histogram_bins}"
@@ -192,10 +201,6 @@ def _check_alloc(nbytes: int, what: str) -> None:
 _HISTOGRAM_BIN_BYTES = 650
 
 
-def _check_frame(dim: int, sub_dim: int) -> None:
-    _check_alloc(16 * dim * sub_dim, f"a {dim} x {sub_dim} subspace frame")
-
-
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -208,7 +213,9 @@ def _run_chunked(
     ``row_bytes`` is the size of one drawn row, checked against the cap
     before any chunk runs, as are the 8 bytes per trial that a campaign may
     keep; ``dim`` alone picks serial or threaded.  Workers take the chunks
-    in order from one lazily generated sequence.
+    in order from one lazily generated sequence.  A chunk that raises ends
+    the campaign: the sequence is emptied, so no worker takes another
+    chunk, and the exception reaches the caller.
 
     With ``scratch_cols``, each worker owns two float64 arrays of
     ``min(size, n) x scratch_cols``, rows and work, allocated on its first
@@ -224,6 +231,7 @@ def _run_chunked(
     take = threading.Lock()
 
     def work() -> None:
+        nonlocal chunks
         scratch = None
         while True:
             with take:
@@ -237,7 +245,12 @@ def _run_chunked(
                 # serial laws iteration (3 campaigns of 77 chunks at d=1000)
                 # takes about 15 minor faults instead of 3k for two blocks
                 scratch = np.empty((2, min(size, n), scratch_cols))
-            results[i] = fill(start, stop, *(() if scratch is None else scratch[:, : stop - start]))
+            try:
+                results[i] = fill(start, stop, *(() if scratch is None else scratch[:, : stop - start]))
+            except BaseException:
+                with take:
+                    chunks = iter(())
+                raise
 
     workers = 1 if dim < _PARALLEL_MIN_DIM else min(_usable_cpus(), count)
     if workers > 1:
@@ -261,15 +274,16 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return f[..., 0::2] + f[..., 1::2]
 
 
-def _trial_values(config: ExperimentConfig) -> np.ndarray:
-    kernel = getattr(measures, _MEASURES[config.measure_kind].kernel)
+def _over_diagonals(dim: int, trials: int, master_seed: int, per_chunk) -> list:
+    """``per_chunk(probs, work)`` over the chunks of Haar diagonals of trials
+    [0, trials), results in chunk order; ``probs`` and ``work`` are the
+    worker's rows and work buffers of :func:`_run_chunked`.
+    """
 
-    seed, d = config.master_seed, config.dim
+    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray):
+        return per_chunk(haar_prob_rows(master_seed, start, stop, dim, rows), work)
 
-    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
-        return kernel(haar_prob_rows(seed, start, stop, d, rows), work=work)
-
-    return np.concatenate(_run_chunked(config.trials, _chunk_size(d), fill, d, 16 * d, d))
+    return _run_chunked(trials, _chunk_size(dim), fill, dim, 16 * dim, dim)
 
 
 def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
@@ -282,13 +296,14 @@ def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
     """
     bins = config.histogram_bins
     _check_alloc(_HISTOGRAM_BIN_BYTES * bins, f"a histogram of {bins} bins")
-    values = _trial_values(config)
+    measure = _MEASURES[config.measure_kind]
+    kernel = getattr(measures, measure.kernel)
+    values = np.concatenate(_over_diagonals(config.dim, config.trials, config.master_seed, kernel))
     n = config.trials
     mean = math.fsum(values) / n
     variance = math.fsum((values - mean) ** 2) / (n - 1) if n > 1 else 0.0
     stderr = math.sqrt(variance / n)
 
-    measure = _MEASURES[config.measure_kind]
     analytic_mean = getattr(analytics, measure.target)(config.dim)
     empirical = measure.target_kind == "l1_upper_bound"
     center = mean if empirical else analytic_mean
@@ -338,6 +353,21 @@ def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
     )
 
 
+def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int):
+    """The subspace dimension, the floor threshold and a random subspace from
+    stream (master_seed, 0); s < ``min_s`` or a frame past the cap raises first."""
+    sdim = analytics.subspace_dimension(dim, eps)
+    if sdim.s < min_s:
+        raise VacuousGuaranteeError(
+            f"subspace dimension formula gives s = {sdim.s} at dim={dim}, eps={eps:.6g}, "
+            f"below the s >= {min_s} this campaign needs; a nontrivial guarantee "
+            f"(s >= 2) requires d >= {analytics.MIN_DIM_FOR_NONTRIVIAL_SUBSPACE}"
+        )
+    _check_alloc(16 * dim * sdim.s, f"a {dim} x {sdim.s} subspace frame")
+    threshold = analytics.subspace_threshold(dim, eps)
+    return sdim, threshold, sample_random_subspace(dim, sdim.s, RandomStream(master_seed, 0))
+
+
 @dataclass
 class SubspaceFloorReport:
     """Sampled check of the coherent-subspace floor on one random subspace.
@@ -374,16 +404,7 @@ def run_subspace_floor(
     """
     if n_states < 1:
         raise InvalidArgumentError(f"n_states must be >= 1, got {n_states}")
-    sdim = analytics.subspace_dimension(dim, eps)
-    if sdim.s < 1:
-        raise VacuousGuaranteeError(
-            f"subspace dimension formula gives s = 0 at dim={dim}, eps={eps:.6g}; "
-            f"a nontrivial guarantee (s >= 2) requires "
-            f"d >= {analytics.MIN_DIM_FOR_NONTRIVIAL_SUBSPACE}"
-        )
-    _check_frame(dim, sdim.s)
-    threshold = analytics.subspace_threshold(dim, eps)
-    basis = sample_random_subspace(dim, sdim.s, RandomStream(master_seed, 0))
+    sdim, threshold, basis = _random_subspace(dim, eps, master_seed, 1)
     frame_t = basis.columns.T.copy()
 
     def fill(start: int, stop: int) -> np.ndarray:
@@ -451,16 +472,8 @@ def run_decomposition_check(
         )
     if n_redecompositions < 0:
         raise InvalidArgumentError("n_redecompositions must be >= 0")
-    sdim = analytics.subspace_dimension(dim, eps)
-    if sdim.s < 2:
-        raise VacuousGuaranteeError(
-            f"mixed-state ensembles need a subspace of dimension s >= 2, got "
-            f"s = {sdim.s} at dim={dim}, eps={eps:.6g}; this requires "
-            f"d >= {analytics.MIN_DIM_FOR_NONTRIVIAL_SUBSPACE}"
-        )
-    _check_frame(dim, sdim.s)
-    threshold = analytics.subspace_threshold(dim, eps)
-    basis = sample_random_subspace(dim, sdim.s, RandomStream(master_seed, 0))
+    # a mixed-state ensemble needs two independent directions
+    sdim, threshold, basis = _random_subspace(dim, eps, master_seed, 2)
 
     averages = []
     for ensemble_idx in range(n_ensembles):
@@ -574,22 +587,18 @@ def run_inequality_sweep(
     dim: int,
     trials: int,
     master_seed: int,
-    atol: float = 1e-10,
 ) -> InequalitySweepReport:
     """Count violations of three per-state theorems over sampled states.
 
     Checks, per Haar state: C_l1 <= sqrt(d(d-1)(1-P)); C_r >= the Fannes
     floor; 0 <= C_r <= ln d.  All counts are expected to be exactly zero
-    (``atol`` absorbs float rounding only).
+    (the reported ``atol`` absorbs float rounding only).
     """
-    if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-    if trials < 1:
-        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
+    _check_counts(dim, trials)
     log_d = math.log(dim)
+    atol = 1e-10
 
-    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> tuple[int, int, int]:
-        probs = haar_prob_rows(master_seed, start, stop, dim, rows)
+    def per_chunk(probs: np.ndarray, work: np.ndarray) -> tuple[int, int, int]:
         c_r = measures.entropy_from_probs(probs, work=work)
         c_l1 = measures.l1_from_probs(probs, work=work)
         floor = measures.fannes_floor_from_probs(probs)
@@ -600,7 +609,7 @@ def run_inequality_sweep(
             int(np.count_nonzero((c_r < -atol) | (c_r > log_d + atol))),
         )
 
-    partials = _run_chunked(trials, _chunk_size(dim), fill, dim, 16 * dim, dim)
+    partials = _over_diagonals(dim, trials, master_seed, per_chunk)
     totals = [sum(p[i] for p in partials) for i in range(3)]
     return InequalitySweepReport(
         dim=dim,
@@ -615,16 +624,13 @@ def run_inequality_sweep(
 
 def first_prob_samples(dim: int, trials: int, master_seed: int) -> np.ndarray:
     """First diagonal probability of each sampled Haar state, in trial order."""
-    if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-    if trials < 1:
-        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
+    _check_counts(dim, trials)
 
-    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
-        # a copy: the next chunk overwrites rows
-        return haar_prob_rows(master_seed, start, stop, dim, rows)[:, 0].copy()
+    def per_chunk(probs: np.ndarray, work: np.ndarray) -> np.ndarray:
+        # a copy: the next chunk overwrites the rows
+        return probs[:, 0].copy()
 
-    return np.concatenate(_run_chunked(trials, _chunk_size(dim), fill, dim, 16 * dim, dim))
+    return np.concatenate(_over_diagonals(dim, trials, master_seed, per_chunk))
 
 
 def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:
@@ -634,8 +640,7 @@ def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:
     """
     if dim < 2:
         raise InvalidDimensionError(f"the entry law needs d >= 2, got {dim}")
-    if trials < 1:
-        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
+    _check_counts(dim, trials)
 
     def fill(start: int, stop: int) -> np.ndarray:
         return np.abs(haar_unitary_rows(master_seed, start, stop, dim)[:, 0, 0])

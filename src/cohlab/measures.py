@@ -33,9 +33,9 @@ _ZERO_PROB = 1e-300
 
 
 def entropy_from_probs(
-    probs: np.ndarray, axis: int = -1, work: np.ndarray | None = None
+    probs: np.ndarray, work: np.ndarray | None = None
 ) -> np.ndarray | float:
-    """Shannon entropy in nats along ``axis``, with 0 ln 0 = 0."""
+    """Shannon entropy in nats along the last axis, with 0 ln 0 = 0."""
     p = np.asarray(probs, dtype=np.float64)
     # one temporary (``work`` if given): p ln p, its terms at p <= _ZERO_PROB
     # (where the log is -inf, or nan below 0) set to 0 before the product,
@@ -44,17 +44,17 @@ def entropy_from_probs(
         terms = np.log(p, out=work)
     terms[p <= _ZERO_PROB] = 0.0
     terms *= p
-    out = -terms.sum(axis=axis)
+    out = -terms.sum(axis=-1)
     # entropy is nonnegative; clip the ~1 ulp undershoot of near-pure vectors
     return np.maximum(out, 0.0)
 
 
 def purity_from_probs(
-    probs: np.ndarray, axis: int = -1, work: np.ndarray | None = None
+    probs: np.ndarray, work: np.ndarray | None = None
 ) -> np.ndarray | float:
-    """Classical purity sum_i p_i^2 along ``axis``."""
+    """Classical purity sum_i p_i^2 along the last axis."""
     p = np.asarray(probs, dtype=np.float64)
-    return np.multiply(p, p, out=work).sum(axis=axis)
+    return np.multiply(p, p, out=work).sum(axis=-1)
 
 
 def mixedness_from_probs(probs: np.ndarray) -> np.ndarray | float:
@@ -73,20 +73,20 @@ def mixedness_from_probs(probs: np.ndarray) -> np.ndarray | float:
 
 
 def trdist_mm_from_probs(
-    probs: np.ndarray, axis: int = -1, work: np.ndarray | None = None
+    probs: np.ndarray, work: np.ndarray | None = None
 ) -> np.ndarray | float:
-    """Trace distance (no 1/2 factor) to the uniform distribution."""
+    """Trace distance (no 1/2 factor) to the uniform distribution, along the last axis."""
     p = np.asarray(probs, dtype=np.float64)
-    d = p.shape[axis]
+    d = p.shape[-1]
     # one temporary (``work`` if given): the difference, its absolute value
     # taken in place
     diff = np.subtract(p, 1.0 / d, out=work)
     np.abs(diff, out=diff)
-    return diff.sum(axis=axis)
+    return diff.sum(axis=-1)
 
 
 def l1_from_probs(
-    probs: np.ndarray, axis: int = -1, work: np.ndarray | None = None
+    probs: np.ndarray, work: np.ndarray | None = None
 ) -> np.ndarray | float:
     """l1 coherence of a pure state from its diagonal probabilities.
 
@@ -94,7 +94,7 @@ def l1_from_probs(
     double sum, clamped below at 0 against rounding.
     """
     p = np.asarray(probs, dtype=np.float64)
-    s = np.sqrt(p, out=work).sum(axis=axis)
+    s = np.sqrt(p, out=work).sum(axis=-1)
     return np.maximum(s * s - 1.0, 0.0)
 
 
@@ -104,15 +104,15 @@ def _binary_entropy(t: np.ndarray) -> np.ndarray:
     return -(t * np.log(safe_t) + (1.0 - t) * np.log(safe_1mt))
 
 
-def fannes_floor_from_probs(probs: np.ndarray, axis: int = -1) -> np.ndarray | float:
+def fannes_floor_from_probs(probs: np.ndarray) -> np.ndarray | float:
     """Continuity lower bound (1-T) ln d - H2(T) on C_r, T = trace dist / 2.
 
     May be negative, in which case the bound is vacuous.  Degenerate d = 1
     gives exactly 0.
     """
     p = np.asarray(probs, dtype=np.float64)
-    d = p.shape[axis]
-    t = trdist_mm_from_probs(p, axis) / 2.0
+    d = p.shape[-1]
+    t = trdist_mm_from_probs(p) / 2.0
     if d == 1:
         return np.zeros_like(t)
     return (1.0 - t) * math.log(d) - _binary_entropy(t)

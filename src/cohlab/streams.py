@@ -10,10 +10,10 @@ Streams are backed by the Philox counter-based bit generator with the
 128-bit key set directly to ``(master_seed, stream_index)``, so stream
 derivation is a pure function of the pair and involves no shared seeding
 state.  Because a Philox stream is its key plus a counter, one generator
-can serve many streams in turn: :func:`stream_setter` (or :func:`rekey`
-for a single stream) points an existing generator at the start of another
-stream, which draws exactly what a fresh :func:`new_generator` for that
-pair would, at a fraction of the cost of constructing one.
+can serve many streams in turn: :func:`stream_setter` points an existing
+generator at the start of another stream, which draws exactly what a fresh
+:func:`new_generator` for that pair would, at a fraction of the cost of
+constructing one.
 
 :data:`STREAM_VERSION` names the stream contract: which variates each
 campaign draws from which stream.  It changes only with a deliberate change
@@ -68,8 +68,7 @@ def stream_setter(generator: np.random.Generator, master_seed: int):
     of the 10 entries and triples the cost.  A call costs 0.7-1.1 us against
     1.6-1.7 us when the whole dict is built for each stream (two sets of
     medians of 7 timings of 20000 calls on one pinned CPU, 2.1 GHz Xeon,
-    numpy 2.4.6); :func:`rekey` builds a setter per call and pays about
-    2.2 us.
+    numpy 2.4.6).
     """
     bit_generator = generator.bit_generator
     seed = master_seed & _UINT64_MASK
@@ -88,15 +87,6 @@ def stream_setter(generator: np.random.Generator, master_seed: int):
         bit_generator.state = state
 
     return set_stream
-
-
-def rekey(generator: np.random.Generator, master_seed: int, stream_index: int) -> None:
-    """Point a Philox ``generator`` at the start of stream (master_seed, stream_index).
-
-    One call of :func:`stream_setter`; a batch that keys many streams of one
-    master seed builds the setter once instead.
-    """
-    stream_setter(generator, master_seed)(stream_index)
 
 
 @dataclass

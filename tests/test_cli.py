@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from cohlab import experiments
-from cohlab.analytics import MIN_DIM_FOR_NONTRIVIAL_SUBSPACE, subspace_dimension
+from cohlab.analytics import (
+    MIN_DIM_FOR_NONTRIVIAL_SUBSPACE,
+    levy_bound_cr,
+    levy_bound_purity,
+    levy_bound_trdist,
+    lipschitz_cr,
+    subspace_dimension,
+)
 from cohlab.cli import main
 from cohlab.streams import STREAM_VERSION
 
@@ -191,6 +198,25 @@ class TestSubspace:
         assert payload["eps_frac"] == 0.999
         assert payload["n_states"] == 50
 
+    def test_text_format(self, capsys):
+        argv = ["subspace", "--dim", "34000", "--eps-frac", "0.999", "--states", "50", "--seed", "3"]
+        min_cr = run_json(capsys, argv)["payload"]["min_observed_cr"]
+        code, out, _ = run_cli(capsys, argv + ["--format", "text"])
+        assert code == 0
+        # the payload's keys in sorted order, floats to 10 significant digits
+        assert out.splitlines() == [
+            "dim              34000",
+            "eps              10.42368169",
+            "eps_frac         0.999",
+            "master_seed      3",
+            f"min_observed_cr  {min_cr:.10g}",
+            "n_states         50",
+            "small_d_warning  False",
+            "sub_dim          2",
+            "threshold        -0.4123355135",
+            "violations       0",
+        ]
+
 
 class TestBounds:
     def test_theorem1_frozen_value(self, capsys):
@@ -217,8 +243,18 @@ class TestBounds:
 
     def test_default_lists_applicable_theorems(self, capsys):
         payload = run_json(capsys, ["bounds", "--dim", "100", "--eps", "0.05"])["payload"]
-        names = [entry["theorem"] for entry in payload["bounds"]]
-        assert names == ["1", "3", "4"]
+        expected = [
+            ("1", levy_bound_cr(100, 0.05), lipschitz_cr(100)),
+            ("3", levy_bound_purity(100, 0.05), 2.0),
+            ("4", levy_bound_trdist(100, 0.05), 2.0),
+        ]
+        assert payload["bounds"] == [
+            {
+                "theorem": theorem, "dim": 100, "eps": 0.05, "eta": eta,
+                "raw": bound.raw, "effective": bound.effective, "log_raw": bound.log_raw,
+            }
+            for theorem, bound, eta in expected
+        ]
         three = payload["bounds"][1]
         four = payload["bounds"][2]
         assert three["raw"] == four["raw"]
@@ -248,7 +284,11 @@ class TestBounds:
             capsys, ["bounds", "--dim", "100", "--eps", "0.05", "--format", "text"]
         )
         assert code == 0
-        assert "theorem" in out
+        assert out.splitlines() == [
+            "theorem       1: raw 1.999970e+00  effective 1.000000e+00  log_raw 0.693132",
+            "theorem       3: raw 1.998708e+00  effective 1.000000e+00  log_raw 0.692501",
+            "theorem       4: raw 1.998708e+00  effective 1.000000e+00  log_raw 0.692501",
+        ]
 
 
 class TestVerify:

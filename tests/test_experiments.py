@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -360,6 +361,22 @@ class TestChunkRunner:
         rows = experiments._chunk_size(dim)
         assert rows >= 1
         assert rows * 16 * dim <= max(experiments._CHUNK_BYTES, 16 * dim)
+
+    def test_a_failing_chunk_stops_the_other_workers(self, chunk_workers):
+        # chunk 0 of 10000 raises at once; the other worker takes a few more
+        # chunks of 1 ms at most, never the whole campaign
+        chunk_workers(2)
+        ran = []
+
+        def fill(start, stop):
+            if start == 0:
+                raise ValueError("chunk 0 failed")
+            ran.append(start)
+            time.sleep(0.001)
+
+        with pytest.raises(ValueError, match="chunk 0 failed"):
+            experiments._run_chunked(10000, 1, fill, 1000, 16 * 1000)
+        assert len(ran) < 100
 
     def test_workers_capped_by_chunk_count(self, chunk_workers):
         pools = chunk_workers(16)

@@ -3,7 +3,7 @@ import pytest
 
 from cohlab.sampler import haar_prob_rows, keyed_rows
 from cohlab.errors import InvalidArgumentError
-from cohlab.streams import RandomStream, new_generator, rekey, stream_setter
+from cohlab.streams import RandomStream, new_generator, stream_setter
 
 
 def test_identical_pair_replays_sequence():
@@ -53,7 +53,7 @@ WRAPPING_PAIRS = [(-1, 0), (0, -5), ((1 << 64) + 3, 7), (11, (1 << 70) + 2), (-(
 @pytest.mark.parametrize("seed, index", WRAPPING_PAIRS)
 def test_rekey_matches_fresh_generator(seed, index):
     gen = new_generator(99, 12)
-    rekey(gen, seed, index)
+    stream_setter(gen, seed)(index)
     assert np.array_equal(gen.standard_normal(50), new_generator(seed, index).standard_normal(50))
 
 
@@ -64,7 +64,7 @@ def test_rekey_after_partial_consumption(seed, index):
     gen.integers(0, 1000, dtype=np.uint32)  # buffers the other 32-bit half
     gen.random()
     assert gen.bit_generator.state["has_uint32"] == 1
-    rekey(gen, seed, index)
+    stream_setter(gen, seed)(index)
     fresh = new_generator(seed, index)
     u32 = dict(size=5, dtype=np.uint32)
     assert np.array_equal(gen.integers(0, 1 << 32, **u32), fresh.integers(0, 1 << 32, **u32))
