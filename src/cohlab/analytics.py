@@ -104,8 +104,9 @@ def expected_cr_via_beta(d: int) -> float:
     """Average C_r through the Beta-derivative route.
 
     Evaluates -d(d-1) * (Psi(2) - Psi(d+1)) * B(2, d-1), which must equal
-    ``expected_cr(d)``; the Beta factor exercises the log-Gamma path
-    against the exact 1/(d(d-1)).
+    ``expected_cr(d)``.  B(2, d-1) takes the exact reduction 1/((d-1) d) at
+    every d and Psi(d+1) shares ``harmonic(d)`` with the closed form, so this
+    checks the digamma and Beta algebra, not the harmonic sum or log-Gamma.
     """
     if d < 2:
         raise InvalidDimensionError(f"Beta route needs d >= 2, got {d}")

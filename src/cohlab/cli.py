@@ -6,12 +6,12 @@ failure, 4 vacuous guarantee, 5 I/O failure (e.g. an unwritable
 (no NaN or Infinity) that carries the schema version and the stream
 contract version next to the payload; histogram CSV uses
 ``bin_low,bin_high,count`` rows.  Values are in nats unless stated
-otherwise.  Campaigns split their states into chunks of at most 4 MiB of
-amplitudes (one state where a state is larger) and run them serially
-below d = 450 and otherwise on one thread per usable CPU (up to the chunk
-count); the payload bytes are the same either way.  A reader that closes
-stdout early (``| head``) is no I/O failure: the unread output is dropped
-and the command's exit code stands.
+otherwise.  States, diagonals and unitaries are drawn in chunks of at most
+4 MiB (one row where a row is larger; the matrix check keeps 2048
+unitaries), serially for rows under 7200 bytes (a state below d = 450) and
+otherwise on one thread per usable CPU; the payload bytes are the same
+either way.  A reader that closes stdout early (``| head``) is no I/O
+failure: the unread output is dropped and the command's exit code stands.
 """
 
 from __future__ import annotations

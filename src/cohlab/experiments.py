@@ -7,9 +7,10 @@ Trial ``i`` of a campaign draws from ``RandomStream(master_seed, i)`` (or a
 documented per-work-item index), per-trial values are materialized in
 trial order, and every reduction runs over that ordered array (means via
 exact compensated summation).  Batches come from the one keyed batch
-sampler (:func:`cohlab.sampler.keyed_rows`), and every campaign runs its
-chunks through the one chunk runner :func:`_run_chunked`.  Chunk partitions
-depend on the problem alone and chunk results are combined in chunk order,
+sampler (:func:`cohlab.sampler.keyed_rows`), and every campaign but the
+decomposition check (a loop over its ensembles) runs its chunks through the
+one chunk runner :func:`_run_chunked`.  Chunk partitions depend on the
+bytes of a drawn row alone and chunk results are combined in chunk order,
 so reports are byte-identical whether the runner fills the chunks serially
 or on a thread pool.  Campaigns that draw diagonals draw every chunk into
 the rows buffer of the worker that fills it and evaluate their kernels in
@@ -148,41 +149,39 @@ class ConcentrationReport:
         ]
 
 
-# bytes of complex amplitudes (16 per entry) one row chunk may hold;
-# probability rows (8 bytes per entry) fill half of it.  Every campaign
-# computes per-row values and reduces them in trial order, so the rows per
-# chunk change no payload byte, only the memory a chunk holds
+# bytes one chunk of drawn rows may hold, whatever a row is: a state of 16 d
+# bytes, a diagonal counted at 16 d (its 8 d of rows and 8 d of kernel work)
+# or a unitary of 16 d^2.  Every campaign but the matrix check computes
+# per-row values and reduces them in trial order, so the rows per chunk
+# change no payload byte, only the memory a chunk holds
 _CHUNK_BYTES = 1 << 22
 
 
-def _chunk_size(dim: int) -> int:
+def _chunk_size(row_bytes: int) -> int:
     # fixed function of the problem so chunk boundaries (and therefore
     # reductions) cannot depend on the worker count; a row larger than the
     # budget is a chunk of its own
-    return max(1, min(4096, _CHUNK_BYTES // (16 * dim)))
+    return max(1, min(4096, _CHUNK_BYTES // row_bytes))
 
 
-def _unitary_chunk(dim: int) -> int:
-    return max(8, min(2048, (1 << 20) // max(dim * dim, 1)))
-
-
-# _run_chunked is serial below this dimension, else it runs one thread per
-# usable CPU up to the chunk count.  On a 2-CPU machine, cr campaigns of 2e7
-# amplitudes in _CHUNK_BYTES chunks on 2 threads against 1 (3 sets of 6
-# interleaved runs, medians) cost CPU +10..+23% at d=300, +8..+15% at d=350,
-# -1..+6% at d=400, -4..-9% at d=450 and d=500, and -4..-10% at d=600 and
-# -12..-16% at d=1000; wall fell 44-54% from d=450 on.  The cutoff is the
-# smallest measured d at which a second thread cost no CPU in every set.
+# _run_chunked is serial for rows of fewer bytes than a state of this d
+# (16 d), else it runs one thread per usable CPU up to the chunk count.  On a
+# 2-CPU machine, cr campaigns of 2e7 amplitudes in _CHUNK_BYTES chunks on 2
+# threads against 1 (3 sets of 6 interleaved runs, medians) cost CPU
+# +10..+23% at d=300, +8..+15% at d=350, -1..+6% at d=400, -4..-9% at d=450
+# and d=500, and -4..-10% at d=600 and -12..-16% at d=1000; wall fell 44-54%
+# from d=450 on.  The cutoff is the smallest measured d at which a second
+# thread cost no CPU in every set; unitaries of d >= 22 are past it
 _PARALLEL_MIN_DIM = 450
 
 
-# largest array a campaign may request: one row of a chunk (a state of 16 d
-# bytes, or a unitary of 16 d^2), the least a chunk holds, a subspace frame
-# (16 d s bytes), the values of every trial (8 bytes each) or a histogram
-# with its payload (_HISTOGRAM_BIN_BYTES per bin).
-# Larger requests raise MemoryError before anything is allocated (CLI exit
-# 6); every acceptance and golden campaign stays far inside it (the largest
-# frame, d=1e5 and s=4, is 6.4 MB)
+# largest array a campaign may request: one drawn row (a state of 16 d
+# bytes, or a unitary of 16 d^2), the least a chunk holds past its one
+# _CHUNK_BYTES budget, a subspace frame (16 d s bytes), the values of every
+# trial (8 bytes each) or a histogram with its payload (_HISTOGRAM_BIN_BYTES
+# per bin).  Larger requests raise MemoryError before anything is allocated
+# (CLI exit 6); every acceptance and golden campaign stays far inside it (the
+# largest frame, d=1e5 and s=4, is 6.4 MB)
 MAX_ALLOC_BYTES = 1 << 30
 
 
@@ -205,17 +204,16 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_chunked(
-    n: int, size: int, fill, dim: int, row_bytes: int, scratch_cols: int = 0
-) -> list:
+def _run_chunked(n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int = 0) -> list:
     """``fill(start, stop)`` over the chunks of [0, n), results in chunk order.
 
-    ``row_bytes`` is the size of one drawn row, checked against the cap
-    before any chunk runs, as are the 8 bytes per trial that a campaign may
-    keep; ``dim`` alone picks serial or threaded.  Workers take the chunks
-    in order from one lazily generated sequence.  A chunk that raises ends
-    the campaign: the sequence is emptied, so no worker takes another
-    chunk, and the exception reaches the caller.
+    ``row_bytes``, the size of one drawn row, sets the rows per chunk
+    (``size`` overrides them) and picks serial or threaded; it is checked
+    against the cap before any chunk runs, as are the 8 bytes per trial
+    that a campaign may keep.  Workers take the chunks in order from one
+    lazily generated sequence.  A chunk that raises ends the campaign: the
+    sequence is emptied, so no worker takes another chunk, and the
+    exception reaches the caller.
 
     With ``scratch_cols``, each worker owns two float64 arrays of
     ``min(size, n) x scratch_cols``, rows and work, allocated on its first
@@ -223,8 +221,9 @@ def _run_chunked(
     as ``fill(start, stop, rows, work)`` with their first ``stop - start``
     rows.  ``fill`` may overwrite both but must not return a view of them.
     """
-    _check_alloc(row_bytes, f"one row of a d={dim} campaign")
+    _check_alloc(row_bytes, "one drawn row")
     _check_alloc(8 * n, f"the values of {n} trials")
+    size = size or _chunk_size(row_bytes)
     count = -(-n // size)
     results = [None] * count
     chunks = enumerate((start, min(start + size, n)) for start in range(0, n, size))
@@ -252,7 +251,7 @@ def _run_chunked(
                     chunks = iter(())
                 raise
 
-    workers = 1 if dim < _PARALLEL_MIN_DIM else min(_usable_cpus(), count)
+    workers = 1 if row_bytes < 16 * _PARALLEL_MIN_DIM else min(_usable_cpus(), count)
     if workers > 1:
         with futures.ThreadPoolExecutor(max_workers=workers) as pool:
             for done in [pool.submit(work) for _ in range(workers)]:
@@ -283,7 +282,7 @@ def _over_diagonals(dim: int, trials: int, master_seed: int, per_chunk) -> list:
     def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray):
         return per_chunk(haar_prob_rows(master_seed, start, stop, dim, rows), work)
 
-    return _run_chunked(trials, _chunk_size(dim), fill, dim, 16 * dim, dim)
+    return _run_chunked(trials, fill, 16 * dim, dim)
 
 
 def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
@@ -411,7 +410,7 @@ def run_subspace_floor(
         coeff = haar_amplitude_rows(master_seed, start + 1, stop + 1, sdim.s)
         return measures.entropy_from_probs(_abs2(coeff @ frame_t))
 
-    values = np.concatenate(_run_chunked(n_states, _chunk_size(dim), fill, dim, 16 * dim))
+    values = np.concatenate(_run_chunked(n_states, fill, 16 * dim))
 
     return SubspaceFloorReport(
         dim=dim,
@@ -516,6 +515,11 @@ class MatrixIntegralReport:
     ok: bool
 
 
+# unitaries per matrix-check chunk (8 MiB at d=16): its chunk sums are added
+# in order, so unlike any other result its total depends on the chunking
+_MATRIX_CHUNK = 2048
+
+
 def run_matrix_integral_check(
     dim: int,
     n_unitaries: int,
@@ -554,10 +558,7 @@ def run_matrix_integral_check(
         pdiag = np.diagonal(m, axis1=-2, axis2=-1).real
         return np.einsum("nji,nj,njk->ik", u.conj(), pdiag, u)
 
-    # chunk sums added in chunk order: the total depends on _unitary_chunk
-    total = sum(
-        _run_chunked(n_unitaries, _unitary_chunk(dim), fill, dim, 16 * dim * dim)
-    )
+    total = sum(_run_chunked(n_unitaries, fill, 16 * dim * dim, size=_MATRIX_CHUNK))
     deviation = float(np.abs(total / n_unitaries - closed_form).max())
     tolerance = 5.0 / math.sqrt(n_unitaries)
     return MatrixIntegralReport(
@@ -601,8 +602,8 @@ def run_inequality_sweep(
     def per_chunk(probs: np.ndarray, work: np.ndarray) -> tuple[int, int, int]:
         c_r = measures.entropy_from_probs(probs, work=work)
         c_l1 = measures.l1_from_probs(probs, work=work)
-        floor = measures.fannes_floor_from_probs(probs)
-        l1_bound = np.sqrt(dim * (dim - 1) * measures.mixedness_from_probs(probs))
+        floor = measures.fannes_floor_from_probs(probs, work=work)
+        l1_bound = np.sqrt(dim * (dim - 1) * measures.mixedness_from_probs(probs, work=work))
         return (
             int(np.count_nonzero(c_l1 > l1_bound + atol)),
             int(np.count_nonzero(c_r < floor - atol)),
@@ -645,11 +646,7 @@ def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:
     def fill(start: int, stop: int) -> np.ndarray:
         return np.abs(haar_unitary_rows(master_seed, start, stop, dim)[:, 0, 0])
 
-    r = np.sort(
-        np.concatenate(
-            _run_chunked(trials, _unitary_chunk(dim), fill, dim, 16 * dim * dim)
-        )
-    )
+    r = np.sort(np.concatenate(_run_chunked(trials, fill, 16 * dim * dim)))
     cdf = 1.0 - (1.0 - r * r) ** (dim - 1)
     grid = np.arange(trials, dtype=np.float64)
     d_plus = float(((grid + 1.0) / trials - cdf).max())

@@ -12,12 +12,13 @@ Conventions used throughout the package:
 The ``*_from_probs`` functions are array kernels operating on (batches of)
 probability vectors along the last axis; the batched campaigns evaluate
 their measures through them.  The four measure kernels (entropy, purity,
-trace distance, l1) make one float64 temporary the shape of ``probs``; a
-caller may pass it as ``work``, a float64 array of that shape that is
-overwritten, with the same result bytes.  The scalar functions take one
-:class:`~cohlab.sampler.PureState` and delegate to the same kernels, so
-both paths share one numerical definition; the decomposition check sums
-:func:`relative_entropy_coherence` over ensemble members.
+trace distance, l1) and the Fannes floor make one float64 temporary the
+shape of ``probs``, and the mixedness two; a caller may pass the first as
+``work``, a float64 array of that shape that is overwritten, with the same
+result bytes.  The scalar functions take one :class:`~cohlab.sampler.PureState`
+and delegate to the same kernels, so both paths share one numerical
+definition; the decomposition check sums :func:`relative_entropy_coherence`
+over ensemble members.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ def purity_from_probs(
     return np.multiply(p, p, out=work).sum(axis=-1)
 
 
-def mixedness_from_probs(probs: np.ndarray) -> np.ndarray | float:
+def mixedness_from_probs(
+    probs: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray | float:
     """1 - sum_i p_i^2 along the last axis, as sum_i p_i sum_{j != i} p_j.
 
     Equal to ``1 - purity_from_probs(probs)`` for normalized ``probs``, but
@@ -66,10 +69,13 @@ def mixedness_from_probs(probs: np.ndarray) -> np.ndarray | float:
     subtraction.
     """
     p = np.asarray(probs, dtype=np.float64)
-    rest = np.zeros_like(p)
-    rest[..., 1:] = np.cumsum(p[..., :-1], axis=-1)
+    # rest (``work`` if given) takes the prefix sums and then the product
+    rest = np.empty_like(p) if work is None else work
+    rest[..., 0] = 0.0
+    np.cumsum(p[..., :-1], axis=-1, out=rest[..., 1:])
     rest[..., :-1] += np.cumsum(p[..., :0:-1], axis=-1)[..., ::-1]
-    return (p * rest).sum(axis=-1)
+    rest *= p
+    return rest.sum(axis=-1)
 
 
 def trdist_mm_from_probs(
@@ -104,7 +110,9 @@ def _binary_entropy(t: np.ndarray) -> np.ndarray:
     return -(t * np.log(safe_t) + (1.0 - t) * np.log(safe_1mt))
 
 
-def fannes_floor_from_probs(probs: np.ndarray) -> np.ndarray | float:
+def fannes_floor_from_probs(
+    probs: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray | float:
     """Continuity lower bound (1-T) ln d - H2(T) on C_r, T = trace dist / 2.
 
     May be negative, in which case the bound is vacuous.  Degenerate d = 1
@@ -112,7 +120,7 @@ def fannes_floor_from_probs(probs: np.ndarray) -> np.ndarray | float:
     """
     p = np.asarray(probs, dtype=np.float64)
     d = p.shape[-1]
-    t = trdist_mm_from_probs(p) / 2.0
+    t = trdist_mm_from_probs(p, work) / 2.0
     if d == 1:
         return np.zeros_like(t)
     return (1.0 - t) * math.log(d) - _binary_entropy(t)

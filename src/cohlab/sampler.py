@@ -96,10 +96,6 @@ class SubspaceBasis:
         self.columns = b
 
     @property
-    def ambient_dim(self) -> int:
-        return self.columns.shape[0]
-
-    @property
     def sub_dim(self) -> int:
         return self.columns.shape[1]
 
@@ -132,10 +128,6 @@ class Decomposition:
     @property
     def size(self) -> int:
         return self.weights.size
-
-    @property
-    def dim(self) -> int:
-        return self.states[0].dim
 
     def density_matrix(self) -> np.ndarray:
         """Dense d x d reconstruction sum_a p_a |psi_a><psi_a| (small d only)."""

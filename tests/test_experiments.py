@@ -328,20 +328,20 @@ class TestInequalitySweep:
 
 class TestChunkRunner:
     @staticmethod
-    def run(dim):
+    def run(row_bytes):
         threads = set()
 
         def fill(start, stop):
             threads.add(threading.get_ident())
             return (start, stop)
 
-        chunks = experiments._run_chunked(10, 3, fill, dim, 16 * dim)
+        chunks = experiments._run_chunked(10, fill, row_bytes, size=3)
         assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
         return threads
 
     def test_serial_below_cutoff_threaded_at_and_above(self, chunk_workers):
-        cutoff = experiments._PARALLEL_MIN_DIM
-        pools = chunk_workers(2, cutoff)
+        cutoff = 16 * experiments._PARALLEL_MIN_DIM
+        pools = chunk_workers(2, experiments._PARALLEL_MIN_DIM)
         assert self.run(cutoff - 1) == {threading.get_ident()}
         assert pools == []
         assert threading.get_ident() not in self.run(cutoff)
@@ -351,16 +351,37 @@ class TestChunkRunner:
     def test_cutoff_threads_d1000_and_d1e5_keeps_d300_serial(self, chunk_workers):
         # measured: a second thread saves CPU at d = 1000, costs +10..+23% at d = 300
         pools = chunk_workers(2, experiments._PARALLEL_MIN_DIM)
-        assert self.run(300) == {threading.get_ident()}
-        assert threading.get_ident() not in self.run(1000)
-        assert threading.get_ident() not in self.run(100_000)
+        assert self.run(16 * 300) == {threading.get_ident()}
+        assert threading.get_ident() not in self.run(16 * 1000)
+        assert threading.get_ident() not in self.run(16 * 100_000)
         assert pools == [2, 2]
 
-    @pytest.mark.parametrize("dim", [1, 2, 10, 1000, 10**5, 10**7, 10**9])
-    def test_chunk_bytes_bounded(self, dim):
-        rows = experiments._chunk_size(dim)
+    def test_unitary_rows_thread_from_d24_and_keep_d2_serial(self, chunk_workers):
+        pools = chunk_workers(2, experiments._PARALLEL_MIN_DIM)
+        assert self.run(16 * 2**2) == {threading.get_ident()}
+        assert threading.get_ident() not in self.run(16 * 24**2)
+        assert pools == [2]
+
+    @pytest.mark.parametrize(
+        "dim, rows, pools_made", [(300, 873, []), (1000, 262, [2]), (10**5, 2, [2])]
+    )
+    def test_state_rows_keep_their_chunk_rows_and_workers(self, chunk_workers, dim, rows, pools_made):
+        # laws-d1000 runs 262 rows per chunk on 2 workers, subspace-1e5 2 rows on 2
+        pools = chunk_workers(2, experiments._PARALLEL_MIN_DIM)
+        sizes = []
+        experiments._run_chunked(2 * rows, lambda start, stop: sizes.append(stop - start), 16 * dim)
+        assert sizes == [rows, rows]
+        assert pools == pools_made
+
+    @pytest.mark.parametrize(
+        "row_bytes",
+        [pytest.param(16 * d, id=str(d)) for d in (1, 2, 10, 1000, 10**5, 10**7, 10**9)]
+        + [pytest.param(16 * d * d, id=f"unitary-{d}") for d in (2, 24, 300, 1000, 8192)],
+    )
+    def test_chunk_bytes_bounded(self, row_bytes):
+        rows = experiments._chunk_size(row_bytes)
         assert rows >= 1
-        assert rows * 16 * dim <= max(experiments._CHUNK_BYTES, 16 * dim)
+        assert rows * row_bytes <= max(experiments._CHUNK_BYTES, row_bytes)
 
     def test_a_failing_chunk_stops_the_other_workers(self, chunk_workers):
         # chunk 0 of 10000 raises at once; the other worker takes a few more
@@ -375,12 +396,12 @@ class TestChunkRunner:
             time.sleep(0.001)
 
         with pytest.raises(ValueError, match="chunk 0 failed"):
-            experiments._run_chunked(10000, 1, fill, 1000, 16 * 1000)
+            experiments._run_chunked(10000, fill, 16 * 1000, size=1)
         assert len(ran) < 100
 
     def test_workers_capped_by_chunk_count(self, chunk_workers):
         pools = chunk_workers(16)
-        self.run(2)
+        self.run(16 * 2)
         assert pools == [4]
 
     def test_unitary_rows_are_checked_against_the_cap(self, monkeypatch):
@@ -391,6 +412,31 @@ class TestChunkRunner:
         monkeypatch.setattr(sampler, "keyed_rows", allocate)
         with pytest.raises(MemoryError, match="over the cap"):
             ks_distance_u11(10_000, 1, 0)
+
+    @staticmethod
+    def spy_batches(monkeypatch):
+        """Record the shape of every batch that sampler.keyed_rows draws."""
+        shapes = []
+        real = sampler.keyed_rows
+
+        def spy(master_seed, first, stop, shape, variate, out=None):
+            shapes.append((stop - first, *shape))
+            return real(master_seed, first, stop, shape, variate, out)
+
+        monkeypatch.setattr(sampler, "keyed_rows", spy)
+        return shapes
+
+    def test_unitary_chunks_fit_the_byte_budget(self, monkeypatch):
+        # a d = 300 unitary is 1.44 MB of normals, so a 4 MiB chunk holds 2
+        shapes = self.spy_batches(monkeypatch)
+        ks_distance_u11(300, 20, 0)
+        assert shapes == [(2, 300, 600)] * 10
+
+    def test_matrix_check_keeps_its_fixed_chunk(self, monkeypatch):
+        # its chunk sums are added in order, so its chunks are pinned
+        shapes = self.spy_batches(monkeypatch)
+        run_matrix_integral_check(16, 3000, 0)
+        assert shapes == [(2048, 16, 32), (952, 16, 32)]
 
 
 _SUBSPACE_EPS = 0.999 * math.log(34000)
@@ -515,7 +561,7 @@ class TestChunkScratch:
 
         n = experiments.MAX_ALLOC_BYTES // 8 + 1
         with pytest.raises(MemoryError, match="over the cap"):
-            experiments._run_chunked(n, 1, fill, 2, 32, 2)
+            experiments._run_chunked(n, fill, 32, 2, size=1)
 
 
 class TestSamplingHelpers:

@@ -13,6 +13,7 @@ from cohlab.measures import (
     decomposition_average_coherence,
     entropy_from_probs,
     fannes_floor,
+    fannes_floor_from_probs,
     l1_coherence_pure,
     l1_from_probs,
     mixedness_from_probs,
@@ -329,6 +330,15 @@ def reference_trdist(probs):
     return np.abs(p - 1.0 / p.shape[-1]).sum(axis=-1)
 
 
+def reference_mixedness(probs):
+    # a zeroed array for the sums over j != i, and a fresh product
+    p = np.asarray(probs, dtype=np.float64)
+    rest = np.zeros_like(p)
+    rest[..., 1:] = np.cumsum(p[..., :-1], axis=-1)
+    rest[..., :-1] += np.cumsum(p[..., :0:-1], axis=-1)[..., ::-1]
+    return (p * rest).sum(axis=-1)
+
+
 def edge_batches():
     rng = np.random.default_rng(909)
     dirichlet = rng.dirichlet(np.ones(9), size=6)
@@ -352,8 +362,12 @@ def edge_batches():
 @pytest.mark.parametrize("name", sorted(edge_batches()))
 @pytest.mark.parametrize(
     "kernel, oracle",
-    [(entropy_from_probs, reference_entropy), (trdist_mm_from_probs, reference_trdist)],
-    ids=["entropy", "trdist"],
+    [
+        (entropy_from_probs, reference_entropy),
+        (trdist_mm_from_probs, reference_trdist),
+        (mixedness_from_probs, reference_mixedness),
+    ],
+    ids=["entropy", "trdist", "mixedness"],
 )
 def test_kernels_match_reference_expressions_byte_for_byte(kernel, oracle, name):
     probs = edge_batches()[name]
@@ -365,8 +379,15 @@ def test_kernels_match_reference_expressions_byte_for_byte(kernel, oracle, name)
 @pytest.mark.parametrize("name", sorted(edge_batches()))
 @pytest.mark.parametrize(
     "kernel",
-    [entropy_from_probs, purity_from_probs, trdist_mm_from_probs, l1_from_probs],
-    ids=["entropy", "purity", "trdist", "l1"],
+    [
+        entropy_from_probs,
+        purity_from_probs,
+        trdist_mm_from_probs,
+        l1_from_probs,
+        mixedness_from_probs,
+        fannes_floor_from_probs,
+    ],
+    ids=["entropy", "purity", "trdist", "l1", "mixedness", "fannes"],
 )
 def test_kernels_give_the_same_bytes_with_a_work_array(kernel, name):
     probs = edge_batches()[name]
