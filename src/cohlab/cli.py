@@ -8,9 +8,10 @@ contract version next to the payload; histogram CSV uses
 ``bin_low,bin_high,count`` rows.  Values are in nats unless stated
 otherwise.  States, diagonals and unitaries are drawn in chunks of at most
 4 MiB (one row where a row is larger; the matrix check keeps 2048
-unitaries), serially for rows under 7200 bytes (a state below d = 450) and
-otherwise on one thread per usable CPU; the payload bytes are the same
-either way.  A reader that closes stdout early (``| head``) is no I/O
+unitaries, and ``subspace`` 16 states, which it projects onto fixed blocks
+of 8192 frame columns), serially for rows under 7200 bytes (a state below
+d = 450) and otherwise on one thread per usable CPU; the payload bytes are
+the same either way.  A reader that closes stdout early (``| head``) is no I/O
 failure: the unread output is dropped and the command's exit code stands.
 """
 
@@ -145,7 +146,9 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
         lines += [f"{lo!r},{hi!r},{count}" for lo, hi, count in report.histogram]
         return "\n".join(lines)
 
-    return _output(args, lambda: asdict(report), csv)
+    # the report's fields as they are, with only the config made a dict: the
+    # same JSON text as asdict(report), without a deep copy of the histogram
+    return _output(args, lambda: {**vars(report), "config": asdict(report.config)}, csv)
 
 
 def cmd_subspace(args: argparse.Namespace) -> int:

@@ -14,7 +14,10 @@ bytes of a drawn row alone and chunk results are combined in chunk order,
 so reports are byte-identical whether the runner fills the chunks serially
 or on a thread pool.  Campaigns that draw diagonals draw every chunk into
 the rows buffer of the worker that fills it and evaluate their kernels in
-its work buffer; both live only as long as the campaign.
+its work buffer; both live only as long as the campaign.  The subspace
+campaign projects its chunks of 16 states into those buffers one fixed
+block of frame columns at a time and sums each state's block entropies in
+block order, so its bytes depend on d but not on the chunks either.
 
 Campaigns that need only a Haar state's diagonal draw it as normalised
 standard exponentials (:func:`cohlab.sampler.haar_prob_rows`, stream
@@ -150,8 +153,10 @@ class ConcentrationReport:
 
 
 # bytes one chunk of drawn rows may hold, whatever a row is: a state of 16 d
-# bytes, a diagonal counted at 16 d (its 8 d of rows and 8 d of kernel work)
-# or a unitary of 16 d^2.  Every campaign but the matrix check computes
+# bytes, a diagonal counted at 16 d (its 8 d of rows and 8 d of kernel work),
+# a unitary of 16 d^2, or a subspace state counted at 32 bytes per column of
+# one frame block (its real and imaginary parts and its probabilities, so
+# 16 states per chunk).  Every campaign but the matrix check computes
 # per-row values and reduces them in trial order, so the rows per chunk
 # change no payload byte, only the memory a chunk holds
 _CHUNK_BYTES = 1 << 22
@@ -185,6 +190,15 @@ _PARALLEL_MIN_DIM = 450
 MAX_ALLOC_BYTES = 1 << 30
 
 
+# columns of the subspace frame that run_subspace_floor projects and reduces
+# at a time: a chunk of 16 states streams the frame from memory once, and
+# its rows for one block (2 MiB) stay near a 2 MB L2 cache where 16 full
+# rows at d = 1e5 would take 25.6 MB.  The blocks depend on d alone, and a
+# state's C_r is the sum of its block entropies in block order, so neither
+# the rows per chunk nor the workers change a byte
+_BLOCK_COLS = 8192
+
+
 def _check_alloc(nbytes: int, what: str) -> None:
     if nbytes > MAX_ALLOC_BYTES:
         raise MemoryError(
@@ -193,10 +207,11 @@ def _check_alloc(nbytes: int, what: str) -> None:
 
 
 # bytes one histogram bin costs on its way to the output: the numpy counts
-# and edges, a Python 3-tuple in the report, its copy in the JSON payload
-# and its indented JSON text.  Measured: peak RSS of `concentrate --dim 1000
-# --trials 5` grew 645 bytes per bin from 1e6 to 2e6 bins with JSON output
-# (340 with CSV)
+# and edges, a Python 3-tuple in the report and its indented JSON text.
+# Measured: peak RSS of `concentrate --dim 1000 --trials 5` grew 567 bytes
+# per bin from 5e5 to 1.5e6 bins with JSON output (288 with CSV); 650 is
+# what it grew while the JSON payload deep-copied the histogram, kept so
+# that the exit-6 boundary stays where it was
 _HISTOGRAM_BIN_BYTES = 650
 
 
@@ -261,16 +276,16 @@ def _run_chunked(n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int 
     return results
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of complex ``z`` with a contiguous last axis; consumes ``z``.
+def _abs2_halves(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|psi|^2 into ``out`` from ``amps``, whose first half of rows holds
+    Re psi and whose second half holds Im psi; squares ``amps`` in place.
 
-    The floats of ``z`` are squared in place, then the strided real and
-    imaginary halves are added into the one new array, the bytes of
-    ``z.real**2 + z.imag**2`` without its two temporaries.
+    Both halves are contiguous, and the bytes are those of
+    ``psi.real**2 + psi.imag**2``.
     """
-    f = z.view(np.float64)
-    f *= f
-    return f[..., 0::2] + f[..., 1::2]
+    amps *= amps
+    half = len(amps) // 2
+    return np.add(amps[:half], amps[half:], out=out)
 
 
 def _over_diagonals(dim: int, trials: int, master_seed: int, per_chunk) -> list:
@@ -397,20 +412,35 @@ def run_subspace_floor(
     """Sample one random subspace and many Haar states inside it.
 
     The subspace draws from stream (master_seed, 0); state j draws from
-    stream (master_seed, j + 1).  Raises
+    stream (master_seed, j + 1).  Each state's C_r is the sum, in block
+    order, of the entropies of its probabilities over fixed blocks of
+    ``_BLOCK_COLS`` columns.  Raises
     :class:`~cohlab.errors.VacuousGuaranteeError` when the dimension
     formula yields s = 0.
     """
     if n_states < 1:
         raise InvalidArgumentError(f"n_states must be >= 1, got {n_states}")
     sdim, threshold, basis = _random_subspace(dim, eps, master_seed, 1)
-    frame_t = basis.columns.T.copy()
+    # the real form of the frame F: [Re psi; Im psi] = [[Re c, -Im c],
+    # [Im c, Re c]] @ [Re F^T; Im F^T] for the coefficients c of psi = F c
+    frame_ri = np.concatenate((basis.columns.T.real, basis.columns.T.imag))
+    cols = min(dim, _BLOCK_COLS)
 
-    def fill(start: int, stop: int) -> np.ndarray:
-        coeff = haar_amplitude_rows(master_seed, start + 1, stop + 1, sdim.s)
-        return measures.entropy_from_probs(_abs2(coeff @ frame_t))
+    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
+        n = stop - start
+        c = haar_amplitude_rows(master_seed, start + 1, stop + 1, sdim.s)
+        coeff = np.block([[c.real, -c.imag], [c.imag, c.real]])
+        values = np.zeros(n)
+        for lo in range(0, dim, cols):
+            width = min(cols, dim - lo)
+            amps = rows.reshape(-1)[: 2 * n * width].reshape(2 * n, width)
+            probs = work.reshape(-1)[: n * width].reshape(n, width)
+            np.matmul(coeff, frame_ri[:, lo : lo + width], out=amps)
+            _abs2_halves(amps, probs)
+            values += measures.entropy_from_probs(probs, work=amps[:n])
+        return values
 
-    values = np.concatenate(_run_chunked(n_states, fill, 16 * dim))
+    values = np.concatenate(_run_chunked(n_states, fill, 32 * cols, 2 * cols))
 
     return SubspaceFloorReport(
         dim=dim,

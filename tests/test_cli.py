@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cohlab import experiments
+from cohlab import cli, experiments
 from cohlab.analytics import (
     MIN_DIM_FOR_NONTRIVIAL_SUBSPACE,
     levy_bound_cr,
@@ -66,7 +67,7 @@ ENVELOPE_COMMANDS = {
 def test_envelope_carries_stream_version(capsys, command):
     env = run_json(capsys, ENVELOPE_COMMANDS[command])
     assert env["command"] == command
-    assert env["stream_version"] == "2"
+    assert env["stream_version"] == "3"
     assert set(env) == {"schema_version", "stream_version", "command", "timestamp_utc", "payload"}
 
 
@@ -133,6 +134,19 @@ class TestConcentrate:
         four = run_json(capsys, args)["payload"]
         assert pools == [3]
         assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
+
+    def test_json_text_equals_the_asdict_route(self, capsys):
+        code, out, err = run_cli(capsys, self.ARGS)
+        assert code == 0, err
+        report = experiments.run_concentration(experiments.ExperimentConfig(
+            dim=10, trials=2000, master_seed=5, epsilons=(0.2, 0.5), histogram_bins=12
+        ))
+        expected = cli._dump_json(cli._envelope("concentrate", dataclasses.asdict(report)))
+
+        def timestamp_aside(text):
+            return [line for line in text.splitlines() if '"timestamp_utc"' not in line]
+
+        assert timestamp_aside(out) == timestamp_aside(expected)
 
     def test_csv_matches_json_histogram(self, capsys):
         env = run_json(capsys, self.ARGS)

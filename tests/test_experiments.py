@@ -199,27 +199,58 @@ class TestSubspaceFloor:
         assert payload_bytes(a) == payload_bytes(b)
 
     def test_frame_is_left_unmodified(self, monkeypatch):
-        # _abs2 consumes its argument: it must get the fresh projection of a
-        # chunk, never the frame or a view of it
+        # the chunks project the frame into the workers' buffers and square
+        # them in place: the frame itself must come out as it was drawn
         eps = 0.999 * math.log(34000)
-        bases, consumed = [], []
-        draw_subspace, abs2 = experiments.sample_random_subspace, experiments._abs2
+        bases = []
+        draw_subspace = experiments.sample_random_subspace
 
         def spy_subspace(*args):
             bases.append(draw_subspace(*args))
             return bases[-1]
 
-        def spy_abs2(z):
-            consumed.append(z.flags.owndata)
-            return abs2(z)
-
         monkeypatch.setattr(experiments, "sample_random_subspace", spy_subspace)
-        monkeypatch.setattr(experiments, "_abs2", spy_abs2)
         first = payload_bytes(run_subspace_floor(34000, eps, 20, 8))
         fresh = draw_subspace(34000, 2, RandomStream(8, 0))
         assert np.array_equal(bases[0].columns, fresh.columns)
-        assert consumed and all(consumed)
         assert payload_bytes(run_subspace_floor(34000, eps, 20, 8)) == first
+
+    @pytest.mark.parametrize(
+        "block_cols, blocks",
+        # at d = 34000 the default 8192 columns end in a partial block of
+        # 1232, and 1000 columns divide d into 34 full blocks
+        [(None, 5), (1000, 34), (34000, 1), (10**6, 1)],
+    )
+    def test_blocked_path_matches_the_scalar_path(self, monkeypatch, chunk_workers, block_cols, blocks):
+        chunk_workers(1)
+        if block_cols is not None:
+            monkeypatch.setattr(experiments, "_BLOCK_COLS", block_cols)
+        entropy = measures.entropy_from_probs
+        calls = []
+
+        def spy_entropy(probs, work):
+            calls.append(probs.shape[-1])
+            return entropy(probs, work=work)
+
+        monkeypatch.setattr(measures, "entropy_from_probs", spy_entropy)
+        dim, eps, n, seed = 34000, 0.99 * math.log(34000), 40, 4
+        report = run_subspace_floor(dim, eps, n, seed)
+        monkeypatch.setattr(measures, "entropy_from_probs", entropy)
+        widths = calls[:blocks]
+        assert sum(widths) == dim and calls == widths * (len(calls) // blocks)
+
+        basis = sampler.sample_random_subspace(dim, report.sub_dim, RandomStream(seed, 0))
+        scalar = np.array([
+            measures.relative_entropy_coherence(sampler.PureState(basis.columns @ c))
+            for c in sampler.haar_amplitude_rows(seed, 1, n + 1, report.sub_dim)
+        ])
+        assert report.min_observed_cr == pytest.approx(scalar.min(), rel=1e-14, abs=0)
+        assert report.violations == int(np.count_nonzero(scalar < report.threshold))
+
+    def test_sixteen_states_per_chunk(self, monkeypatch):
+        shapes = TestChunkRunner.spy_batches(monkeypatch)
+        run_subspace_floor(34000, 0.99 * math.log(34000), 40, 0)
+        assert shapes == [(16, 4), (16, 4), (8, 4)]
 
 
 class TestDecompositionCheck:
@@ -363,10 +394,13 @@ class TestChunkRunner:
         assert pools == [2]
 
     @pytest.mark.parametrize(
-        "dim, rows, pools_made", [(300, 873, []), (1000, 262, [2]), (10**5, 2, [2])]
+        "dim, rows, pools_made",
+        [(300, 873, []), (1000, 262, [2]), (10**5, 2, [2]), (2 * 8192, 16, [2])],
     )
     def test_state_rows_keep_their_chunk_rows_and_workers(self, chunk_workers, dim, rows, pools_made):
-        # laws-d1000 runs 262 rows per chunk on 2 workers, subspace-1e5 2 rows on 2
+        # laws-d1000 runs 262 rows per chunk on 2 workers and a d = 1e5 state
+        # 2 rows on 2; subspace-1e5 counts 32 bytes per column of an
+        # 8192-column block, the bytes of a state at d = 16384, so 16 on 2
         pools = chunk_workers(2, experiments._PARALLEL_MIN_DIM)
         sizes = []
         experiments._run_chunked(2 * rows, lambda start, stop: sizes.append(stop - start), 16 * dim)
@@ -468,11 +502,11 @@ def test_chunk_rows_do_not_change_bytes(campaign, monkeypatch, chunk_workers):
     assert len(outputs) == 1
 
 
-def test_abs2_matches_real_and_imaginary_squares(rng):
+def test_abs2_halves_match_real_and_imaginary_squares(rng):
     z = rng.normal(size=(3, 2000)) + 1j * rng.normal(size=(3, 2000))
     z[0, :5] = [0.0, 1e-170j, 1e150, np.inf, 1e-320]
     expected = z.real**2 + z.imag**2
-    result = experiments._abs2(z.copy())
+    result = experiments._abs2_halves(np.concatenate((z.real, z.imag)), np.empty((3, 2000)))
     assert result.dtype == expected.dtype and result.shape == expected.shape
     assert result.tobytes() == expected.tobytes()
 

@@ -75,6 +75,11 @@ CASES = {
     "subspace-d34000": lambda: _cli_payload(
         ["subspace", "--dim", "34000", "--eps-frac", "0.99", "--states", "100"]
     ),
+    # its minimum C_r moved by 1 ulp when v3 summed each state's entropy
+    # over fixed column blocks
+    "subspace-d34000-states400": lambda: _cli_payload(
+        ["subspace", "--dim", "34000", "--eps-frac", "0.99", "--states", "400"]
+    ),
     **{
         f"sweep-d{d}": (
             lambda d=d: _payload_sha(
