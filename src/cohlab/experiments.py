@@ -15,9 +15,10 @@ so reports are byte-identical whether the runner fills the chunks serially
 or on a thread pool.  Campaigns that draw diagonals draw every chunk into
 the rows buffer of the worker that fills it and evaluate their kernels in
 its work buffer; both live only as long as the campaign.  The subspace
-campaign projects its chunks of 16 states into those buffers one fixed
-block of frame columns at a time and sums each state's block entropies in
-block order, so its bytes depend on d but not on the chunks either.
+campaign projects its chunks of states (32 at s <= 4, 16 above) into those
+buffers one fixed block of frame columns at a time and sums each state's
+block entropies in block order, so its bytes depend on d but not on the
+chunks either.
 
 Campaigns that need only a Haar state's diagonal draw it as normalised
 standard exponentials (:func:`cohlab.sampler.haar_prob_rows`, stream
@@ -154,9 +155,11 @@ class ConcentrationReport:
 
 # bytes one chunk of drawn rows may hold, whatever a row is: a state of 16 d
 # bytes, a diagonal counted at 16 d (its 8 d of rows and 8 d of kernel work),
-# a unitary of 16 d^2, or a subspace state counted at 32 bytes per column of
-# one frame block (its real and imaginary parts and its probabilities, so
-# 16 states per chunk).  Every campaign but the matrix check computes
+# a unitary of 16 d^2, or a subspace state counted per column of one frame
+# block at the 16 bytes of its probabilities and their kernel work (32
+# states per chunk) for s <= 4, and at 32 bytes above, where the rows
+# buffer holds its real and imaginary parts (16 states per chunk).  Every
+# campaign but the matrix check computes
 # per-row values and reduces them in trial order, so the rows per chunk
 # change no payload byte, only the memory a chunk holds
 _CHUNK_BYTES = 1 << 22
@@ -182,20 +185,23 @@ _PARALLEL_MIN_DIM = 450
 
 # largest array a campaign may request: one drawn row (a state of 16 d
 # bytes, or a unitary of 16 d^2), the least a chunk holds past its one
-# _CHUNK_BYTES budget, a subspace frame (16 d s bytes), the values of every
-# trial (8 bytes each) or a histogram with its payload (_HISTOGRAM_BIN_BYTES
-# per bin).  Larger requests raise MemoryError before anything is allocated
-# (CLI exit 6); every acceptance and golden campaign stays far inside it (the
-# largest frame, d=1e5 and s=4, is 6.4 MB)
+# _CHUNK_BYTES budget, a subspace frame (16 d s bytes) or the real frame
+# that subspace states are projected onto (8 d s^2 bytes for s <= 4), the
+# values of every trial (8 bytes each) or a histogram with its payload
+# (_HISTOGRAM_BIN_BYTES per bin).  Larger requests raise MemoryError before
+# anything is allocated (CLI exit 6); every acceptance and golden campaign
+# stays far inside it (the largest frame, d=1e5 and s=6, is 9.6 MB, and the
+# largest projection frame, d=1e5 and s=4, 12.8 MB)
 MAX_ALLOC_BYTES = 1 << 30
 
 
 # columns of the subspace frame that run_subspace_floor projects and reduces
-# at a time: a chunk of 16 states streams the frame from memory once, and
-# its rows for one block (2 MiB) stay near a 2 MB L2 cache where 16 full
-# rows at d = 1e5 would take 25.6 MB.  The blocks depend on d alone, and a
-# state's C_r is the sum of its block entropies in block order, so neither
-# the rows per chunk nor the workers change a byte
+# at a time: a chunk streams the frame from memory once, and its products
+# for one block (2 MiB: the probabilities of 32 states, or the amplitudes
+# of 16) stay near a 2 MB L2 cache where 32 full rows of probabilities at
+# d = 1e5 would take 25.6 MB.  The blocks depend on d alone, and a state's
+# C_r is the sum of its block entropies in block order, so neither the rows
+# per chunk nor the workers change a byte
 _BLOCK_COLS = 8192
 
 
@@ -367,9 +373,11 @@ def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
     )
 
 
-def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int):
+def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int, real_rows=lambda s: 0):
     """The subspace dimension, the floor threshold and a random subspace from
-    stream (master_seed, 0); s < ``min_s`` or a frame past the cap raises first."""
+    stream (master_seed, 0).  s < ``min_s``, a frame past the cap, or a
+    ``real_rows(s)`` x d float64 frame past it (the projection frame a
+    campaign builds from the subspace) raises first."""
     sdim = analytics.subspace_dimension(dim, eps)
     if sdim.s < min_s:
         raise VacuousGuaranteeError(
@@ -378,6 +386,8 @@ def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int):
             f"(s >= 2) requires d >= {analytics.MIN_DIM_FOR_NONTRIVIAL_SUBSPACE}"
         )
     _check_alloc(16 * dim * sdim.s, f"a {dim} x {sdim.s} subspace frame")
+    rows = real_rows(sdim.s)
+    _check_alloc(8 * rows * dim, f"a {rows} x {dim} projection frame of an s = {sdim.s} subspace")
     threshold = analytics.subspace_threshold(dim, eps)
     return sdim, threshold, sample_random_subspace(dim, sdim.s, RandomStream(master_seed, 0))
 
@@ -403,6 +413,52 @@ class SubspaceFloorReport:
     master_seed: int
 
 
+def _quadratic_form(s: int) -> bool:
+    # multiplies per probability: s^2 in the quadratic form, 4 s in the real
+    # form (2 s for each of Re psi_i and Im psi_i), so s <= 4
+    return s * s <= 4 * s
+
+
+def _quadratic_frame(columns: np.ndarray) -> np.ndarray:
+    """The s^2 x d real frame Q of the frame columns F_j: rows |F_j|^2, then
+    2 Re(conj(F_j) F_k) and -2 Im(conj(F_j) F_k) for each j < k."""
+    f = columns.T
+    s = len(f)
+    q = np.empty((s * s, f.shape[1]))
+    np.add(f.real**2, f.imag**2, out=q[:s])
+    for row, (j, k) in zip(range(s, s * s, 2), zip(*np.triu_indices(s, 1))):
+        cross = f[j].conj() * f[k]
+        np.multiply(cross.real, 2.0, out=q[row])
+        np.multiply(cross.imag, -2.0, out=q[row + 1])
+    return q
+
+
+def _quadratic_coefficients(c: np.ndarray) -> np.ndarray:
+    """The n x s^2 rows M of coefficient rows c, with ``M @ Q`` the
+    probabilities |F c|^2: columns |c_j|^2, then Re(conj(c_j) c_k) and
+    Im(conj(c_j) c_k) for each j < k, in the order of Q's rows."""
+    s = c.shape[1]
+    m = np.empty((len(c), s * s))
+    np.add(c.real**2, c.imag**2, out=m[:, :s])
+    j, k = np.triu_indices(s, 1)
+    cross = c[:, j].conj() * c[:, k]
+    m[:, s::2] = cross.real
+    m[:, s + 1 :: 2] = cross.imag
+    return m
+
+
+def _real_coefficients(c: np.ndarray) -> np.ndarray:
+    # [Re psi; Im psi] = [[Re c, -Im c], [Im c, Re c]] @ [Re F^T; Im F^T]
+    # for the coefficients c of psi = F c
+    return np.block([[c.real, -c.imag], [c.imag, c.real]])
+
+
+def _rows_view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The first ``rows * width`` elements of a contiguous ``buffer`` as a
+    ``rows`` x ``width`` array."""
+    return buffer.reshape(-1)[: rows * width].reshape(rows, width)
+
+
 def run_subspace_floor(
     dim: int,
     eps: float,
@@ -414,33 +470,47 @@ def run_subspace_floor(
     The subspace draws from stream (master_seed, 0); state j draws from
     stream (master_seed, j + 1).  Each state's C_r is the sum, in block
     order, of the entropies of its probabilities over fixed blocks of
-    ``_BLOCK_COLS`` columns.  Raises
-    :class:`~cohlab.errors.VacuousGuaranteeError` when the dimension
+    ``_BLOCK_COLS`` columns.  For s <= 4 a block's probabilities are one
+    real product, coefficient quadratic forms times the frame's
+    (:func:`_quadratic_frame`); above, the product gives the real and
+    imaginary parts of the amplitudes, which are squared and folded.
+    Raises :class:`~cohlab.errors.VacuousGuaranteeError` when the dimension
     formula yields s = 0.
     """
     if n_states < 1:
         raise InvalidArgumentError(f"n_states must be >= 1, got {n_states}")
-    sdim, threshold, basis = _random_subspace(dim, eps, master_seed, 1)
-    # the real form of the frame F: [Re psi; Im psi] = [[Re c, -Im c],
-    # [Im c, Re c]] @ [Re F^T; Im F^T] for the coefficients c of psi = F c
-    frame_ri = np.concatenate((basis.columns.T.real, basis.columns.T.imag))
+    sdim, threshold, basis = _random_subspace(
+        dim, eps, master_seed, 1, lambda s: s * s if _quadratic_form(s) else 2 * s
+    )
+    s = sdim.s
+    # product rows per state: its probabilities, or Re psi and Im psi
+    per_state = 1 if _quadratic_form(s) else 2
+    if per_state == 1:
+        frame, coefficients = _quadratic_frame(basis.columns), _quadratic_coefficients
+    else:
+        frame = np.concatenate((basis.columns.T.real, basis.columns.T.imag))
+        coefficients = _real_coefficients
+    del basis
     cols = min(dim, _BLOCK_COLS)
 
     def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
         n = stop - start
-        c = haar_amplitude_rows(master_seed, start + 1, stop + 1, sdim.s)
-        coeff = np.block([[c.real, -c.imag], [c.imag, c.real]])
+        coeff = coefficients(haar_amplitude_rows(master_seed, start + 1, stop + 1, s))
         values = np.zeros(n)
         for lo in range(0, dim, cols):
             width = min(cols, dim - lo)
-            amps = rows.reshape(-1)[: 2 * n * width].reshape(2 * n, width)
-            probs = work.reshape(-1)[: n * width].reshape(n, width)
-            np.matmul(coeff, frame_ri[:, lo : lo + width], out=amps)
-            _abs2_halves(amps, probs)
-            values += measures.entropy_from_probs(probs, work=amps[:n])
+            product = _rows_view(rows, per_state * n, width)
+            np.matmul(coeff, frame[:, lo : lo + width], out=product)
+            if per_state == 1:
+                probs, spare = product, _rows_view(work, n, width)
+            else:
+                probs, spare = _abs2_halves(product, _rows_view(work, n, width)), product[:n]
+            values += measures.entropy_from_probs(probs, work=spare)
         return values
 
-    values = np.concatenate(_run_chunked(n_states, fill, 32 * cols, 2 * cols))
+    # both scratch buffers hold per_state * cols float64 per state
+    scratch_cols = per_state * cols
+    values = np.concatenate(_run_chunked(n_states, fill, 16 * scratch_cols, scratch_cols))
 
     return SubspaceFloorReport(
         dim=dim,

@@ -67,7 +67,7 @@ ENVELOPE_COMMANDS = {
 def test_envelope_carries_stream_version(capsys, command):
     env = run_json(capsys, ENVELOPE_COMMANDS[command])
     assert env["command"] == command
-    assert env["stream_version"] == "3"
+    assert env["stream_version"] == "4"
     assert set(env) == {"schema_version", "stream_version", "command", "timestamp_utc", "payload"}
 
 
@@ -459,6 +459,9 @@ class TestBoundaryExitCodes:
             ["concentrate", "--measure", "cr", "--dim", str(experiments.MAX_ALLOC_BYTES // 16 + 1), "--trials", "1"],
             # the least d whose subspace frame of 16 d s bytes is past the cap
             ["subspace", "--dim", str(least_subspace_dim_past_cap(0.5)), "--eps-frac", "0.5", "--states", "1"],
+            # s = 4: a frame of 640 MB, inside the cap, but a quadratic-form
+            # projection frame of 8 d s^2 bytes (1.28 GB) past it
+            ["subspace", "--dim", str(10**7), "--eps-frac", "0.14", "--states", "1"],
             # a histogram payload of about 650 bytes per bin
             ["concentrate", "--measure", "cr", "--dim", "1000", "--trials", "5", "--bins", str(10**9)],
             # 8 bytes per trial value; the chunk bounds alone would be 3.8e9 tuples
@@ -469,6 +472,7 @@ class TestBoundaryExitCodes:
             "subspace-1e30",
             "concentrate-past-cap",
             "subspace-past-cap",
+            "subspace-projection-past-cap",
             "concentrate-1e9-bins",
             "concentrate-1e12-trials",
         ],

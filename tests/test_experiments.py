@@ -189,18 +189,22 @@ class TestSubspaceFloor:
         assert report.violations == 0
 
     def test_threads_do_not_change_bytes(self, chunk_workers):
-        # 64 states at d = 34000 are 10 chunks of at most 7
-        eps = 0.999 * math.log(34000)
+        # s = 2 projects by the quadratic form, 64 states in 2 chunks of 32;
+        # s = 6 by the real form, 40 states in chunks of 16, 16 and 8
         pools = chunk_workers(1)
-        a = run_subspace_floor(34000, eps, 64, 5)
-        chunk_workers(2)
-        b = run_subspace_floor(34000, eps, 64, 5)
-        assert pools == [2]
-        assert payload_bytes(a) == payload_bytes(b)
+        for dim, eps_frac, n in ((34000, 0.999, 64), (10**5, 0.999, 40)):
+            eps = eps_frac * math.log(dim)
+            chunk_workers(1)
+            a = run_subspace_floor(dim, eps, n, 5)
+            chunk_workers(2)
+            b = run_subspace_floor(dim, eps, n, 5)
+            assert payload_bytes(a) == payload_bytes(b)
+        assert pools == [2, 2]
 
     def test_frame_is_left_unmodified(self, monkeypatch):
-        # the chunks project the frame into the workers' buffers and square
-        # them in place: the frame itself must come out as it was drawn
+        # the chunks project states through a real frame built from the
+        # subspace frame into the workers' buffers: the subspace frame itself
+        # must come out as it was drawn
         eps = 0.999 * math.log(34000)
         bases = []
         draw_subspace = experiments.sample_random_subspace
@@ -216,12 +220,26 @@ class TestSubspaceFloor:
         assert payload_bytes(run_subspace_floor(34000, eps, 20, 8)) == first
 
     @pytest.mark.parametrize(
-        "block_cols, blocks",
-        # at d = 34000 the default 8192 columns end in a partial block of
-        # 1232, and 1000 columns divide d into 34 full blocks
-        [(None, 5), (1000, 34), (34000, 1), (10**6, 1)],
+        "dim, eps_frac, sub_dim, block_cols, blocks",
+        # s = 2 is on the quadratic-form side of the projection and s = 6 on
+        # the real-form side.  The default 8192 columns end in a partial
+        # block (1232 columns at d = 34000, 1696 at d = 1e5), 1000 columns
+        # divide either d into full blocks, and 34000 divides d = 1e5 into
+        # two full blocks and a partial one
+        [
+            pytest.param(34000, 0.99, 2, None, 5, id="None-5"),
+            pytest.param(34000, 0.99, 2, 1000, 34, id="1000-34"),
+            pytest.param(34000, 0.99, 2, 34000, 1, id="34000-1"),
+            pytest.param(34000, 0.99, 2, 10**6, 1, id="1000000-1"),
+            pytest.param(10**5, 0.999, 6, None, 13, id="s6-None-13"),
+            pytest.param(10**5, 0.999, 6, 1000, 100, id="s6-1000-100"),
+            pytest.param(10**5, 0.999, 6, 34000, 3, id="s6-34000-3"),
+            pytest.param(10**5, 0.999, 6, 10**6, 1, id="s6-1000000-1"),
+        ],
     )
-    def test_blocked_path_matches_the_scalar_path(self, monkeypatch, chunk_workers, block_cols, blocks):
+    def test_blocked_path_matches_the_scalar_path(
+        self, monkeypatch, chunk_workers, dim, eps_frac, sub_dim, block_cols, blocks
+    ):
         chunk_workers(1)
         if block_cols is not None:
             monkeypatch.setattr(experiments, "_BLOCK_COLS", block_cols)
@@ -233,9 +251,10 @@ class TestSubspaceFloor:
             return entropy(probs, work=work)
 
         monkeypatch.setattr(measures, "entropy_from_probs", spy_entropy)
-        dim, eps, n, seed = 34000, 0.99 * math.log(34000), 40, 4
+        eps, n, seed = eps_frac * math.log(dim), 40, 4
         report = run_subspace_floor(dim, eps, n, seed)
         monkeypatch.setattr(measures, "entropy_from_probs", entropy)
+        assert report.sub_dim == sub_dim
         widths = calls[:blocks]
         assert sum(widths) == dim and calls == widths * (len(calls) // blocks)
 
@@ -247,10 +266,30 @@ class TestSubspaceFloor:
         assert report.min_observed_cr == pytest.approx(scalar.min(), rel=1e-14, abs=0)
         assert report.violations == int(np.count_nonzero(scalar < report.threshold))
 
-    def test_sixteen_states_per_chunk(self, monkeypatch):
+    def test_thirty_two_states_per_chunk_up_to_s4(self, monkeypatch):
+        # s = 2: the quadratic form holds 16 bytes per block column and state
         shapes = TestChunkRunner.spy_batches(monkeypatch)
         run_subspace_floor(34000, 0.99 * math.log(34000), 40, 0)
-        assert shapes == [(16, 4), (16, 4), (8, 4)]
+        assert shapes == [(32, 4), (8, 4)]
+
+    def test_sixteen_states_per_chunk(self, monkeypatch):
+        # s = 6: the real form holds 32 bytes per block column and state
+        shapes = TestChunkRunner.spy_batches(monkeypatch)
+        run_subspace_floor(10**5, 0.999 * math.log(10**5), 40, 0)
+        assert shapes == [(16, 12), (16, 12), (8, 12)]
+
+    def test_oversize_projection_frame_raises_before_sampling(self, monkeypatch):
+        # s = 4 at d = 1e7: the 640 MB subspace frame is inside the cap, but
+        # its quadratic-form frame of 8 d s^2 bytes (1.28 GB) is not
+        dim, eps = 10**7, 0.14 * math.log(10**7)
+        assert 16 * dim * 4 <= experiments.MAX_ALLOC_BYTES < 8 * dim * 16
+
+        def allocate(*args):
+            raise AssertionError("a refused frame reached the sampler")
+
+        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
+        with pytest.raises(MemoryError, match="16 x 10000000 projection frame"):
+            run_subspace_floor(dim, eps, 1, 0)
 
 
 class TestDecompositionCheck:
@@ -509,6 +548,17 @@ def test_abs2_halves_match_real_and_imaginary_squares(rng):
     result = experiments._abs2_halves(np.concatenate((z.real, z.imag)), np.empty((3, 2000)))
     assert result.dtype == expected.dtype and result.shape == expected.shape
     assert result.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
+def test_quadratic_form_gives_the_probabilities(rng, s):
+    # from s = 3 on, several pairs j < k must line up between Q's rows and
+    # M's columns; the sums run in another order, so rounding differs
+    frame = sampler.sample_random_subspace(3000, s, RandomStream(s, 0)).columns
+    c = sampler.haar_amplitude_rows(s, 1, 41, s)
+    expected = np.abs(c @ frame.T) ** 2
+    probs = experiments._quadratic_coefficients(c) @ experiments._quadratic_frame(frame)
+    assert np.abs(probs - expected).max() <= 64 * np.finfo(float).eps * expected.max()
 
 
 class TestChunkScratch:

@@ -76,9 +76,14 @@ CASES = {
         ["subspace", "--dim", "34000", "--eps-frac", "0.99", "--states", "100"]
     ),
     # its minimum C_r moved by 1 ulp when v3 summed each state's entropy
-    # over fixed column blocks
+    # over fixed column blocks, and again when v4 built the probabilities of
+    # s <= 4 states as quadratic forms
     "subspace-d34000-states400": lambda: _cli_payload(
         ["subspace", "--dim", "34000", "--eps-frac", "0.99", "--states", "400"]
+    ),
+    # s = 6: the real-form projection, squared and folded
+    "subspace-d100000-s6": lambda: _cli_payload(
+        ["subspace", "--dim", "100000", "--eps-frac", "0.999", "--states", "50"]
     ),
     **{
         f"sweep-d{d}": (
