@@ -159,9 +159,9 @@ class ConcentrationReport:
 # block at the 16 bytes of its probabilities and their kernel work (32
 # states per chunk) for s <= 4, and at 32 bytes above, where the rows
 # buffer holds its real and imaginary parts (16 states per chunk).  Every
-# campaign but the matrix check computes
-# per-row values and reduces them in trial order, so the rows per chunk
-# change no payload byte, only the memory a chunk holds
+# campaign but the matrix check computes per-row values and reduces them in
+# trial order, so the rows per chunk change no payload byte, only the
+# memory a chunk holds
 _CHUNK_BYTES = 1 << 22
 
 
