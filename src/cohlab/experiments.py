@@ -4,10 +4,12 @@ statistics with their closed-form predictions.
 Determinism contract
 --------------------
 Trial ``i`` of a campaign draws from ``RandomStream(master_seed, i)`` (or a
-documented per-work-item index), per-trial values are materialized in
-trial order, and every reduction runs over that ordered array (means via
-exact compensated summation).  Batches come from the one keyed batch
-sampler (:func:`cohlab.sampler.keyed_rows`), and every campaign but the
+documented per-work-item index), or, where it needs only a diagonal, from
+its own window of words of ``RandomStream(master_seed, 0)``; per-trial
+values are materialized in trial order, and every reduction runs over that
+ordered array (means via exact compensated summation).  Batches come from
+the two batch draws of :mod:`cohlab.sampler` (:func:`~cohlab.sampler.keyed_rows`
+and :func:`~cohlab.sampler.haar_prob_rows`), and every campaign but the
 decomposition check (a loop over its ensembles) runs its chunks through the
 one chunk runner :func:`_run_chunked`.  Chunk partitions depend on the
 bytes of a drawn row alone and chunk results are combined in chunk order,
@@ -21,12 +23,15 @@ block entropies in block order, so its bytes depend on d but not on the
 chunks either.
 
 Campaigns that need only a Haar state's diagonal draw it as normalised
-standard exponentials (:func:`cohlab.sampler.haar_prob_rows`, stream
-contract v2): every concentration measure, the inequality sweep and
-:func:`first_prob_samples`.  A concentration trial therefore has the law of
+standard exponentials (:func:`cohlab.sampler.haar_prob_rows`): every
+concentration measure, the inequality sweep and :func:`first_prob_samples`.
+Under stream contract v5 trial i of such a campaign in dimension d takes
+words [i d, (i + 1) d) of stream ``(master_seed, 0)``, so each chunk of
+trials is one draw, and its bytes still depend only on the seed, the trial
+and d.  A concentration trial has the law of
 ``measure(sample_haar_pure(...))`` but not its value.  The subspace,
 decomposition, matrix-integral and |U_11| campaigns need amplitudes or
-unitaries and draw standard normals.
+unitaries and draw standard normals from one stream per trial.
 """
 
 from __future__ import annotations

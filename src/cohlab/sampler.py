@@ -10,25 +10,26 @@ subspace frames come from QR factorization of complex Ginibre matrices
 with the R-diagonal phase correction; without that correction QR output is
 NOT Haar-distributed.
 
-Campaigns draw whole batches through :func:`keyed_rows`, the one keyed
-batch draw: row r of a batch comes from stream ``(master_seed, first + r)``.
-A batch constructs one generator and keys it to each row's stream
-(:func:`~cohlab.streams.stream_setter`, built once per batch), so keying
-costs a state reset per row rather than a generator construction, and
-concurrent batches never share a generator.  A batch may draw into a
-caller's array (``out=``), which lets a campaign reuse one buffer for all
-of its chunks.  Under stream contract v2
-(:data:`~cohlab.streams.STREAM_VERSION`) a row draws one of two variates:
+Campaigns draw whole batches of rows, into a caller's array (``out=``) when
+given one, so a campaign can reuse one buffer for all of its chunks.  Under
+stream contract v5 (:data:`~cohlab.streams.STREAM_VERSION`) a batch is one
+of two draws:
 
-* standard normals, for whatever needs amplitudes or unitaries:
-  :func:`haar_amplitude_rows`, whose row r is
+* standard normals, for whatever needs amplitudes or unitaries, from
+  :func:`keyed_rows`: row r comes from stream ``(master_seed, first + r)``.
+  A batch constructs one generator and keys it to each row's stream
+  (:func:`~cohlab.streams.stream_setter`, built once per batch), so keying
+  costs a state reset per row, and concurrent batches never share a
+  generator.  On it build :func:`haar_amplitude_rows`, whose row r is
   :func:`sample_haar_pure` on stream ``(master_seed, first + r)``, and
   :func:`haar_unitary_rows`, which stacks phase-corrected QR factors of
   Ginibre matrices;
 * standard exponentials, for whatever needs only the diagonal
   p_i = |psi_i|^2 of a Haar state: :func:`haar_prob_rows` divides d
   exponentials by their sum, which is Dirichlet(1, ..., 1), the law of that
-  diagonal.  Its rows have the law of ``|sample_haar_pure(...)|^2`` but not
+  diagonal.  Trial i takes its d uniforms from words [i d, (i + 1) d) of
+  the one stream ``(master_seed, 0)``, so a batch is one contiguous draw in
+  one call.  Its rows have the law of ``|sample_haar_pure(...)|^2`` but not
   its values.
 """
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidDimensionError
-from .streams import RandomStream, new_generator, stream_setter
+from .streams import RandomStream, new_generator, seek_word, stream_setter
 
 _NORM_ATOL = 1e-12
 _ORTHO_ATOL = 1e-10
@@ -166,19 +167,25 @@ def _unit_rows(normals: np.ndarray) -> np.ndarray:
     return z
 
 
+def _batch(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """``out`` when given, checked to have ``shape``, else a new array of it."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape:
+        raise InvalidArgumentError(f"out has shape {out.shape}, expected {shape}")
+    return out
+
+
 def keyed_rows(
     master_seed: int,
     first: int,
     stop: int,
     shape: tuple[int, ...],
-    variate: str,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Variates of the given row shape for streams [first, stop).
+    """Standard normals of the given row shape for streams [first, stop).
 
-    ``variate`` names the generator's draw method, ``"standard_normal"`` or
-    ``"standard_exponential"``.  Row r draws from stream
-    ``(master_seed, first + r)``, exactly as a fresh
+    Row r draws from stream ``(master_seed, first + r)``, exactly as a fresh
     :class:`~cohlab.streams.RandomStream` for that pair would.  One generator
     is constructed per call and keyed to each row's stream through one
     :func:`~cohlab.streams.stream_setter`.  The rows are drawn into ``out``
@@ -186,18 +193,12 @@ def keyed_rows(
     ``(stop - first, *shape)`` that is overwritten and returned, and into a
     new array otherwise.
     """
-    if out is None:
-        out = np.empty((stop - first, *shape))
-    elif out.shape != (stop - first, *shape):
-        raise InvalidArgumentError(
-            f"out has shape {out.shape}, expected {(stop - first, *shape)}"
-        )
+    out = _batch(out, (stop - first, *shape))
     gen = new_generator(master_seed, first)
     set_stream = stream_setter(gen, master_seed)
-    draw = getattr(gen, variate)
     for row, index in enumerate(range(first, stop)):
         set_stream(index)
-        draw(out=out[row])
+        gen.standard_normal(out=out[row])
     return out
 
 
@@ -206,29 +207,38 @@ def haar_amplitude_rows(master_seed: int, first: int, stop: int, dim: int) -> np
 
     Row r equals ``sample_haar_pure(dim, RandomStream(master_seed, first + r))``.
     """
-    return _unit_rows(keyed_rows(master_seed, first, stop, (2 * dim,), "standard_normal"))
+    return _unit_rows(keyed_rows(master_seed, first, stop, (2 * dim,)))
 
 
 def haar_prob_rows(
     master_seed: int, first: int, stop: int, dim: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Diagonals p_i = |psi_i|^2 of Haar states for streams [first, stop).
+    """Diagonals p_i = |psi_i|^2 of Haar states for trials [first, stop).
 
-    Row r is ``e / e.sum()`` for
-    ``e = RandomStream(master_seed, first + r).generator.standard_exponential(dim)``:
-    Dirichlet(1, ..., 1), the law of a Haar state's diagonal, from d
-    variates instead of the 2d normals of an amplitude row.  With ``out``
-    (as in :func:`keyed_rows`) the rows are drawn and normalised in place
-    there, with the same bytes, and ``out`` is returned.
+    Row r is ``e / e.sum()`` with ``e = -np.log(1.0 - u)`` and ``u`` row
+    ``first + r`` of ``RandomStream(master_seed, 0).generator.random((stop, dim))``:
+    Dirichlet(1, ..., 1), the law of a Haar state's diagonal.  The batch is
+    one draw from word ``first * dim`` of that stream
+    (:func:`~cohlab.streams.seek_word`); ln(1 - u) / sum ln(1 - u) has the
+    bytes of e / e.sum(), so the sign is never taken.  ``out`` is as in
+    :func:`keyed_rows`.
     """
-    rows = keyed_rows(master_seed, first, stop, (dim,), "standard_exponential", out)
+    rows = _batch(out, (stop - first, dim))
+    if dim == 1:  # e / e.sum() is 1.0, or 0 / 0 where the word is 0
+        rows.fill(1.0)
+        return rows
+    gen = new_generator(master_seed, 0)
+    seek_word(gen, master_seed, 0, first * dim)
+    gen.random(out=rows)
+    np.subtract(1.0, rows, out=rows)
+    np.log(rows, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
 
 
 def haar_unitary_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
     """Stacked Haar unitaries for streams [first, stop), one per stream."""
-    normals = keyed_rows(master_seed, first, stop, (dim, 2 * dim), "standard_normal")
+    normals = keyed_rows(master_seed, first, stop, (dim, 2 * dim))
     normals *= 1.0 / np.sqrt(2.0)  # the bytes of z / sqrt(2), without a copy
     return positive_qr(normals.view(np.complex128))
 

@@ -13,18 +13,20 @@ state.  Because a Philox stream is its key plus a counter, one generator
 can serve many streams in turn: :func:`stream_setter` points an existing
 generator at the start of another stream, which draws exactly what a fresh
 :func:`new_generator` for that pair would, at a fraction of the cost of
-constructing one.
+constructing one.  Within a stream, :func:`seek_word` points a generator
+at any 64-bit word, since a Philox word is a function of its key and
+counter alone.
 
 :data:`STREAM_VERSION` names the stream contract: which variates each
 campaign draws from which stream.  It changes only with a deliberate change
 of the sampled bytes, together with the golden payloads that pin them.
-Version 2 draws standard exponentials for campaigns that need only a Haar
-state's diagonal (every concentration measure, the inequality sweep and the
-outcome-probability samples) and standard normals for amplitudes, unitaries
-and subspace frames; version 1 drew normals everywhere.  Version 3 changed
-no variate, only the way the subspace campaign sums each state's entropy:
-over fixed blocks of columns, in block order, which moves some of its C_r
-values by about 1 ulp.
+Version 2 drew standard exponentials, d from each trial's stream, for
+campaigns that need only a Haar state's diagonal (every concentration
+measure, the inequality sweep and the outcome-probability samples) and
+standard normals for amplitudes, unitaries and subspace frames; version 1
+drew normals everywhere.  Version 3 changed no variate, only the way the
+subspace campaign sums each state's entropy: over fixed blocks of columns,
+in block order, which moves some of its C_r values by about 1 ulp.
 
 Version 4 changes no variate either.  For subspaces of s <= 4 dimensions
 the subspace campaign computes each probability p_i = |sum_j F_ij c_j|^2
@@ -33,6 +35,18 @@ as one real quadratic form in the coefficients c, as a sum of
 squaring and adding the real and imaginary parts of psi_i; that moves some
 of its C_r values by about 1 ulp.  Above s = 4 its bytes are those of
 version 3.
+
+Version 5 draws the Haar diagonals from one stream per campaign instead of
+one stream per trial.  Trial i of a campaign of d-dimensional diagonals
+takes the 64-bit words [i d, (i + 1) d) of stream (master_seed, 0), makes
+them doubles u as ``Generator.random`` does and uses the exponentials
+e = -ln(1 - u).  Because d >= 1 these windows never overlap, and a trial's
+words still depend only on (master_seed, i, d), so chunking and threads
+leave the bytes as they were; a chunk of trials is one contiguous run of
+words, which :func:`seek_word` points a generator at.  Only the diagonal
+campaigns change: every concentration measure, the inequality sweep and
+the outcome-probability samples.  Amplitudes, unitaries, subspaces and
+decompositions keep their per-trial streams of standard normals.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STREAM_VERSION = "4"
+STREAM_VERSION = "5"
 
 _UINT64_MASK = (1 << 64) - 1
 # counter and output buffer of a Philox state at the start of a stream
@@ -63,6 +77,23 @@ def new_generator(master_seed: int, stream_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(master_seed, stream_index)))
 
 
+def _philox_state(master_seed: int, stream_index: int, counter=_ZEROS4) -> dict:
+    # a Philox state of the given key and counter, with an empty output buffer
+    # and no buffered 32-bit half; entries are Python ints in tuples (see
+    # stream_setter)
+    return {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": counter,
+            "key": (master_seed & _UINT64_MASK, stream_index & _UINT64_MASK),
+        },
+        "buffer": _ZEROS4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def stream_setter(generator: np.random.Generator, master_seed: int):
     """A function that points a Philox ``generator`` at the start of stream
     (master_seed, stream_index) for the ``stream_index`` it is given.
@@ -82,22 +113,35 @@ def stream_setter(generator: np.random.Generator, master_seed: int):
     numpy 2.4.6).
     """
     bit_generator = generator.bit_generator
+    state = _philox_state(master_seed, 0)
+    inner = state["state"]
     seed = master_seed & _UINT64_MASK
-    inner = {"counter": _ZEROS4, "key": (seed, 0)}
-    state = {
-        "bit_generator": "Philox",
-        "state": inner,
-        "buffer": _ZEROS4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
 
     def set_stream(stream_index: int) -> None:
         inner["key"] = (seed, stream_index & _UINT64_MASK)
         bit_generator.state = state
 
     return set_stream
+
+
+def seek_word(
+    generator: np.random.Generator, master_seed: int, stream_index: int, word: int
+) -> None:
+    """Point a Philox ``generator`` at 64-bit word ``word`` (>= 0) of stream
+    (master_seed, stream_index).
+
+    Whatever it drew before, the generator then draws what a fresh
+    ``new_generator(master_seed, stream_index)`` draws after its first
+    ``word`` words (``random_raw(word + k)[word:]``).  Philox makes block b
+    of four words from counter b + 1, so the counter is set to ``word // 4``
+    with an empty buffer and ``word % 4`` words are dropped.  Inputs wrap
+    modulo 2**64 as in :func:`new_generator`.
+    """
+    block = word // 4
+    counter = tuple((block >> shift) & _UINT64_MASK for shift in (0, 64, 128, 192))
+    generator.bit_generator.state = _philox_state(master_seed, stream_index, counter)
+    if word % 4:
+        generator.bit_generator.random_raw(word % 4)
 
 
 @dataclass

@@ -103,12 +103,14 @@ class TestRunConcentration:
         assert hits >= 20 * 0.99
 
     def test_trial_values_match_public_sampler(self):
-        # stream contract v2: trial i is measure(e / e.sum()), e = d exponentials of stream i
+        # stream contract v5: trial i is measure(e / e.sum()), e = -ln(1 - u) for
+        # u row i of one uniform draw from stream 0
         cfg = ExperimentConfig(dim=6, trials=40, master_seed=77, measure_kind="purity")
         report = run_concentration(cfg)
+        u = RandomStream(77, 0).generator.random((40, 6))
         values = []
         for i in range(40):
-            e = RandomStream(77, i).generator.standard_exponential(6)
+            e = -np.log(1.0 - u[i])
             probs = e / e.sum()
             values.append(float((probs * probs).sum()))
         assert abs(report.empirical_mean - math.fsum(values) / 40) < 1e-15
@@ -492,9 +494,9 @@ class TestChunkRunner:
         shapes = []
         real = sampler.keyed_rows
 
-        def spy(master_seed, first, stop, shape, variate, out=None):
+        def spy(master_seed, first, stop, shape, out=None):
             shapes.append((stop - first, *shape))
-            return real(master_seed, first, stop, shape, variate, out)
+            return real(master_seed, first, stop, shape, out)
 
         monkeypatch.setattr(sampler, "keyed_rows", spy)
         return shapes
@@ -635,8 +637,9 @@ class TestChunkScratch:
         first_prob_samples(1000, 600, 9)
         run_inequality_sweep(1000, 600, 9)
         assert np.array_equal(samples, kept)
+        u = RandomStream(8, 0).generator.random((600, 1000))
         for i in (0, 261, 262, 599):
-            e = RandomStream(8, i).generator.standard_exponential(1000)
+            e = -np.log(1.0 - u[i])
             assert samples[i] == (e / e.sum())[0]
 
     def test_trial_values_past_the_cap_are_refused_before_any_chunk(self):
@@ -656,8 +659,9 @@ class TestSamplingHelpers:
 
     def test_first_prob_samples_match_per_state_path(self):
         samples = first_prob_samples(5, 10, 9)
+        u = RandomStream(9, 0).generator.random((10, 5))
         for i in range(10):
-            e = RandomStream(9, i).generator.standard_exponential(5)
+            e = -np.log(1.0 - u[i])
             assert samples[i] == (e / e.sum())[0]
 
     @pytest.mark.parametrize("dim", [2, 5, 50])
@@ -665,12 +669,12 @@ class TestSamplingHelpers:
         # exponential diagonals and |psi_1|^2 of Gaussian amplitudes share one law;
         # the two samples use different seeds, so they are independent
         trials = 4000
-        v2 = first_prob_samples(dim, trials, 31)
+        diagonals = first_prob_samples(dim, trials, 31)
         amplitudes = [
             abs(sample_haar_pure(dim, RandomStream(32, i)).amplitudes[0]) ** 2
             for i in range(trials)
         ]
-        assert stats.ks_2samp(v2, amplitudes).pvalue > 0.01
+        assert stats.ks_2samp(diagonals, amplitudes).pvalue > 0.01
 
     def test_ks_distance_small_at_d2(self):
         assert ks_distance_u11(2, 20000, 5) < 0.02

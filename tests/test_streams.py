@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cohlab.sampler import haar_prob_rows, keyed_rows
+from cohlab import sampler
 from cohlab.errors import InvalidArgumentError
-from cohlab.streams import RandomStream, new_generator, stream_setter
+from cohlab.sampler import haar_prob_rows, keyed_rows
+from cohlab.streams import RandomStream, new_generator, seek_word, stream_setter
 
 
 def test_identical_pair_replays_sequence():
@@ -87,43 +88,123 @@ def test_stream_setter_matches_fresh_generator(seed, index):
         assert gen.random() == fresh.random()
 
 
+WORDS = [0, 1, 2, 3, 4, 5, 6, 7, 4001]
+
+
+@pytest.mark.parametrize("word", WORDS)
+def test_seek_word_matches_a_fresh_stream(word):
+    gen = new_generator(3, 4)
+    gen.standard_normal(7)  # counter moved, output buffer partly used
+    gen.integers(0, 1000, dtype=np.uint32)  # buffers the other 32-bit half
+    seek_word(gen, 9, 2, word)
+    fresh = new_generator(9, 2).bit_generator.random_raw(word + 10)
+    assert np.array_equal(gen.bit_generator.random_raw(10), fresh[word:])
+
+
+def advanced_words(seed, index, word, k):
+    # words [word, word + k) of the stream through numpy's own counter
+    # arithmetic: Philox.advance(n) skips n blocks of 4 words
+    bit_generator = new_generator(seed, index).bit_generator
+    bit_generator.advance(word // 4)
+    return bit_generator.random_raw(word % 4 + k)[word % 4:]
+
+
+@pytest.mark.parametrize("word", WORDS)
+def test_advance_oracle_matches_a_fresh_stream(word):
+    fresh = new_generator(9, 2).bit_generator.random_raw(word + 10)
+    assert np.array_equal(advanced_words(9, 2, word, 10), fresh[word:])
+
+
+@pytest.mark.parametrize("word", [(1 << 32) + 1, (1 << 32) + 6, (1 << 66) + 3])
+@pytest.mark.parametrize("seed, index", WRAPPING_PAIRS[:2])
+def test_seek_word_far_into_a_stream(seed, index, word):
+    # past 2**32 words (and past a 64-bit counter) random_raw cannot reach
+    gen = new_generator(3, 4)
+    seek_word(gen, seed, index, word)
+    assert np.array_equal(gen.bit_generator.random_raw(10), advanced_words(seed, index, word, 10))
+
+
+def test_seek_word_drives_random():
+    gen = new_generator(1, 1)
+    seek_word(gen, 9, 0, 6)
+    expected = new_generator(9, 0).random(16)[6:]
+    assert np.array_equal(gen.random(10), expected)
+
+
 @pytest.mark.parametrize("shape", [(6,), (3, 4)])
 def test_keyed_normal_rows_match_per_row_streams(shape):
     first, stop = 5, 9
-    rows = keyed_rows(77, first, stop, shape, "standard_normal")
+    rows = keyed_rows(77, first, stop, shape)
     assert rows.shape == (stop - first, *shape)
     for row, index in zip(rows, range(first, stop)):
         assert np.array_equal(row, RandomStream(77, index).generator.standard_normal(shape))
 
 
-@pytest.mark.parametrize("shape", [(6,), (3, 4)])
-def test_keyed_exponential_rows_match_per_row_streams(shape):
-    first, stop = 5, 9
-    rows = keyed_rows(77, first, stop, shape, "standard_exponential")
-    assert rows.shape == (stop - first, *shape)
-    for row, index in zip(rows, range(first, stop)):
-        assert np.array_equal(row, RandomStream(77, index).generator.standard_exponential(shape))
+def v5_diagonals(seed, first, stop, dim):
+    """Stream contract v5: trial i is e / e.sum() for e = -ln(1 - u), u row i
+    of one uniform draw from stream (seed, 0)."""
+    u = RandomStream(seed, 0).generator.random((stop, dim))
+    e = -np.log(1.0 - u[first:])
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def test_haar_prob_rows_are_normalised_exponentials():
     first, stop, dim = 3, 8, 7
     rows = haar_prob_rows(77, first, stop, dim)
+    u = RandomStream(77, 0).generator.random((stop, dim))
     for row, index in zip(rows, range(first, stop)):
-        e = RandomStream(77, index).generator.standard_exponential(dim)
+        e = -np.log(1.0 - u[index])
         assert np.array_equal(row, e / e.sum())
 
 
-@pytest.mark.parametrize("variate", ["standard_normal", "standard_exponential"])
-def test_keyed_rows_draw_into_out(variate):
+@pytest.mark.parametrize("dim", [1, 5, 6, 7, 1000])
+@pytest.mark.parametrize("first, stop", [(0, 9), (1, 9), (2, 7), (3, 4), (6, 13)])
+def test_haar_prob_rows_match_the_v5_oracle(dim, first, stop):
+    # chunk starts at every first * dim % 4, so windows begin mid-block
+    rows = haar_prob_rows(77, first, stop, dim)
+    assert rows.tobytes() == v5_diagonals(77, first, stop, dim).tobytes()
+
+
+def test_haar_prob_rows_do_not_depend_on_the_chunks():
+    whole = haar_prob_rows(5, 0, 40, 7)
+    parts = [haar_prob_rows(5, a, b, 7) for a, b in ((0, 1), (1, 14), (14, 15), (15, 40))]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+class ZeroWords:
+    """A generator whose every word is 0, so every uniform is 0.0."""
+
+    def random(self, out):
+        out.fill(0.0)
+        return out
+
+
+def test_haar_prob_rows_at_d1_are_one_even_for_a_zero_word(monkeypatch):
+    assert (haar_prob_rows(4, 0, 5000, 1) == 1.0).all()
+    monkeypatch.setattr(sampler, "new_generator", lambda *args: ZeroWords())
+    monkeypatch.setattr(sampler, "seek_word", lambda *args: None)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(haar_prob_rows(4, 0, 3, 2)).all()  # 0 / 0 where d > 1
+    for out in (None, np.full((3, 1), np.nan)):
+        rows = haar_prob_rows(4, 0, 3, 1, out)
+        assert rows.shape == (3, 1) and (rows == 1.0).all()
+
+
+def test_keyed_rows_draw_into_out():
     out = np.full((4, 3, 2), np.nan)
-    rows = keyed_rows(77, 5, 9, (3, 2), variate, out)
+    rows = keyed_rows(77, 5, 9, (3, 2), out)
     assert rows is out
-    assert np.array_equal(out, keyed_rows(77, 5, 9, (3, 2), variate))
+    assert np.array_equal(out, keyed_rows(77, 5, 9, (3, 2)))
 
 
 def test_keyed_rows_reject_a_mismatched_out():
     with pytest.raises(InvalidArgumentError):
-        keyed_rows(77, 5, 9, (3,), "standard_normal", np.empty((5, 3)))
+        keyed_rows(77, 5, 9, (3,), np.empty((5, 3)))
+
+
+def test_haar_prob_rows_reject_a_mismatched_out():
+    with pytest.raises(InvalidArgumentError):
+        haar_prob_rows(77, 5, 9, 3, np.empty((5, 3)))
 
 
 def test_haar_prob_rows_normalise_in_out():
