@@ -9,27 +9,28 @@ its own window of words of ``RandomStream(master_seed, 0)``; per-trial
 values are materialized in trial order, and every reduction runs over that
 ordered array (means via exact compensated summation).  Batches come from
 the two batch draws of :mod:`cohlab.sampler` (:func:`~cohlab.sampler.keyed_rows`
-and :func:`~cohlab.sampler.haar_prob_rows`), and every campaign but the
+and :func:`~cohlab.sampler.haar_prob_blocks`), and every campaign but the
 decomposition check (a loop over its ensembles) runs its chunks through the
 one chunk runner :func:`_run_chunked`.  Chunk partitions depend on the
 bytes of a drawn row alone and chunk results are combined in chunk order,
 so reports are byte-identical whether the runner fills the chunks serially
-or on a thread pool.  Campaigns that draw diagonals draw every chunk into
-the rows buffer of the worker that fills it and evaluate their kernels in
-its work buffer; both live only as long as the campaign.  The subspace
-campaign projects its chunks of states (32 at s <= 4, 16 above) into those
-buffers one fixed block of frame columns at a time and sums each state's
-block entropies in block order, so its bytes depend on d but not on the
-chunks either.
+or on a thread pool.  Campaigns that draw diagonals draw and evaluate every
+chunk in blocks of rows (:func:`_block_rows`): each block is drawn into the
+rows buffer of the worker that fills the chunk, and the kernels run in its
+work buffer, both one block in size and both living only as long as the
+campaign.  The subspace campaign projects its chunks of states (32 at
+s <= 4, 16 above) into those buffers one fixed block of frame columns at a
+time and sums each state's block entropies in block order, so its bytes
+depend on d but not on the chunks either.
 
 Campaigns that need only a Haar state's diagonal draw it as normalised
-standard exponentials (:func:`cohlab.sampler.haar_prob_rows`): every
+standard exponentials (:func:`cohlab.sampler.haar_prob_blocks`): every
 concentration measure, the inequality sweep and :func:`first_prob_samples`.
 Under stream contract v5 trial i of such a campaign in dimension d takes
 words [i d, (i + 1) d) of stream ``(master_seed, 0)``, so each chunk of
-trials is one draw, and its bytes still depend only on the seed, the trial
-and d.  A concentration trial has the law of
-``measure(sample_haar_pure(...))`` but not its value.  The subspace,
+trials is one draw by one generator, continued across its blocks, and its
+bytes still depend only on the seed, the trial and d.  A concentration
+trial has the law of ``measure(sample_haar_pure(...))`` but not its value.  The subspace,
 decomposition, matrix-integral and |U_11| campaigns need amplitudes or
 unitaries and draw standard normals from one stream per trial.
 """
@@ -55,7 +56,7 @@ from .errors import (
 from .sampler import (
     Decomposition,
     haar_amplitude_rows,
-    haar_prob_rows,
+    haar_prob_blocks,
     haar_unitary_rows,
     sample_pure_in_subspace,
     sample_random_decomposition,
@@ -159,14 +160,15 @@ class ConcentrationReport:
 
 
 # bytes one chunk of drawn rows may hold, whatever a row is: a state of 16 d
-# bytes, a diagonal counted at 16 d (its 8 d of rows and 8 d of kernel work),
-# a unitary of 16 d^2, or a subspace state counted per column of one frame
-# block at the 16 bytes of its probabilities and their kernel work (32
+# bytes, a unitary of 16 d^2, or a subspace state counted per column of one
+# frame block at the 16 bytes of its probabilities and their kernel work (32
 # states per chunk) for s <= 4, and at 32 bytes above, where the rows
-# buffer holds its real and imaginary parts (16 states per chunk).  Every
-# campaign but the matrix check computes per-row values and reduces them in
-# trial order, so the rows per chunk change no payload byte, only the
-# memory a chunk holds
+# buffer holds its real and imaginary parts (16 states per chunk).  A
+# diagonal counts 16 d, its rows and kernel work, though its chunk, the unit
+# of dispatch and of one generator, holds one block at a time
+# (_SCRATCH_BYTES).  Every campaign but the matrix check computes per-row
+# values and reduces them in trial order, so the rows per chunk change no
+# payload byte, only the memory a chunk holds
 _CHUNK_BYTES = 1 << 22
 
 
@@ -175,6 +177,23 @@ def _chunk_size(row_bytes: int) -> int:
     # reductions) cannot depend on the worker count; a row larger than the
     # budget is a chunk of its own
     return max(1, min(4096, _CHUNK_BYTES // row_bytes))
+
+
+# bytes of each of the two scratch buffers, rows and kernel work, that a
+# worker of a diagonal campaign owns: it draws and evaluates each chunk in
+# blocks of this many bytes of rows (65 rows at d = 1000), or of one row
+# where a row is larger.  On a 2-CPU machine with 2 MiB of L2 per core, laws
+# iterations (concentrate cr, purity and trdist at d = 1000 with 20000
+# trials on 2 threads; 5 sets of 15 interleaved, medians) peaked at 39.8,
+# 40.8, 42.9 and 47.1 MB RSS with blocks of 256 KiB, 512 KiB, 1 MiB and
+# 2 MiB (the whole chunk of 262 rows); their wall time, 0.55 s, and CPU
+# time, 1.02-1.06 s, moved less than the sets spread
+_SCRATCH_BYTES = 1 << 19
+
+
+def _block_rows(row_bytes: int) -> int:
+    # per-row values do not depend on their block, so neither does any byte
+    return max(1, _SCRATCH_BYTES // row_bytes)
 
 
 # _run_chunked is serial for rows of fewer bytes than a state of this d
@@ -230,7 +249,9 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_chunked(n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int = 0) -> list:
+def _run_chunked(
+    n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int = 0, scratch_rows: int = 0
+) -> list:
     """``fill(start, stop)`` over the chunks of [0, n), results in chunk order.
 
     ``row_bytes``, the size of one drawn row, sets the rows per chunk
@@ -242,10 +263,12 @@ def _run_chunked(n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int 
     exception reaches the caller.
 
     With ``scratch_cols``, each worker owns two float64 arrays of
-    ``min(size, n) x scratch_cols``, rows and work, allocated on its first
-    chunk and dropped when the campaign returns; every chunk is filled
-    as ``fill(start, stop, rows, work)`` with their first ``stop - start``
-    rows.  ``fill`` may overwrite both but must not return a view of them.
+    ``scratch_cols`` columns, rows and work, allocated on its first chunk
+    and dropped when the campaign returns.  They have ``min(size, n)`` rows,
+    or ``scratch_rows`` where that is fewer, and every chunk is filled as
+    ``fill(start, stop, rows, work)`` with at most their first
+    ``stop - start`` rows.  ``fill`` may overwrite both but must not return
+    a view of them.
     """
     _check_alloc(row_bytes, "one drawn row")
     _check_alloc(8 * n, f"the values of {n} trials")
@@ -265,11 +288,12 @@ def _run_chunked(n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int 
                 return
             i, (start, stop) = item
             if scratch_cols and scratch is None:
-                # one block for both: once a campaign has freed one, glibc
-                # serves the next from its heap without trimming it, so a
-                # serial laws iteration (3 campaigns of 77 chunks at d=1000)
-                # takes about 15 minor faults instead of 3k for two blocks
-                scratch = np.empty((2, min(size, n), scratch_cols))
+                # one allocation for both: once a campaign has freed it,
+                # glibc serves the next from its heap without trimming it, so
+                # a serial laws iteration (3 campaigns of 77 chunks in blocks
+                # of 65 rows at d=1000) takes 15-18 minor faults, against
+                # about 680 for two allocations
+                scratch = np.empty((2, min(size, n, scratch_rows or size), scratch_cols))
             try:
                 results[i] = fill(start, stop, *(() if scratch is None else scratch[:, : stop - start]))
             except BaseException:
@@ -299,16 +323,22 @@ def _abs2_halves(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(amps[:half], amps[half:], out=out)
 
 
-def _over_diagonals(dim: int, trials: int, master_seed: int, per_chunk) -> list:
-    """``per_chunk(probs, work)`` over the chunks of Haar diagonals of trials
-    [0, trials), results in chunk order; ``probs`` and ``work`` are the
-    worker's rows and work buffers of :func:`_run_chunked`.
+def _over_diagonals(dim: int, trials: int, master_seed: int, per_block) -> list:
+    """``per_block(probs, work)`` over the blocks of Haar diagonals of trials
+    [0, trials), results in trial order.
+
+    Each chunk of :func:`_run_chunked` is one draw
+    (:func:`~cohlab.sampler.haar_prob_blocks`), made and evaluated in blocks
+    of :func:`_block_rows` rows: ``probs`` and ``work`` are the first rows of
+    the worker's rows and work buffers, which hold one block.
     """
 
-    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray):
-        return per_chunk(haar_prob_rows(master_seed, start, stop, dim, rows), work)
+    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> list:
+        blocks = haar_prob_blocks(master_seed, start, stop, dim, rows)
+        return [per_block(probs, work[: len(probs)]) for probs in blocks]
 
-    return _run_chunked(trials, fill, 16 * dim, dim)
+    chunks = _run_chunked(trials, fill, 16 * dim, dim, scratch_rows=_block_rows(8 * dim))
+    return [result for chunk in chunks for result in chunk]
 
 
 def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
@@ -698,24 +728,26 @@ def run_inequality_sweep(
 
     Checks, per Haar state: C_l1 <= sqrt(d(d-1)(1-P)); C_r >= the Fannes
     floor; 0 <= C_r <= ln d.  All counts are expected to be exactly zero
-    (the reported ``atol`` absorbs float rounding only).
+    (the reported ``atol`` absorbs float rounding only); a state whose
+    values are NaN fails every check.
     """
     _check_counts(dim, trials)
     log_d = math.log(dim)
     atol = 1e-10
 
-    def per_chunk(probs: np.ndarray, work: np.ndarray) -> tuple[int, int, int]:
+    def per_block(probs: np.ndarray, work: np.ndarray) -> tuple[int, int, int]:
         c_r = measures.entropy_from_probs(probs, work=work)
         c_l1 = measures.l1_from_probs(probs, work=work)
         floor = measures.fannes_floor_from_probs(probs, work=work)
         l1_bound = np.sqrt(dim * (dim - 1) * measures.mixedness_from_probs(probs, work=work))
+        # each check counts the rows that do not pass it, NaN rows included
         return (
-            int(np.count_nonzero(c_l1 > l1_bound + atol)),
-            int(np.count_nonzero(c_r < floor - atol)),
-            int(np.count_nonzero((c_r < -atol) | (c_r > log_d + atol))),
+            int(np.count_nonzero(~(c_l1 <= l1_bound + atol))),
+            int(np.count_nonzero(~(c_r >= floor - atol))),
+            int(np.count_nonzero(~((c_r >= -atol) & (c_r <= log_d + atol)))),
         )
 
-    partials = _over_diagonals(dim, trials, master_seed, per_chunk)
+    partials = _over_diagonals(dim, trials, master_seed, per_block)
     totals = [sum(p[i] for p in partials) for i in range(3)]
     return InequalitySweepReport(
         dim=dim,
@@ -732,11 +764,11 @@ def first_prob_samples(dim: int, trials: int, master_seed: int) -> np.ndarray:
     """First diagonal probability of each sampled Haar state, in trial order."""
     _check_counts(dim, trials)
 
-    def per_chunk(probs: np.ndarray, work: np.ndarray) -> np.ndarray:
-        # a copy: the next chunk overwrites the rows
+    def per_block(probs: np.ndarray, work: np.ndarray) -> np.ndarray:
+        # a copy: the next block overwrites the rows
         return probs[:, 0].copy()
 
-    return np.concatenate(_over_diagonals(dim, trials, master_seed, per_chunk))
+    return np.concatenate(_over_diagonals(dim, trials, master_seed, per_block))
 
 
 def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:

@@ -10,10 +10,8 @@ subspace frames come from QR factorization of complex Ginibre matrices
 with the R-diagonal phase correction; without that correction QR output is
 NOT Haar-distributed.
 
-Campaigns draw whole batches of rows, into a caller's array (``out=``) when
-given one, so a campaign can reuse one buffer for all of its chunks.  Under
-stream contract v5 (:data:`~cohlab.streams.STREAM_VERSION`) a batch is one
-of two draws:
+Campaigns draw whole batches of rows.  Under stream contract v5
+(:data:`~cohlab.streams.STREAM_VERSION`) a batch is one of two draws:
 
 * standard normals, for whatever needs amplitudes or unitaries, from
   :func:`keyed_rows`: row r comes from stream ``(master_seed, first + r)``.
@@ -28,9 +26,11 @@ of two draws:
   p_i = |psi_i|^2 of a Haar state: :func:`haar_prob_rows` divides d
   exponentials by their sum, which is Dirichlet(1, ..., 1), the law of that
   diagonal.  Trial i takes its d uniforms from words [i d, (i + 1) d) of
-  the one stream ``(master_seed, 0)``, so a batch is one contiguous draw in
-  one call.  Its rows have the law of ``|sample_haar_pure(...)|^2`` but not
-  its values.
+  the one stream ``(master_seed, 0)``, so a batch is one contiguous run of
+  words.  :func:`haar_prob_blocks` draws it in consecutive blocks of rows
+  into a caller's buffer, one generator continuing across them, so a
+  campaign can reuse one small buffer for all of its trials.  Its rows have
+  the law of ``|sample_haar_pure(...)|^2`` but not its values.
 """
 
 from __future__ import annotations
@@ -167,33 +167,15 @@ def _unit_rows(normals: np.ndarray) -> np.ndarray:
     return z
 
 
-def _batch(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-    """``out`` when given, checked to have ``shape``, else a new array of it."""
-    if out is None:
-        return np.empty(shape)
-    if out.shape != shape:
-        raise InvalidArgumentError(f"out has shape {out.shape}, expected {shape}")
-    return out
-
-
-def keyed_rows(
-    master_seed: int,
-    first: int,
-    stop: int,
-    shape: tuple[int, ...],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def keyed_rows(master_seed: int, first: int, stop: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals of the given row shape for streams [first, stop).
 
     Row r draws from stream ``(master_seed, first + r)``, exactly as a fresh
     :class:`~cohlab.streams.RandomStream` for that pair would.  One generator
     is constructed per call and keyed to each row's stream through one
-    :func:`~cohlab.streams.stream_setter`.  The rows are drawn into ``out``
-    when given, a C-contiguous float64 array of shape
-    ``(stop - first, *shape)`` that is overwritten and returned, and into a
-    new array otherwise.
+    :func:`~cohlab.streams.stream_setter`.
     """
-    out = _batch(out, (stop - first, *shape))
+    out = np.empty((stop - first, *shape))
     gen = new_generator(master_seed, first)
     set_stream = stream_setter(gen, master_seed)
     for row, index in enumerate(range(first, stop)):
@@ -220,20 +202,44 @@ def haar_prob_rows(
     Dirichlet(1, ..., 1), the law of a Haar state's diagonal.  The batch is
     one draw from word ``first * dim`` of that stream
     (:func:`~cohlab.streams.seek_word`); ln(1 - u) / sum ln(1 - u) has the
-    bytes of e / e.sum(), so the sign is never taken.  ``out`` is as in
-    :func:`keyed_rows`.
+    bytes of e / e.sum(), so the sign is never taken.  The rows are drawn
+    into ``out`` when given, a C-contiguous float64 array of shape
+    ``(stop - first, dim)`` that is overwritten and returned, and into a new
+    array otherwise.
     """
-    rows = _batch(out, (stop - first, dim))
-    if dim == 1:  # e / e.sum() is 1.0, or 0 / 0 where the word is 0
-        rows.fill(1.0)
-        return rows
-    gen = new_generator(master_seed, 0)
-    seek_word(gen, master_seed, 0, first * dim)
-    gen.random(out=rows)
-    np.subtract(1.0, rows, out=rows)
-    np.log(rows, out=rows)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return rows
+    shape = (stop - first, dim)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise InvalidArgumentError(f"out has shape {out.shape}, expected {shape}")
+    # all the rows are one block; there is none when first == stop
+    return next(haar_prob_blocks(master_seed, first, stop, dim, out), out)
+
+
+def haar_prob_blocks(master_seed: int, first: int, stop: int, dim: int, out: np.ndarray):
+    """The rows of ``haar_prob_rows(master_seed, first, stop, dim)`` in
+    consecutive blocks of ``len(out)`` rows, the last one shorter where that
+    does not divide ``stop - first``.
+
+    Each block is drawn and normalised in the first rows of ``out``, a
+    C-contiguous float64 array of ``dim`` columns, and yielded; the next
+    block overwrites it.  One generator is constructed and pointed at word
+    ``first * dim`` per call, and each block continues its draw, so the
+    blocks change no byte and cost no extra generator.
+    """
+    if dim > 1:
+        gen = new_generator(master_seed, 0)
+        seek_word(gen, master_seed, 0, first * dim)
+    for start in range(first, stop, len(out) or 1):
+        rows = out[: stop - start]
+        if dim == 1:  # e / e.sum() is 1.0, or 0 / 0 where the word is 0
+            rows.fill(1.0)
+        else:
+            gen.random(out=rows)
+            np.subtract(1.0, rows, out=rows)
+            np.log(rows, out=rows)
+            rows /= rows.sum(axis=1, keepdims=True)
+        yield rows
 
 
 def haar_unitary_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:

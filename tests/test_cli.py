@@ -481,7 +481,7 @@ class TestBoundaryExitCodes:
         def allocate(*args):
             raise AssertionError("a refused request reached the sampler")
 
-        monkeypatch.setattr(experiments, "haar_prob_rows", allocate)
+        monkeypatch.setattr(experiments, "haar_prob_blocks", allocate)
         monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
         code, out, err = run_cli(capsys, argv)
         assert code == 6

@@ -397,6 +397,20 @@ class TestInequalitySweep:
         assert pools == [3]
         assert payload_bytes(a) == payload_bytes(b)
 
+    def test_nan_diagonals_fail_every_check(self, monkeypatch):
+        # NaN compares false with every bound, so each check counts the rows
+        # that do not pass it; 300 trials at d = 1000 span 2 chunks and 6 blocks
+        class NanWords:
+            def random(self, out):
+                out.fill(np.nan)
+                return out
+
+        monkeypatch.setattr(sampler, "new_generator", lambda *args: NanWords())
+        monkeypatch.setattr(sampler, "seek_word", lambda *args: None)
+        report = run_inequality_sweep(1000, 300, 4)
+        counts = (report.l1_purity_violations, report.fannes_violations, report.cr_range_violations)
+        assert counts == (300, 300, 300)
+
 
 class TestChunkRunner:
     @staticmethod
@@ -494,9 +508,9 @@ class TestChunkRunner:
         shapes = []
         real = sampler.keyed_rows
 
-        def spy(master_seed, first, stop, shape, out=None):
+        def spy(master_seed, first, stop, shape):
             shapes.append((stop - first, *shape))
-            return real(master_seed, first, stop, shape, out)
+            return real(master_seed, first, stop, shape)
 
         monkeypatch.setattr(sampler, "keyed_rows", spy)
         return shapes
@@ -530,15 +544,21 @@ _CHUNKED_CAMPAIGNS = {
 
 @pytest.mark.parametrize("campaign", sorted(_CHUNKED_CAMPAIGNS))
 def test_chunk_rows_do_not_change_bytes(campaign, monkeypatch, chunk_workers):
-    # per-row values reduced in trial order: any rows per chunk give the same bytes
+    # per-row values reduced in trial order: any rows per chunk, and for the
+    # diagonal campaigns any rows per block of a chunk, give the same bytes
     run = _CHUNKED_CAMPAIGNS[campaign]
-    default = experiments._chunk_size
+    one, seven = (lambda row_bytes: 1), (lambda row_bytes: 7)
+    blocks = (experiments._block_rows,)
+    if not campaign.startswith("subspace"):
+        blocks += (one, seven)
     outputs = set()
-    for size in (lambda dim: 1, lambda dim: 7, default):
+    for size in (one, seven, experiments._chunk_size):
         monkeypatch.setattr(experiments, "_chunk_size", size)
-        for cpus in (1, 2):
-            pools = chunk_workers(cpus)
-            outputs.add(run())
+        for block in blocks:
+            monkeypatch.setattr(experiments, "_block_rows", block)
+            for cpus in (1, 2):
+                pools = chunk_workers(cpus)
+                outputs.add(run())
     assert pools, "no threaded run used a thread pool"
     assert len(outputs) == 1
 
@@ -564,35 +584,62 @@ def test_quadratic_form_gives_the_probabilities(rng, s):
 
 
 class TestChunkScratch:
-    """Each worker reuses one rows buffer and one work buffer for the chunks of a campaign."""
+    """Each worker draws and evaluates every chunk of a diagonal campaign in
+    blocks, in one rows buffer and one work buffer of one block each."""
 
     @staticmethod
-    def spy_rows(monkeypatch):
-        """Record (buffer address, shape) of every ``out`` that haar_prob_rows gets."""
+    def spy_blocks(monkeypatch):
+        """For every chunk that haar_prob_blocks draws: the bytes of the
+        worker's scratch and the (address, shape) of each block it yields."""
         seen = []
-        real = experiments.haar_prob_rows
+        real = experiments.haar_prob_blocks
 
         def spy(master_seed, first, stop, dim, out):
-            seen.append((out.__array_interface__["data"][0], out.shape))
-            return real(master_seed, first, stop, dim, out)
+            blocks = []
+            seen.append((out.base.nbytes, blocks))
+            for rows in real(master_seed, first, stop, dim, out):
+                blocks.append((rows.__array_interface__["data"][0], rows.shape))
+                yield rows
 
-        monkeypatch.setattr(experiments, "haar_prob_rows", spy)
+        monkeypatch.setattr(experiments, "haar_prob_blocks", spy)
         return seen
 
     @pytest.mark.parametrize("cpus, buffers", [(1, {1}), (2, {1, 2})])
     def test_77_chunks_use_one_buffer_per_worker(self, monkeypatch, chunk_workers, cpus, buffers):
-        seen = self.spy_rows(monkeypatch)
+        # 262 diagonals per chunk at d = 1000, each chunk one generator and
+        # blocks of 65 rows: 65 x 4 + 2, and 65 + 23 in the last chunk of 88
+        seen = self.spy_blocks(monkeypatch)
+        made = []
+        new_generator = sampler.new_generator
+        monkeypatch.setattr(
+            sampler, "new_generator", lambda *args: made.append(args) or new_generator(*args)
+        )
         chunk_workers(cpus)
         run_concentration(ExperimentConfig(dim=1000, trials=20000, master_seed=5))
-        assert len(seen) == 77
-        assert len({address for address, _ in seen}) in buffers
+        assert len(seen) == 77 and made == [(5, 0)] * 77
+        sizes = sorted(tuple(shape[0] for _, shape in blocks) for _, blocks in seen)
+        assert sizes == [(65, 23)] + [(65, 65, 65, 65, 2)] * 76
+        assert len({address for _, blocks in seen for address, _ in blocks}) in buffers
+
+    @pytest.mark.parametrize("dim, trials", [(1000, 600), (10**5, 5)])
+    def test_scratch_per_worker_is_two_blocks(self, monkeypatch, chunk_workers, dim, trials):
+        # a block holds _SCRATCH_BYTES of rows, or one row where a row is
+        # larger: 65 rows at d = 1000 and 1 of the 2 per chunk at d = 1e5
+        seen = self.spy_blocks(monkeypatch)
+        chunk_workers(2)
+        run_concentration(ExperimentConfig(dim=dim, trials=trials, master_seed=5, measure_kind="trdist"))
+        budget = max(experiments._SCRATCH_BYTES, 8 * dim)
+        assert seen and all(nbytes <= 2 * budget for nbytes, _ in seen)
 
     def test_tail_chunk_uses_a_prefix_of_the_buffer(self, monkeypatch, chunk_workers):
-        seen = self.spy_rows(monkeypatch)
+        # the chunk of 262 ends in a block of 2 rows, and the chunk of 1 is a
+        # block of 1: both are prefixes of the one buffer
+        seen = self.spy_blocks(monkeypatch)
         chunk_workers(1)
         run_concentration(ExperimentConfig(dim=1000, trials=263, master_seed=5))
-        assert [shape for _, shape in seen] == [(262, 1000), (1, 1000)]
-        assert seen[0][0] == seen[1][0]
+        shapes = [[shape for _, shape in blocks] for _, blocks in seen]
+        assert shapes == [[(65, 1000)] * 4 + [(2, 1000)], [(1, 1000)]]
+        assert len({address for _, blocks in seen for address, _ in blocks}) == 1
 
     @pytest.mark.parametrize("kind", experiments.MEASURE_KINDS)
     @pytest.mark.parametrize("trials", [1, 261, 262, 263, 20000])
@@ -601,13 +648,13 @@ class TestChunkScratch:
             dim=1000, trials=trials, master_seed=6, epsilons=(0.01,), measure_kind=kind
         )
         reused = payload_bytes(run_concentration(config))
-        # reference: every chunk draws into a new array and every kernel
-        # makes its own temporary
+        # reference: every chunk draws into a new array, as one block, and
+        # every kernel makes its own temporary
         kernel = experiments._MEASURES[kind].kernel
         fresh_kernel = getattr(measures, kernel)
         monkeypatch.setattr(measures, kernel, lambda probs, work: fresh_kernel(probs))
         monkeypatch.setattr(
-            experiments, "haar_prob_rows", lambda *args: sampler.haar_prob_rows(*args[:4])
+            experiments, "haar_prob_blocks", lambda *args: iter([sampler.haar_prob_rows(*args[:4])])
         )
         assert reused == payload_bytes(run_concentration(config))
 

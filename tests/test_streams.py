@@ -160,6 +160,27 @@ def test_haar_prob_rows_match_the_v5_oracle(dim, first, stop):
     assert rows.tobytes() == v5_diagonals(77, first, stop, dim).tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 5, 6, 7])
+@pytest.mark.parametrize("block", [1, 3, 4, 9, 20])
+def test_haar_prob_blocks_continue_one_draw(monkeypatch, dim, block):
+    # blocks of 1, 3 and 4 rows start at each word offset mod 4 that dim
+    # allows; 9 rows are the whole batch and 20 more than it
+    made = []
+    real = sampler.new_generator
+    monkeypatch.setattr(sampler, "new_generator", lambda *args: made.append(args) or real(*args))
+    first, stop = 2, 11
+    out = np.full((block, dim), np.nan)
+    address = out.__array_interface__["data"][0]
+    blocks = []
+    for rows in sampler.haar_prob_blocks(77, first, stop, dim, out):
+        assert rows.__array_interface__["data"][0] == address
+        blocks.append(rows.copy())
+    sizes = [len(rows) for rows in blocks]
+    assert sizes == [min(block, stop - first)] * (len(sizes) - 1) + [sizes[-1]]
+    assert np.concatenate(blocks).tobytes() == v5_diagonals(77, first, stop, dim).tobytes()
+    assert made == ([(77, 0)] if dim > 1 else [])
+
+
 class ZeroWords:
     """A generator whose every word is 0, so every uniform is 0.0."""
 
@@ -177,18 +198,6 @@ def test_haar_prob_rows_at_d1_are_one_even_for_a_zero_word(monkeypatch):
     for out in (None, np.full((3, 1), np.nan)):
         rows = haar_prob_rows(4, 0, 3, 1, out)
         assert rows.shape == (3, 1) and (rows == 1.0).all()
-
-
-def test_keyed_rows_draw_into_out():
-    out = np.full((4, 3, 2), np.nan)
-    rows = keyed_rows(77, 5, 9, (3, 2), out)
-    assert rows is out
-    assert np.array_equal(out, keyed_rows(77, 5, 9, (3, 2)))
-
-
-def test_keyed_rows_reject_a_mismatched_out():
-    with pytest.raises(InvalidArgumentError):
-        keyed_rows(77, 5, 9, (3,), np.empty((5, 3)))
 
 
 def test_haar_prob_rows_reject_a_mismatched_out():
