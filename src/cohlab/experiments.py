@@ -5,7 +5,8 @@ Determinism contract
 --------------------
 Trial ``i`` of a campaign draws from ``RandomStream(master_seed, i)`` (or a
 documented per-work-item index), or, where it needs only a diagonal, from
-its own window of words of ``RandomStream(master_seed, 0)``; per-trial
+its own window of words of the campaign stream of ``master_seed``
+(:func:`cohlab.streams.word_generator`); per-trial
 values are materialized in trial order, and every reduction runs over that
 ordered array (means via exact compensated summation).  Batches come from
 the two batch draws of :mod:`cohlab.sampler` (:func:`~cohlab.sampler.keyed_rows`
@@ -26,9 +27,10 @@ depend on d but not on the chunks either.
 Campaigns that need only a Haar state's diagonal draw it as normalised
 standard exponentials (:func:`cohlab.sampler.haar_prob_blocks`): every
 concentration measure, the inequality sweep and :func:`first_prob_samples`.
-Under stream contract v5 trial i of such a campaign in dimension d takes
-words [i d, (i + 1) d) of stream ``(master_seed, 0)``, so each chunk of
-trials is one draw by one generator, continued across its blocks, and its
+Under stream contract v6 trial i of such a campaign in dimension d takes
+words [i d, (i + 1) d) of one PCG64DXSM stream seeded by ``master_seed``,
+so each chunk of trials is one draw by one generator, started at the
+chunk's first word and continued across its blocks, and its
 bytes still depend only on the seed, the trial and d.  A concentration
 trial has the law of ``measure(sample_haar_pure(...))`` but not its value.  The subspace,
 decomposition, matrix-integral and |U_11| campaigns need amplitudes or

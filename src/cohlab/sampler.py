@@ -2,7 +2,8 @@
 ensemble decompositions.
 
 Every operation draws from a :class:`~cohlab.streams.RandomStream`, so any
-sample can be reproduced from its ``(master_seed, stream_index)`` pair.
+sample can be reproduced from its ``(master_seed, stream_index)`` pair; a
+batch of diagonals, from its seed and trials.
 Pure states are generated by normalizing a complex Gaussian vector, which
 is distributed exactly like ``U |psi_0>`` for Haar ``U`` (rotation
 invariance of the Gaussian) at O(d) instead of O(d^2) cost.  Unitaries and
@@ -10,7 +11,7 @@ subspace frames come from QR factorization of complex Ginibre matrices
 with the R-diagonal phase correction; without that correction QR output is
 NOT Haar-distributed.
 
-Campaigns draw whole batches of rows.  Under stream contract v5
+Campaigns draw whole batches of rows.  Under stream contract v6
 (:data:`~cohlab.streams.STREAM_VERSION`) a batch is one of two draws:
 
 * standard normals, for whatever needs amplitudes or unitaries, from
@@ -26,8 +27,10 @@ Campaigns draw whole batches of rows.  Under stream contract v5
   p_i = |psi_i|^2 of a Haar state: :func:`haar_prob_rows` divides d
   exponentials by their sum, which is Dirichlet(1, ..., 1), the law of that
   diagonal.  Trial i takes its d uniforms from words [i d, (i + 1) d) of
-  the one stream ``(master_seed, 0)``, so a batch is one contiguous run of
-  words.  :func:`haar_prob_blocks` draws it in consecutive blocks of rows
+  the one PCG64DXSM campaign stream of ``master_seed``, so a batch is one
+  contiguous run of words, drawn by one generator that
+  :func:`~cohlab.streams.word_generator` starts at the batch's first word.
+  :func:`haar_prob_blocks` draws it in consecutive blocks of rows
   into a caller's buffer, one generator continuing across them, so a
   campaign can reuse one small buffer for all of its trials.  Its rows have
   the law of ``|sample_haar_pure(...)|^2`` but not its values.
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidDimensionError
-from .streams import RandomStream, new_generator, seek_word, stream_setter
+from .streams import RandomStream, new_generator, stream_setter, word_generator
 
 _NORM_ATOL = 1e-12
 _ORTHO_ATOL = 1e-10
@@ -192,26 +195,17 @@ def haar_amplitude_rows(master_seed: int, first: int, stop: int, dim: int) -> np
     return _unit_rows(keyed_rows(master_seed, first, stop, (2 * dim,)))
 
 
-def haar_prob_rows(
-    master_seed: int, first: int, stop: int, dim: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def haar_prob_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
     """Diagonals p_i = |psi_i|^2 of Haar states for trials [first, stop).
 
     Row r is ``e / e.sum()`` with ``e = -np.log(1.0 - u)`` and ``u`` row
-    ``first + r`` of ``RandomStream(master_seed, 0).generator.random((stop, dim))``:
+    ``first + r`` of ``word_generator(master_seed, 0).random((stop, dim))``:
     Dirichlet(1, ..., 1), the law of a Haar state's diagonal.  The batch is
     one draw from word ``first * dim`` of that stream
-    (:func:`~cohlab.streams.seek_word`); ln(1 - u) / sum ln(1 - u) has the
-    bytes of e / e.sum(), so the sign is never taken.  The rows are drawn
-    into ``out`` when given, a C-contiguous float64 array of shape
-    ``(stop - first, dim)`` that is overwritten and returned, and into a new
-    array otherwise.
+    (:func:`~cohlab.streams.word_generator`); ln(1 - u) / sum ln(1 - u) has
+    the bytes of e / e.sum(), so the sign is never taken.
     """
-    shape = (stop - first, dim)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise InvalidArgumentError(f"out has shape {out.shape}, expected {shape}")
+    out = np.empty((stop - first, dim))
     # all the rows are one block; there is none when first == stop
     return next(haar_prob_blocks(master_seed, first, stop, dim, out), out)
 
@@ -223,13 +217,12 @@ def haar_prob_blocks(master_seed: int, first: int, stop: int, dim: int, out: np.
 
     Each block is drawn and normalised in the first rows of ``out``, a
     C-contiguous float64 array of ``dim`` columns, and yielded; the next
-    block overwrites it.  One generator is constructed and pointed at word
+    block overwrites it.  One generator is constructed at word
     ``first * dim`` per call, and each block continues its draw, so the
     blocks change no byte and cost no extra generator.
     """
     if dim > 1:
-        gen = new_generator(master_seed, 0)
-        seek_word(gen, master_seed, 0, first * dim)
+        gen = word_generator(master_seed, first * dim)
     for start in range(first, stop, len(out) or 1):
         rows = out[: stop - start]
         if dim == 1:  # e / e.sum() is 1.0, or 0 / 0 where the word is 0

@@ -1,4 +1,4 @@
-"""Deterministic counter-based random streams.
+"""Deterministic random streams.
 
 A stream is identified by the pair ``(master_seed, stream_index)``.
 Identical pairs always reproduce the same draw sequence; distinct stream
@@ -13,9 +13,7 @@ state.  Because a Philox stream is its key plus a counter, one generator
 can serve many streams in turn: :func:`stream_setter` points an existing
 generator at the start of another stream, which draws exactly what a fresh
 :func:`new_generator` for that pair would, at a fraction of the cost of
-constructing one.  Within a stream, :func:`seek_word` points a generator
-at any 64-bit word, since a Philox word is a function of its key and
-counter alone.
+constructing one.
 
 :data:`STREAM_VERSION` names the stream contract: which variates each
 campaign draws from which stream.  It changes only with a deliberate change
@@ -38,15 +36,27 @@ version 3.
 
 Version 5 draws the Haar diagonals from one stream per campaign instead of
 one stream per trial.  Trial i of a campaign of d-dimensional diagonals
-takes the 64-bit words [i d, (i + 1) d) of stream (master_seed, 0), makes
-them doubles u as ``Generator.random`` does and uses the exponentials
-e = -ln(1 - u).  Because d >= 1 these windows never overlap, and a trial's
-words still depend only on (master_seed, i, d), so chunking and threads
-leave the bytes as they were; a chunk of trials is one contiguous run of
-words, which :func:`seek_word` points a generator at.  Only the diagonal
-campaigns change: every concentration measure, the inequality sweep and
-the outcome-probability samples.  Amplitudes, unitaries, subspaces and
-decompositions keep their per-trial streams of standard normals.
+takes the 64-bit words [i d, (i + 1) d) of one stream, makes them doubles
+u as ``Generator.random`` does and uses the exponentials e = -ln(1 - u).
+Because d >= 1 these windows never overlap, and a trial's words still
+depend only on (master_seed, i, d), so chunking and threads leave the
+bytes as they were; a chunk of trials is one contiguous run of words.
+Only the diagonal campaigns change: every concentration measure, the
+inequality sweep and the outcome-probability samples.  Amplitudes,
+unitaries, subspaces and decompositions keep their per-trial streams of
+standard normals.  Version 5 took the words from Philox stream
+(master_seed, 0).
+
+Version 6 takes them from one PCG64DXSM stream per campaign, seeded by
+``SeedSequence(master_seed mod 2**64)``, with the same windows and the same
+transform; :func:`word_generator` starts a generator at any word of it.
+So there are two generator families, each for what it does cheaply.
+Per-trial streams of normals stay on Philox, whose key is the whole stream
+identity: rekeying one generator per trial is a state reset
+(:func:`stream_setter`).  The campaign stream of diagonals is one long run
+of words that each chunk enters at its own word: PCG64DXSM seeks there
+natively with ``advance`` and fills doubles about twice as fast as Philox.
+Only the diagonal campaigns change bytes.
 """
 
 from __future__ import annotations
@@ -55,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STREAM_VERSION = "5"
+STREAM_VERSION = "6"
 
 _UINT64_MASK = (1 << 64) - 1
 # counter and output buffer of a Philox state at the start of a stream
@@ -77,23 +87,6 @@ def new_generator(master_seed: int, stream_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(master_seed, stream_index)))
 
 
-def _philox_state(master_seed: int, stream_index: int, counter=_ZEROS4) -> dict:
-    # a Philox state of the given key and counter, with an empty output buffer
-    # and no buffered 32-bit half; entries are Python ints in tuples (see
-    # stream_setter)
-    return {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": counter,
-            "key": (master_seed & _UINT64_MASK, stream_index & _UINT64_MASK),
-        },
-        "buffer": _ZEROS4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def stream_setter(generator: np.random.Generator, master_seed: int):
     """A function that points a Philox ``generator`` at the start of stream
     (master_seed, stream_index) for the ``stream_index`` it is given.
@@ -113,9 +106,18 @@ def stream_setter(generator: np.random.Generator, master_seed: int):
     numpy 2.4.6).
     """
     bit_generator = generator.bit_generator
-    state = _philox_state(master_seed, 0)
-    inner = state["state"]
     seed = master_seed & _UINT64_MASK
+    # a Philox state at the start of a stream: zero counter, empty output
+    # buffer, no buffered 32-bit half
+    inner = {"counter": _ZEROS4, "key": (seed, 0)}
+    state = {
+        "bit_generator": "Philox",
+        "state": inner,
+        "buffer": _ZEROS4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
     def set_stream(stream_index: int) -> None:
         inner["key"] = (seed, stream_index & _UINT64_MASK)
@@ -124,24 +126,16 @@ def stream_setter(generator: np.random.Generator, master_seed: int):
     return set_stream
 
 
-def seek_word(
-    generator: np.random.Generator, master_seed: int, stream_index: int, word: int
-) -> None:
-    """Point a Philox ``generator`` at 64-bit word ``word`` (>= 0) of stream
-    (master_seed, stream_index).
+def word_generator(master_seed: int, word: int) -> np.random.Generator:
+    """Fresh generator at 64-bit word ``word`` (>= 0) of the campaign stream
+    of ``master_seed``: PCG64DXSM seeded by ``SeedSequence(master_seed mod 2**64)``.
 
-    Whatever it drew before, the generator then draws what a fresh
-    ``new_generator(master_seed, stream_index)`` draws after its first
-    ``word`` words (``random_raw(word + k)[word:]``).  Philox makes block b
-    of four words from counter b + 1, so the counter is set to ``word // 4``
-    with an empty buffer and ``word % 4`` words are dropped.  Inputs wrap
-    modulo 2**64 as in :func:`new_generator`.
+    It draws what a generator fresh at word 0 draws after its first ``word``
+    words; ``advance`` jumps there in O(log word) steps.
     """
-    block = word // 4
-    counter = tuple((block >> shift) & _UINT64_MASK for shift in (0, 64, 128, 192))
-    generator.bit_generator.state = _philox_state(master_seed, stream_index, counter)
-    if word % 4:
-        generator.bit_generator.random_raw(word % 4)
+    bit_generator = np.random.PCG64DXSM(np.random.SeedSequence(master_seed & _UINT64_MASK))
+    bit_generator.advance(word)
+    return np.random.Generator(bit_generator)
 
 
 @dataclass

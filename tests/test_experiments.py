@@ -30,7 +30,7 @@ from cohlab.experiments import (
     run_subspace_floor,
 )
 from cohlab.sampler import sample_haar_pure
-from cohlab.streams import RandomStream
+from cohlab.streams import RandomStream, word_generator
 
 
 def payload_bytes(report):
@@ -103,11 +103,11 @@ class TestRunConcentration:
         assert hits >= 20 * 0.99
 
     def test_trial_values_match_public_sampler(self):
-        # stream contract v5: trial i is measure(e / e.sum()), e = -ln(1 - u) for
-        # u row i of one uniform draw from stream 0
+        # stream contract v6: trial i is measure(e / e.sum()), e = -ln(1 - u) for
+        # u row i of one uniform draw from the campaign stream
         cfg = ExperimentConfig(dim=6, trials=40, master_seed=77, measure_kind="purity")
         report = run_concentration(cfg)
-        u = RandomStream(77, 0).generator.random((40, 6))
+        u = word_generator(77, 0).random((40, 6))
         values = []
         for i in range(40):
             e = -np.log(1.0 - u[i])
@@ -405,8 +405,7 @@ class TestInequalitySweep:
                 out.fill(np.nan)
                 return out
 
-        monkeypatch.setattr(sampler, "new_generator", lambda *args: NanWords())
-        monkeypatch.setattr(sampler, "seek_word", lambda *args: None)
+        monkeypatch.setattr(sampler, "word_generator", lambda *args: NanWords())
         report = run_inequality_sweep(1000, 300, 4)
         counts = (report.l1_purity_violations, report.fannes_violations, report.cr_range_violations)
         assert counts == (300, 300, 300)
@@ -606,17 +605,19 @@ class TestChunkScratch:
 
     @pytest.mark.parametrize("cpus, buffers", [(1, {1}), (2, {1, 2})])
     def test_77_chunks_use_one_buffer_per_worker(self, monkeypatch, chunk_workers, cpus, buffers):
-        # 262 diagonals per chunk at d = 1000, each chunk one generator and
-        # blocks of 65 rows: 65 x 4 + 2, and 65 + 23 in the last chunk of 88
+        # 262 diagonals per chunk at d = 1000, each chunk one generator at its
+        # first word and blocks of 65 rows: 65 x 4 + 2, and 65 + 23 in the
+        # last chunk of 88
         seen = self.spy_blocks(monkeypatch)
         made = []
-        new_generator = sampler.new_generator
+        word_generator = sampler.word_generator
         monkeypatch.setattr(
-            sampler, "new_generator", lambda *args: made.append(args) or new_generator(*args)
+            sampler, "word_generator", lambda *args: made.append(args) or word_generator(*args)
         )
         chunk_workers(cpus)
         run_concentration(ExperimentConfig(dim=1000, trials=20000, master_seed=5))
-        assert len(seen) == 77 and made == [(5, 0)] * 77
+        assert len(seen) == 77
+        assert sorted(made) == [(5, 262 * 1000 * k) for k in range(77)]
         sizes = sorted(tuple(shape[0] for _, shape in blocks) for _, blocks in seen)
         assert sizes == [(65, 23)] + [(65, 65, 65, 65, 2)] * 76
         assert len({address for _, blocks in seen for address, _ in blocks}) in buffers
@@ -684,7 +685,7 @@ class TestChunkScratch:
         first_prob_samples(1000, 600, 9)
         run_inequality_sweep(1000, 600, 9)
         assert np.array_equal(samples, kept)
-        u = RandomStream(8, 0).generator.random((600, 1000))
+        u = word_generator(8, 0).random((600, 1000))
         for i in (0, 261, 262, 599):
             e = -np.log(1.0 - u[i])
             assert samples[i] == (e / e.sum())[0]
@@ -706,7 +707,7 @@ class TestSamplingHelpers:
 
     def test_first_prob_samples_match_per_state_path(self):
         samples = first_prob_samples(5, 10, 9)
-        u = RandomStream(9, 0).generator.random((10, 5))
+        u = word_generator(9, 0).random((10, 5))
         for i in range(10):
             e = -np.log(1.0 - u[i])
             assert samples[i] == (e / e.sum())[0]

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from cohlab import sampler
-from cohlab.errors import InvalidArgumentError
 from cohlab.sampler import haar_prob_rows, keyed_rows
-from cohlab.streams import RandomStream, new_generator, seek_word, stream_setter
+from cohlab.streams import RandomStream, new_generator, stream_setter, word_generator
 
 
 def test_identical_pair_replays_sequence():
@@ -91,39 +90,30 @@ def test_stream_setter_matches_fresh_generator(seed, index):
 WORDS = [0, 1, 2, 3, 4, 5, 6, 7, 4001]
 
 
-def advanced_words(seed, index, word, k):
-    # words [word, word + k) of the stream through numpy's own counter
-    # arithmetic: Philox.advance(n) skips n blocks of 4 words
-    bit_generator = new_generator(seed, index).bit_generator
-    bit_generator.advance(word // 4)
-    return bit_generator.random_raw(word % 4 + k)[word % 4:]
+def campaign_generator(seed):
+    """The campaign stream of stream contract v6, fresh at word 0."""
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed % (1 << 64))))
 
 
 @pytest.mark.parametrize("word", WORDS)
 def test_seek_word_matches_a_fresh_stream(word):
-    gen = new_generator(3, 4)
-    gen.standard_normal(7)  # counter moved, output buffer partly used
-    gen.integers(0, 1000, dtype=np.uint32)  # buffers the other 32-bit half
-    seek_word(gen, 9, 2, word)
-    fresh = new_generator(9, 2).bit_generator.random_raw(word + 10)[word:]
-    assert np.array_equal(gen.bit_generator.random_raw(10), fresh)
-    assert np.array_equal(advanced_words(9, 2, word, 10), fresh)  # the oracle agrees
+    fresh = campaign_generator(9).bit_generator.random_raw(word + 10)[word:]
+    assert np.array_equal(word_generator(9, word).bit_generator.random_raw(10), fresh)
 
 
-@pytest.mark.parametrize("word", [(1 << 32) + 1, (1 << 32) + 6, (1 << 66) + 3])
-@pytest.mark.parametrize("seed, index", WRAPPING_PAIRS[:2])
-def test_seek_word_far_into_a_stream(seed, index, word):
-    # past 2**32 words (and past a 64-bit counter) random_raw cannot reach
-    gen = new_generator(3, 4)
-    seek_word(gen, seed, index, word)
-    assert np.array_equal(gen.bit_generator.random_raw(10), advanced_words(seed, index, word, 10))
+@pytest.mark.parametrize("word", [(1 << 64) + 1, (1 << 64) + 6, (1 << 66) + 3])
+@pytest.mark.parametrize("seed", [-1, 0, (1 << 64) + 3])
+def test_word_generator_far_into_a_stream(seed, word):
+    # past 2**64 words: the high and the low 64 bits of the word in two advances
+    bit_generator = campaign_generator(seed).bit_generator
+    bit_generator.advance(word >> 64 << 64)
+    bit_generator.advance(word & ((1 << 64) - 1))
+    assert np.array_equal(word_generator(seed, word).bit_generator.random_raw(10), bit_generator.random_raw(10))
 
 
 def test_seek_word_drives_random():
-    gen = new_generator(1, 1)
-    seek_word(gen, 9, 0, 6)
-    expected = new_generator(9, 0).random(16)[6:]
-    assert np.array_equal(gen.random(10), expected)
+    expected = campaign_generator(9).random(16)[6:]
+    assert np.array_equal(word_generator(9, 6).random(10), expected)
 
 
 @pytest.mark.parametrize("shape", [(6,), (3, 4)])
@@ -135,27 +125,60 @@ def test_keyed_normal_rows_match_per_row_streams(shape):
         assert np.array_equal(row, RandomStream(77, index).generator.standard_normal(shape))
 
 
-def v5_diagonals(seed, first, stop, dim):
-    """Stream contract v5: trial i is e / e.sum() for e = -ln(1 - u), u row i
-    of one uniform draw from stream (seed, 0)."""
-    u = RandomStream(seed, 0).generator.random((stop, dim))
+def diagonals(generator, first, stop, dim):
+    """e / e.sum() for e = -ln(1 - u), u rows [first, stop) of one uniform
+    draw of rows [0, stop) from ``generator``."""
+    u = generator.random((stop, dim))
     e = -np.log(1.0 - u[first:])
     return e / e.sum(axis=1, keepdims=True)
+
+
+def v6_diagonals(seed, first, stop, dim):
+    """Stream contract v6: the uniforms come from the campaign stream."""
+    return diagonals(campaign_generator(seed), first, stop, dim)
+
+
+def v5_diagonals(seed, first, stop, dim):
+    """Stream contract v5: the uniforms come from Philox stream (seed, 0)."""
+    return diagonals(RandomStream(seed, 0).generator, first, stop, dim)
+
+
+def philox_word_generator(seed, word):
+    # Philox stream (seed, 0) at word `word`: advance(n) skips n blocks of 4 words
+    generator = new_generator(seed, 0)
+    generator.bit_generator.advance(word // 4)
+    generator.bit_generator.random_raw(word % 4)
+    return generator
 
 
 def test_haar_prob_rows_are_normalised_exponentials():
     first, stop, dim = 3, 8, 7
     rows = haar_prob_rows(77, first, stop, dim)
-    u = RandomStream(77, 0).generator.random((stop, dim))
+    u = campaign_generator(77).random((stop, dim))
     for row, index in zip(rows, range(first, stop)):
         e = -np.log(1.0 - u[index])
         assert np.array_equal(row, e / e.sum())
 
 
-@pytest.mark.parametrize("dim", [1, 5, 6, 7, 1000])
-@pytest.mark.parametrize("first, stop", [(0, 9), (1, 9), (2, 7), (3, 4), (6, 13)])
-def test_haar_prob_rows_match_the_v5_oracle(dim, first, stop):
-    # chunk starts at each first * dim % 4 that dim allows, so windows begin mid-block
+ORACLE_DIMS = [1, 5, 6, 7, 1000]
+# chunk starts at each first * dim % 4 that dim allows, so v5's windows
+# begin mid-way through a block of 4 Philox words
+ORACLE_STARTS = [(0, 9), (1, 9), (2, 7), (3, 4), (6, 13)]
+
+
+@pytest.mark.parametrize("dim", ORACLE_DIMS)
+@pytest.mark.parametrize("first, stop", ORACLE_STARTS)
+def test_haar_prob_rows_match_the_v6_oracle(dim, first, stop):
+    rows = haar_prob_rows(77, first, stop, dim)
+    assert rows.tobytes() == v6_diagonals(77, first, stop, dim).tobytes()
+
+
+@pytest.mark.parametrize("dim", ORACLE_DIMS)
+@pytest.mark.parametrize("first, stop", ORACLE_STARTS)
+def test_haar_prob_rows_match_the_v5_oracle(monkeypatch, dim, first, stop):
+    # v6 changed the bit generator only: given v5's Philox words, the
+    # windows and the transform reproduce v5's bytes
+    monkeypatch.setattr(sampler, "word_generator", philox_word_generator)
     rows = haar_prob_rows(77, first, stop, dim)
     assert rows.tobytes() == v5_diagonals(77, first, stop, dim).tobytes()
 
@@ -163,11 +186,11 @@ def test_haar_prob_rows_match_the_v5_oracle(dim, first, stop):
 @pytest.mark.parametrize("dim", [1, 5, 6, 7])
 @pytest.mark.parametrize("block", [1, 3, 4, 9, 20])
 def test_haar_prob_blocks_continue_one_draw(monkeypatch, dim, block):
-    # blocks of 1, 3 and 4 rows start at each word offset mod 4 that dim
-    # allows; 9 rows are the whole batch and 20 more than it
+    # blocks of 1, 3 and 4 rows start at words first * dim + k * block * dim;
+    # 9 rows are the whole batch and 20 more than it
     made = []
-    real = sampler.new_generator
-    monkeypatch.setattr(sampler, "new_generator", lambda *args: made.append(args) or real(*args))
+    real = sampler.word_generator
+    monkeypatch.setattr(sampler, "word_generator", lambda *args: made.append(args) or real(*args))
     first, stop = 2, 11
     out = np.full((block, dim), np.nan)
     address = out.__array_interface__["data"][0]
@@ -176,8 +199,8 @@ def test_haar_prob_blocks_continue_one_draw(monkeypatch, dim, block):
         assert rows.__array_interface__["data"][0] == address
         blocks.append(rows.copy())
     assert all(len(rows) == block for rows in blocks[:-1])
-    assert np.concatenate(blocks).tobytes() == v5_diagonals(77, first, stop, dim).tobytes()
-    assert made == ([(77, 0)] if dim > 1 else [])
+    assert np.concatenate(blocks).tobytes() == v6_diagonals(77, first, stop, dim).tobytes()
+    assert made == ([(77, first * dim)] if dim > 1 else [])
 
 
 class ZeroWords:
@@ -190,23 +213,8 @@ class ZeroWords:
 
 def test_haar_prob_rows_at_d1_are_one_even_for_a_zero_word(monkeypatch):
     assert (haar_prob_rows(4, 0, 5000, 1) == 1.0).all()
-    monkeypatch.setattr(sampler, "new_generator", lambda *args: ZeroWords())
-    monkeypatch.setattr(sampler, "seek_word", lambda *args: None)
+    monkeypatch.setattr(sampler, "word_generator", lambda *args: ZeroWords())
     with np.errstate(invalid="ignore"):
         assert np.isnan(haar_prob_rows(4, 0, 3, 2)).all()  # 0 / 0 where d > 1
-    for out in (None, np.full((3, 1), np.nan)):
-        rows = haar_prob_rows(4, 0, 3, 1, out)
-        assert rows.shape == (3, 1) and (rows == 1.0).all()
-
-
-def test_haar_prob_rows_reject_a_mismatched_out():
-    with pytest.raises(InvalidArgumentError):
-        haar_prob_rows(77, 5, 9, 3, np.empty((5, 3)))
-
-
-def test_haar_prob_rows_normalise_in_out():
-    out = np.full((10, 6), np.nan)
-    rows = haar_prob_rows(77, 3, 8, 6, out[:5])
-    assert np.shares_memory(rows, out) and rows.shape == (5, 6)
-    assert rows.tobytes() == haar_prob_rows(77, 3, 8, 6).tobytes()
-    assert np.isnan(out[5:]).all()  # rows past the batch are untouched
+    rows = haar_prob_rows(4, 0, 3, 1)
+    assert rows.shape == (3, 1) and (rows == 1.0).all()
