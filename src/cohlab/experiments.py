@@ -27,7 +27,7 @@ depend on d but not on the chunks either.
 Campaigns that need only a Haar state's diagonal draw it as normalised
 standard exponentials (:func:`cohlab.sampler.haar_prob_blocks`): every
 concentration measure, the inequality sweep and :func:`first_prob_samples`.
-Under stream contract v6 trial i of such a campaign in dimension d takes
+Since stream contract v6 trial i of such a campaign in dimension d takes
 words [i d, (i + 1) d) of one PCG64DXSM stream seeded by ``master_seed``,
 so each chunk of trials is one draw by one generator, started at the
 chunk's first word and continued across its blocks, and its
@@ -214,10 +214,13 @@ _PARALLEL_MIN_DIM = 450
 # _CHUNK_BYTES budget, a subspace frame (16 d s bytes) or the real frame
 # that subspace states are projected onto (8 d s^2 bytes for s <= 4), the
 # values of every trial (8 bytes each) or a histogram with its payload
-# (_HISTOGRAM_BIN_BYTES per bin).  Larger requests raise MemoryError before
-# anything is allocated (CLI exit 6); every acceptance and golden campaign
-# stays far inside it (the largest frame, d=1e5 and s=6, is 9.6 MB, and the
-# largest projection frame, d=1e5 and s=4, 12.8 MB)
+# (_HISTOGRAM_BIN_BYTES per bin).  The frame cap bounds the whole frame
+# phase, which orthonormalises the frame in place and needs the frame plus
+# one 512 KiB block of its rows, not the 3-5 frames of a Householder QR.
+# Larger requests raise MemoryError before anything is allocated (CLI exit
+# 6); every acceptance and golden campaign stays far inside it (the largest
+# frame, d=1e5 and s=6, is 9.6 MB, and the largest projection frame, d=1e5
+# and s=4, 12.8 MB)
 MAX_ALLOC_BYTES = 1 << 30
 
 
@@ -458,15 +461,21 @@ def _quadratic_form(s: int) -> bool:
 
 def _quadratic_frame(columns: np.ndarray) -> np.ndarray:
     """The s^2 x d real frame Q of the frame columns F_j: rows |F_j|^2, then
-    2 Re(conj(F_j) F_k) and -2 Im(conj(F_j) F_k) for each j < k."""
-    f = columns.T
-    s = len(f)
-    q = np.empty((s * s, f.shape[1]))
-    np.add(f.real**2, f.imag**2, out=q[:s])
-    for row, (j, k) in zip(range(s, s * s, 2), zip(*np.triu_indices(s, 1))):
-        cross = f[j].conj() * f[k]
-        np.multiply(cross.real, 2.0, out=q[row])
-        np.multiply(cross.imag, -2.0, out=q[row + 1])
+    2 Re(conj(F_j) F_k) and -2 Im(conj(F_j) F_k) for each j < k.
+
+    Q is built one block of ``_BLOCK_COLS`` columns at a time, so its
+    temporaries are a block's; every entry is elementwise, so the blocks
+    change no byte."""
+    dim, s = columns.shape
+    q = np.empty((s * s, dim))
+    pairs = list(zip(range(s, s * s, 2), zip(*np.triu_indices(s, 1))))
+    for lo in range(0, dim, _BLOCK_COLS):
+        f, out = columns[lo : lo + _BLOCK_COLS].T, q[:, lo : lo + _BLOCK_COLS]
+        np.add(f.real**2, f.imag**2, out=out[:s])
+        for row, (j, k) in pairs:
+            cross = f[j].conj() * f[k]
+            np.multiply(cross.real, 2.0, out=out[row])
+            np.multiply(cross.imag, -2.0, out=out[row + 1])
     return q
 
 

@@ -57,6 +57,15 @@ identity: rekeying one generator per trial is a state reset
 of words that each chunk enters at its own word: PCG64DXSM seeks there
 natively with ``advance`` and fills doubles about twice as fast as Philox.
 Only the diagonal campaigns change bytes.
+
+Version 7 changes no variate.  The subspace frame, the Q factor with a
+positive real R diagonal of a d x s Ginibre draw, is computed in the drawn
+array by two passes of Cholesky QR, each summing the Gram A^H A over fixed
+blocks of rows, in block order, and rescaling each block by R^-1, where it
+was a Householder QR with the R-diagonal phase fix.  That factor is unique,
+so the frame has the same law and the same value up to rounding; only the
+subspace and decomposition campaigns, whose states live in the frame, can
+change bytes.  Unitaries and mixing isometries keep the Householder route.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STREAM_VERSION = "6"
+STREAM_VERSION = "7"
 
 _UINT64_MASK = (1 << 64) - 1
 # counter and output buffer of a Philox state at the start of a stream

@@ -1,5 +1,6 @@
-"""A fresh interpreter runs the CLI without loading scipy; only the
-quadrature cross-check of the mean imports it."""
+"""A fresh interpreter runs the CLI without loading scipy, the subspace
+frame's Cholesky QR included; only the quadrature cross-check of the mean
+imports it."""
 
 import json
 import os
@@ -16,6 +17,7 @@ argvs = (
     ["expect", "--dim", "10"],
     ["bounds", "--dim", "10", "--eps", "0.5"],
     ["concentrate", "--measure", "cr", "--dim", "10", "--trials", "50"],
+    ["subspace", "--dim", "34000", "--eps-frac", "0.99", "--states", "10"],
 )
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cohlab.cli.main(argv) for argv in argvs]
@@ -40,6 +42,6 @@ def test_cli_runs_without_scipy_until_the_quadrature_route():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert SRC in Path(result["file"]).resolve().parents
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     assert not result["scipy_after_cli"], "importing or running cohlab.cli loaded scipy"
     assert abs(result["quadrature"] - result["closed_form"]) <= 1e-6

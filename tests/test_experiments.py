@@ -582,6 +582,21 @@ def test_quadratic_form_gives_the_probabilities(rng, s):
     assert np.abs(probs - expected).max() <= 64 * np.finfo(float).eps * expected.max()
 
 
+@pytest.mark.parametrize("dim, s, block_cols", [(3000, 2, 1000), (3000, 4, 700), (3000, 3, 8192)])
+def test_quadratic_frame_in_column_blocks_keeps_its_bytes(monkeypatch, dim, s, block_cols):
+    # the full-width construction, every row of Q in one pass
+    frame = sampler.sample_random_subspace(dim, s, RandomStream(s, 0)).columns
+    f = frame.T
+    expected = np.empty((s * s, dim))
+    np.add(f.real**2, f.imag**2, out=expected[:s])
+    for row, (j, k) in zip(range(s, s * s, 2), zip(*np.triu_indices(s, 1))):
+        cross = f[j].conj() * f[k]
+        np.multiply(cross.real, 2.0, out=expected[row])
+        np.multiply(cross.imag, -2.0, out=expected[row + 1])
+    monkeypatch.setattr(experiments, "_BLOCK_COLS", block_cols)
+    assert experiments._quadratic_frame(frame).tobytes() == expected.tobytes()
+
+
 class TestChunkScratch:
     """Each worker draws and evaluates every chunk of a diagonal campaign in
     blocks, in one rows buffer and one work buffer of one block each."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ class TestTypes:
     def test_subspace_rejects_nonorthonormal(self):
         with pytest.raises(InvalidArgumentError):
             SubspaceBasis(np.ones((4, 2), dtype=complex))
+
+    def test_subspace_rejects_a_nan_frame(self):
+        # every comparison with a NaN defect is false, so the check must not
+        # be "defect > tolerance"
+        with pytest.raises(InvalidArgumentError):
+            SubspaceBasis(np.full((4, 2), np.nan, dtype=complex))
 
     def test_subspace_rejects_wide_frame(self):
         with pytest.raises(InvalidDimensionError):
@@ -210,6 +217,72 @@ class TestRandomSubspace:
         assert abs(vals.mean() - 1.0 / d) < 4 * stderr
 
 
+class TestCholeskyFrame:
+    """sample_random_subspace orthonormalises its Ginibre draw in place by
+    two passes of Cholesky QR; the Q factor with a positive R diagonal is
+    unique, so the frame is positive_qr's up to rounding."""
+
+    @staticmethod
+    def draw(dim, sub_dim, seed):
+        return ginibre(RandomStream(seed, 0).generator, dim, sub_dim)
+
+    @pytest.mark.parametrize("dim, sub_dim", [(8, 2), (100, 3), (3000, 6), (34000, 2)])
+    def test_tall_frames_equal_positive_qr_of_the_same_draw(self, dim, sub_dim):
+        for seed in range(3):
+            frame = sample_random_subspace(dim, sub_dim, RandomStream(seed, 0)).columns
+            expected = positive_qr(self.draw(dim, sub_dim, seed))
+            assert np.abs(frame - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("sub_dim", [2, 4, 8, 16])
+    def test_square_frames_are_unitary_with_a_positive_r_diagonal(self, sub_dim):
+        # a single pass leaves defects up to about 6e-11 on these frames
+        defect, phase = 0.0, 0.0
+        for seed in range(2000):
+            frame = sample_random_subspace(sub_dim, sub_dim, RandomStream(seed, 0)).columns
+            defect = max(defect, np.abs(frame.conj().T @ frame - np.eye(sub_dim)).max())
+            diag = np.diagonal(frame.conj().T @ self.draw(sub_dim, sub_dim, seed))
+            assert diag.real.min() > 0.0
+            phase = max(phase, np.abs(diag.imag / diag.real).max())
+        assert defect <= 1e-12
+        assert phase <= 1e-12
+
+    def test_a_refused_gram_falls_back_to_positive_qr_of_the_same_draw(self, monkeypatch):
+        def refuse(gram):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        frame = sample_random_subspace(300, 5, RandomStream(11, 0)).columns
+        assert np.array_equal(frame, positive_qr(self.draw(300, 5, 11)))
+
+    def test_a_refusal_after_one_pass_keeps_the_q_factor(self, monkeypatch):
+        # one pass multiplies the draw by a positive-diagonal R^-1, which
+        # leaves its Q factor as it was
+        cholesky, calls = np.linalg.cholesky, []
+
+        def refuse_second(gram):
+            calls.append(len(gram))
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(gram)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse_second)
+        frame = sample_random_subspace(300, 5, RandomStream(11, 0)).columns
+        assert calls == [5, 5]
+        assert np.abs(frame - positive_qr(self.draw(300, 5, 11))).max() <= 1e-12
+
+    def test_frame_phase_holds_the_frame_and_one_block(self):
+        # Householder QR copies the frame 3-5 times over, and a
+        # full-width conjugate in the validation once more
+        dim, sub_dim = 100000, 4
+        tracemalloc.start()
+        try:
+            sample_random_subspace(dim, sub_dim, RandomStream(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * dim * sub_dim
+
+
 class TestPureInSubspace:
     def test_s1_returns_column_up_to_phase(self):
         basis = sample_random_subspace(6, 1, RandomStream(3, 0))
@@ -306,6 +379,12 @@ class TestRandomDecomposition:
             np.dot(out.weights, [relative_entropy_coherence(s) for s in out.states])
         )
         assert abs(got - target) < 1e-7
+
+
+def test_ginibre_has_the_bytes_of_the_scaled_draw():
+    # the mixing isometries of every decomposition are QR factors of it
+    expected = new_generator(3, 1).standard_normal((50, 14)).view(np.complex128) / np.sqrt(2.0)
+    assert np.array_equal(ginibre(new_generator(3, 1), 50, 7), expected)
 
 
 def test_ginibre_shape_and_scale():
