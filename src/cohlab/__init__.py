@@ -57,6 +57,7 @@ from .experiments import (
     run_inequality_sweep,
     run_matrix_integral_check,
     run_subspace_floor,
+    subspace_cr_samples,
     verify_inequalities,
     verify_integral,
     verify_matrix,

@@ -19,10 +19,11 @@ or on a thread pool.  Campaigns that draw diagonals draw and evaluate every
 chunk in blocks of rows (:func:`_block_rows`): each block is drawn into the
 rows buffer of the worker that fills the chunk, and the kernels run in its
 work buffer, both one block in size and both living only as long as the
-campaign.  The subspace campaign projects its chunks of states (32 at
-s <= 4, 16 above) into those buffers one fixed block of frame columns at a
-time and sums each state's block entropies in block order, so its bytes
-depend on d but not on the chunks either.
+campaign.  The subspace campaign projects its chunks of states (128 at
+s <= 4, 64 above) one fixed block of frame columns at a time, in row
+blocks of states (32 at s <= 4, 16 above) that fill those buffers, and
+sums each state's block entropies in block order, so its bytes depend on d
+but not on the chunks or the row blocks either.
 
 Campaigns that need only a Haar state's diagonal draw it as normalised
 standard exponentials (:func:`cohlab.sampler.haar_prob_blocks`): every
@@ -163,14 +164,14 @@ class ConcentrationReport:
 
 # bytes one chunk of drawn rows may hold, whatever a row is: a state of 16 d
 # bytes, a unitary of 16 d^2, or a subspace state counted per column of one
-# frame block at the 16 bytes of its probabilities and their kernel work (32
-# states per chunk) for s <= 4, and at 32 bytes above, where the rows
-# buffer holds its real and imaginary parts (16 states per chunk).  A
-# diagonal counts 16 d, its rows and kernel work, though its chunk, the unit
-# of dispatch and of one generator, holds one block at a time
-# (_SCRATCH_BYTES).  Every campaign but the matrix check computes per-row
-# values and reduces them in trial order, so the rows per chunk change no
-# payload byte, only the memory a chunk holds
+# frame block at the 16 bytes of its probabilities and their kernel work
+# (128 states per chunk) for s <= 4, and at 32 bytes above, where the rows
+# buffer holds its real and imaginary parts (64 states per chunk).  A
+# diagonal counts 16 d, its rows and kernel work.  Diagonal and subspace
+# chunks, the unit of dispatch (and of one generator for diagonals), hold
+# one block of rows at a time (_SCRATCH_BYTES).  Every campaign but the
+# matrix check computes per-row values and reduces them in trial order, so
+# the rows per chunk change no payload byte, only the memory a chunk holds
 _CHUNK_BYTES = 1 << 22
 
 
@@ -182,9 +183,10 @@ def _chunk_size(row_bytes: int) -> int:
 
 
 # bytes of each of the two scratch buffers, rows and kernel work, that a
-# worker of a diagonal campaign owns: it draws and evaluates each chunk in
-# blocks of this many bytes of rows (65 rows at d = 1000), or of one row
-# where a row is larger.  On a 2-CPU machine with 2 MiB of L2 per core, laws
+# worker of a diagonal or subspace campaign owns: it draws and evaluates
+# each chunk in blocks of this many bytes of rows (65 rows at d = 1000, or
+# 32 subspace states of one column block at s <= 4), or of one row where a
+# row is larger.  On a 2-CPU machine with 2 MiB of L2 per core, laws
 # iterations (concentrate cr, purity and trdist at d = 1000 with 20000
 # trials on 2 threads; 5 sets of 15 interleaved, medians) peaked at 39.8,
 # 40.8, 42.9 and 47.1 MB RSS with blocks of 256 KiB, 512 KiB, 1 MiB and
@@ -211,12 +213,14 @@ _PARALLEL_MIN_DIM = 450
 
 # largest array a campaign may request: one drawn row (a state of 16 d
 # bytes, or a unitary of 16 d^2), the least a chunk holds past its one
-# _CHUNK_BYTES budget, a subspace frame (16 d s bytes) or the real frame
-# that subspace states are projected onto (8 d s^2 bytes for s <= 4), the
-# values of every trial (8 bytes each) or a histogram with its payload
-# (_HISTOGRAM_BIN_BYTES per bin).  The frame cap bounds the whole frame
-# phase, which orthonormalises the frame in place and needs the frame plus
-# one 512 KiB block of its rows, not the 3-5 frames of a Householder QR.
+# _CHUNK_BYTES budget, a subspace frame (16 d s bytes) or the quadratic-form
+# frame Q that subspace states of s <= 4 are projected onto (8 d s^2 bytes;
+# above s = 4 they are projected through the real form of one column block
+# of the frame at a time), the values of every trial (8 bytes each) or a
+# histogram with its payload (_HISTOGRAM_BIN_BYTES per bin).  The frame cap
+# bounds the whole frame phase, which orthonormalises the frame in place and
+# needs the frame plus one 512 KiB block of its rows, not the 3-5 frames of
+# a Householder QR.
 # Larger requests raise MemoryError before anything is allocated (CLI exit
 # 6); every acceptance and golden campaign stays far inside it (the largest
 # frame, d=1e5 and s=6, is 9.6 MB, and the largest projection frame, d=1e5
@@ -224,14 +228,20 @@ _PARALLEL_MIN_DIM = 450
 MAX_ALLOC_BYTES = 1 << 30
 
 
-# columns of the subspace frame that run_subspace_floor projects and reduces
-# at a time: a chunk streams the frame from memory once, and its products
-# for one block (2 MiB: the probabilities of 32 states, or the amplitudes
-# of 16) stay near a 2 MB L2 cache where 32 full rows of probabilities at
-# d = 1e5 would take 25.6 MB.  The blocks depend on d alone, and a state's
-# C_r is the sum of its block entropies in block order, so neither the rows
-# per chunk nor the workers change a byte
-_BLOCK_COLS = 8192
+# columns of the subspace frame that subspace_cr_samples projects and
+# reduces at a time.  A chunk streams the frame from memory once, one block
+# of columns after another, and projects each block in row blocks of
+# _SCRATCH_BYTES of products (32 states at s <= 4, 16 above), which reuse
+# the block of the frame (256 KiB of Q at s = 4) from cache.  Row blocks of
+# rows x cols products, run_subspace_floor(1e5, 0.9 ln d, 2000) on 2 threads
+# of a 2-CPU machine with 2 MiB of L2 per core (2 sets of 9 and 15
+# interleaved repeats, medians against 32 x 8192): 32 x 4096 (1 MiB) -3%
+# and -5% wall, the 512 KiB shapes 32 x 2048 -10% and -13% and 64 x 1024
+# -17% and -11%, the 256 KiB shapes 16 x 2048 +6% and +8% and 32 x 1024 0%
+# and +5%.  The blocks depend on d alone, and a state's C_r is the sum of
+# its block entropies in block order, so neither the rows per chunk, the
+# rows per row block nor the workers change a byte
+_BLOCK_COLS = 2048
 
 
 def _check_alloc(nbytes: int, what: str) -> None:
@@ -416,7 +426,7 @@ def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
 def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int, real_rows=lambda s: 0):
     """The subspace dimension, the floor threshold and a random subspace from
     stream (master_seed, 0).  s < ``min_s``, a frame past the cap, or a
-    ``real_rows(s)`` x d float64 frame past it (the projection frame a
+    ``real_rows(s)`` x d float64 frame past it (the projection frame Q a
     campaign builds from the subspace) raises first."""
     sdim = analytics.subspace_dimension(dim, eps)
     if sdim.s < min_s:
@@ -505,59 +515,83 @@ def _rows_view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
     return buffer.reshape(-1)[: rows * width].reshape(rows, width)
 
 
+def subspace_cr_samples(dim: int, eps: float, n_states: int, master_seed: int) -> np.ndarray:
+    """C_r of each sampled Haar state of one random subspace, in state order.
+
+    The subspace draws from stream (master_seed, 0); state j draws from
+    stream (master_seed, j + 1).  Each state's C_r is the sum, in block
+    order, of the entropies of its probabilities over fixed blocks of
+    ``_BLOCK_COLS`` columns.  A chunk of states is projected one column
+    block at a time, in row blocks of ``_SCRATCH_BYTES`` of products, so
+    every row block reuses the column block of the frame from cache.  For
+    s <= 4 a block's probabilities are one real product, coefficient
+    quadratic forms times the frame's (:func:`_quadratic_frame`); above,
+    the product with the block's real frame ``[Re F^T; Im F^T]`` gives the
+    real and imaginary parts of the amplitudes, which are squared and
+    folded.  Raises :class:`~cohlab.errors.VacuousGuaranteeError` when the
+    dimension formula yields s = 0.
+    """
+    if n_states < 1:
+        raise InvalidArgumentError(f"n_states must be >= 1, got {n_states}")
+    sdim, _, basis = _random_subspace(
+        dim, eps, master_seed, 1, lambda s: s * s if _quadratic_form(s) else 0
+    )
+    s = sdim.s
+    # product rows per state: its probabilities, or Re psi and Im psi
+    per_state = 1 if _quadratic_form(s) else 2
+    if per_state == 1:
+        q = _quadratic_frame(basis.columns)
+        del basis
+        coefficients, frame_block = _quadratic_coefficients, lambda lo, hi: q[:, lo:hi]
+    else:
+        columns = basis.columns
+        coefficients = _real_coefficients
+
+        def frame_block(lo: int, hi: int) -> np.ndarray:
+            f = columns[lo:hi].T
+            return np.concatenate((f.real, f.imag))
+
+    cols = min(dim, _BLOCK_COLS)
+    # both scratch buffers hold per_state * cols float64 per state
+    scratch_cols = per_state * cols
+    block = _block_rows(8 * scratch_cols)
+
+    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
+        c = haar_amplitude_rows(master_seed, start + 1, stop + 1, s)
+        coeffs = [(r, coefficients(c[r : r + block])) for r in range(0, stop - start, block)]
+        values = np.zeros(stop - start)
+        for lo in range(0, dim, cols):
+            width = min(cols, dim - lo)
+            f = frame_block(lo, lo + width)
+            for r, coeff in coeffs:
+                n = len(coeff) // per_state
+                product = _rows_view(rows, per_state * n, width)
+                np.matmul(coeff, f, out=product)
+                if per_state == 1:
+                    probs, spare = product, _rows_view(work, n, width)
+                else:
+                    probs, spare = _abs2_halves(product, _rows_view(work, n, width)), product[:n]
+                values[r : r + n] += measures.entropy_from_probs(probs, work=spare)
+        return values
+
+    chunks = _run_chunked(n_states, fill, 16 * scratch_cols, scratch_cols, scratch_rows=block)
+    return np.concatenate(chunks)
+
+
 def run_subspace_floor(
     dim: int,
     eps: float,
     n_states: int,
     master_seed: int,
 ) -> SubspaceFloorReport:
-    """Sample one random subspace and many Haar states inside it.
-
-    The subspace draws from stream (master_seed, 0); state j draws from
-    stream (master_seed, j + 1).  Each state's C_r is the sum, in block
-    order, of the entropies of its probabilities over fixed blocks of
-    ``_BLOCK_COLS`` columns.  For s <= 4 a block's probabilities are one
-    real product, coefficient quadratic forms times the frame's
-    (:func:`_quadratic_frame`); above, the product gives the real and
-    imaginary parts of the amplitudes, which are squared and folded.
+    """Sample one random subspace and many Haar states inside it, and count
+    the states below the floor (:func:`subspace_cr_samples` gives their C_r).
     Raises :class:`~cohlab.errors.VacuousGuaranteeError` when the dimension
     formula yields s = 0.
     """
-    if n_states < 1:
-        raise InvalidArgumentError(f"n_states must be >= 1, got {n_states}")
-    sdim, threshold, basis = _random_subspace(
-        dim, eps, master_seed, 1, lambda s: s * s if _quadratic_form(s) else 2 * s
-    )
-    s = sdim.s
-    # product rows per state: its probabilities, or Re psi and Im psi
-    per_state = 1 if _quadratic_form(s) else 2
-    if per_state == 1:
-        frame, coefficients = _quadratic_frame(basis.columns), _quadratic_coefficients
-    else:
-        frame = np.concatenate((basis.columns.T.real, basis.columns.T.imag))
-        coefficients = _real_coefficients
-    del basis
-    cols = min(dim, _BLOCK_COLS)
-
-    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
-        n = stop - start
-        coeff = coefficients(haar_amplitude_rows(master_seed, start + 1, stop + 1, s))
-        values = np.zeros(n)
-        for lo in range(0, dim, cols):
-            width = min(cols, dim - lo)
-            product = _rows_view(rows, per_state * n, width)
-            np.matmul(coeff, frame[:, lo : lo + width], out=product)
-            if per_state == 1:
-                probs, spare = product, _rows_view(work, n, width)
-            else:
-                probs, spare = _abs2_halves(product, _rows_view(work, n, width)), product[:n]
-            values += measures.entropy_from_probs(probs, work=spare)
-        return values
-
-    # both scratch buffers hold per_state * cols float64 per state
-    scratch_cols = per_state * cols
-    values = np.concatenate(_run_chunked(n_states, fill, 16 * scratch_cols, scratch_cols))
-
+    values = subspace_cr_samples(dim, eps, n_states, master_seed)
+    sdim = analytics.subspace_dimension(dim, eps)
+    threshold = analytics.subspace_threshold(dim, eps)
     return SubspaceFloorReport(
         dim=dim,
         eps=eps,

@@ -66,6 +66,13 @@ was a Householder QR with the R-diagonal phase fix.  That factor is unique,
 so the frame has the same law and the same value up to rounding; only the
 subspace and decomposition campaigns, whose states live in the frame, can
 change bytes.  Unitaries and mixing isometries keep the Householder route.
+
+Version 8 changes no variate either.  The subspace campaign still sums each
+state's entropy over fixed blocks of frame columns in block order, but the
+blocks are 2048 columns wide where they were 8192, so that a row block of
+32 states (16 above s = 4) fits the 512 KiB scratch block of the diagonal
+campaigns.  More, narrower blocks round differently, which moves some of
+its C_r values by a few ulps; only the subspace campaign can change bytes.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STREAM_VERSION = "7"
+STREAM_VERSION = "8"
 
 _UINT64_MASK = (1 << 64) - 1
 # counter and output buffer of a Philox state at the start of a stream

@@ -3,6 +3,7 @@ import json
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,10 +192,11 @@ class TestSubspaceFloor:
         assert report.violations == 0
 
     def test_threads_do_not_change_bytes(self, chunk_workers):
-        # s = 2 projects by the quadratic form, 64 states in 2 chunks of 32;
-        # s = 6 by the real form, 40 states in chunks of 16, 16 and 8
+        # s = 2 projects by the quadratic form, 300 states in chunks of 128,
+        # 128 and 44 (row blocks of 32 and 12); s = 6 by the real form, 150
+        # states in chunks of 64, 64 and 22 (row blocks of 16 and 6)
         pools = chunk_workers(1)
-        for dim, eps_frac, n in ((34000, 0.999, 64), (10**5, 0.999, 40)):
+        for dim, eps_frac, n in ((34000, 0.999, 300), (10**5, 0.999, 150)):
             eps = eps_frac * math.log(dim)
             chunk_workers(1)
             a = run_subspace_floor(dim, eps, n, 5)
@@ -221,19 +223,32 @@ class TestSubspaceFloor:
         assert np.array_equal(bases[0].columns, fresh.columns)
         assert payload_bytes(run_subspace_floor(34000, eps, 20, 8)) == first
 
+    @staticmethod
+    def spy_entropy(monkeypatch):
+        """Record the shape of the probabilities of every entropy call."""
+        shapes = []
+        entropy = measures.entropy_from_probs
+
+        def spy(probs, work):
+            shapes.append(probs.shape)
+            return entropy(probs, work=work)
+
+        monkeypatch.setattr(measures, "entropy_from_probs", spy)
+        return shapes
+
     @pytest.mark.parametrize(
         "dim, eps_frac, sub_dim, block_cols, blocks",
         # s = 2 is on the quadratic-form side of the projection and s = 6 on
-        # the real-form side.  The default 8192 columns end in a partial
+        # the real-form side.  The default 2048 columns end in a partial
         # block (1232 columns at d = 34000, 1696 at d = 1e5), 1000 columns
         # divide either d into full blocks, and 34000 divides d = 1e5 into
         # two full blocks and a partial one
         [
-            pytest.param(34000, 0.99, 2, None, 5, id="None-5"),
+            pytest.param(34000, 0.99, 2, None, 17, id="None-17"),
             pytest.param(34000, 0.99, 2, 1000, 34, id="1000-34"),
             pytest.param(34000, 0.99, 2, 34000, 1, id="34000-1"),
             pytest.param(34000, 0.99, 2, 10**6, 1, id="1000000-1"),
-            pytest.param(10**5, 0.999, 6, None, 13, id="s6-None-13"),
+            pytest.param(10**5, 0.999, 6, None, 49, id="s6-None-49"),
             pytest.param(10**5, 0.999, 6, 1000, 100, id="s6-1000-100"),
             pytest.param(10**5, 0.999, 6, 34000, 3, id="s6-34000-3"),
             pytest.param(10**5, 0.999, 6, 10**6, 1, id="s6-1000000-1"),
@@ -246,19 +261,15 @@ class TestSubspaceFloor:
         if block_cols is not None:
             monkeypatch.setattr(experiments, "_BLOCK_COLS", block_cols)
         entropy = measures.entropy_from_probs
-        calls = []
-
-        def spy_entropy(probs, work):
-            calls.append(probs.shape[-1])
-            return entropy(probs, work=work)
-
-        monkeypatch.setattr(measures, "entropy_from_probs", spy_entropy)
+        calls = self.spy_entropy(monkeypatch)
         eps, n, seed = eps_frac * math.log(dim), 40, 4
         report = run_subspace_floor(dim, eps, n, seed)
         monkeypatch.setattr(measures, "entropy_from_probs", entropy)
         assert report.sub_dim == sub_dim
-        widths = calls[:blocks]
-        assert sum(widths) == dim and calls == widths * (len(calls) // blocks)
+        # every state is reduced once in each column block, and the blocks
+        # cover the d columns
+        assert sum(rows for rows, _ in calls) == n * blocks
+        assert sum(rows * width for rows, width in calls) == n * dim
 
         basis = sampler.sample_random_subspace(dim, report.sub_dim, RandomStream(seed, 0))
         scalar = np.array([
@@ -268,17 +279,40 @@ class TestSubspaceFloor:
         assert report.min_observed_cr == pytest.approx(scalar.min(), rel=1e-14, abs=0)
         assert report.violations == int(np.count_nonzero(scalar < report.threshold))
 
-    def test_thirty_two_states_per_chunk_up_to_s4(self, monkeypatch):
-        # s = 2: the quadratic form holds 16 bytes per block column and state
+    def test_chunks_of_128_states_in_row_blocks_of_32_up_to_s4(self, monkeypatch, chunk_workers):
+        # s = 2: the quadratic form holds 16 bytes per block column and
+        # state, 4 MiB per chunk and 512 KiB per row block; each of the 17
+        # column blocks is reduced in the row blocks of the chunk
+        chunk_workers(1)
         shapes = TestChunkRunner.spy_batches(monkeypatch)
-        run_subspace_floor(34000, 0.99 * math.log(34000), 40, 0)
-        assert shapes == [(32, 4), (8, 4)]
+        calls = self.spy_entropy(monkeypatch)
+        run_subspace_floor(34000, 0.99 * math.log(34000), 150, 0)
+        assert shapes == [(128, 4), (22, 4)]
+        assert [rows for rows, _ in calls] == [32] * 4 * 17 + [22] * 17
 
-    def test_sixteen_states_per_chunk(self, monkeypatch):
+    def test_chunks_of_64_states_in_row_blocks_of_16(self, monkeypatch, chunk_workers):
         # s = 6: the real form holds 32 bytes per block column and state
+        chunk_workers(1)
         shapes = TestChunkRunner.spy_batches(monkeypatch)
-        run_subspace_floor(10**5, 0.999 * math.log(10**5), 40, 0)
-        assert shapes == [(16, 12), (16, 12), (8, 12)]
+        calls = self.spy_entropy(monkeypatch)
+        run_subspace_floor(10**5, 0.999 * math.log(10**5), 70, 0)
+        assert shapes == [(64, 12), (6, 12)]
+        assert [rows for rows, _ in calls] == [16] * 4 * 49 + [6] * 49
+
+    def test_real_form_holds_the_frame_and_one_column_block_of_it(self, chunk_workers):
+        # s = 6: each column block's real frame [Re F^T; Im F^T] is built
+        # where the block is projected, so no full real copy of the 9.6 MB
+        # frame sits next to it (a copy took the peak to 2x the frame)
+        chunk_workers(1)
+        dim = 10**5
+        tracemalloc.start()
+        try:
+            report = run_subspace_floor(dim, 0.999 * math.log(dim), 50, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.sub_dim == 6
+        assert peak <= 1.3 * 16 * dim * report.sub_dim
 
     def test_oversize_projection_frame_raises_before_sampling(self, monkeypatch):
         # s = 4 at d = 1e7: the 640 MB subspace frame is inside the cap, but
@@ -453,8 +487,7 @@ class TestChunkRunner:
     )
     def test_state_rows_keep_their_chunk_rows_and_workers(self, chunk_workers, dim, rows, pools_made):
         # laws-d1000 runs 262 rows per chunk on 2 workers and a d = 1e5 state
-        # 2 rows on 2; subspace-1e5 counts 32 bytes per column of an
-        # 8192-column block, the bytes of a state at d = 16384, so 16 on 2
+        # 2 rows on 2; a state at d = 16384 is 16 rows on 2
         pools = chunk_workers(2, experiments._PARALLEL_MIN_DIM)
         sizes = []
         experiments._run_chunked(2 * rows, lambda start, stop: sizes.append(stop - start), 16 * dim)
@@ -537,23 +570,23 @@ _CHUNKED_CAMPAIGNS = {
     },
     "inequality-sweep": lambda: payload_bytes(run_inequality_sweep(30, 50, 3)),
     "first-prob-samples": lambda: first_prob_samples(30, 50, 3).tobytes(),
-    "subspace-d34000": lambda: payload_bytes(run_subspace_floor(34000, _SUBSPACE_EPS, 16, 3)),
+    "subspace-d34000": lambda: payload_bytes(run_subspace_floor(34000, _SUBSPACE_EPS, 40, 3)),
+    "subspace-d100000-s6": lambda: payload_bytes(
+        run_subspace_floor(10**5, 0.999 * math.log(10**5), 20, 3)
+    ),
 }
 
 
 @pytest.mark.parametrize("campaign", sorted(_CHUNKED_CAMPAIGNS))
 def test_chunk_rows_do_not_change_bytes(campaign, monkeypatch, chunk_workers):
-    # per-row values reduced in trial order: any rows per chunk, and for the
-    # diagonal campaigns any rows per block of a chunk, give the same bytes
+    # per-row values reduced in trial order: any rows per chunk, and any
+    # rows per block of a chunk, give the same bytes
     run = _CHUNKED_CAMPAIGNS[campaign]
     one, seven = (lambda row_bytes: 1), (lambda row_bytes: 7)
-    blocks = (experiments._block_rows,)
-    if not campaign.startswith("subspace"):
-        blocks += (one, seven)
     outputs = set()
     for size in (one, seven, experiments._chunk_size):
         monkeypatch.setattr(experiments, "_chunk_size", size)
-        for block in blocks:
+        for block in (one, seven, experiments._block_rows):
             monkeypatch.setattr(experiments, "_block_rows", block)
             for cpus in (1, 2):
                 pools = chunk_workers(cpus)

@@ -40,6 +40,7 @@ from cohlab.experiments import (
     run_decomposition_check,
     run_inequality_sweep,
     run_matrix_integral_check,
+    subspace_cr_samples,
 )
 from cohlab.streams import STREAM_VERSION
 
@@ -85,6 +86,19 @@ CASES = {
     "subspace-d100000-s6": lambda: _cli_payload(
         ["subspace", "--dim", "100000", "--eps-frac", "0.999", "--states", "50"]
     ),
+    # the subspace payloads above see only the least C_r, which may keep its
+    # bytes while the others move; these hash every state's C_r (s = 2, the
+    # benchmark's s = 4, and s = 6 on the real-form side)
+    **{
+        name: (lambda dim=dim, frac=frac, n=n: _sha(
+            subspace_cr_samples(dim, frac * math.log(dim), n, SEED).tobytes()
+        ))
+        for name, dim, frac, n in (
+            ("subspace-cr-d34000", 34000, 0.99, 300),
+            ("subspace-cr-d100000-s4", 100000, 0.9, 200),
+            ("subspace-cr-d100000-s6", 100000, 0.999, 100),
+        )
+    },
     **{
         f"sweep-d{d}": (
             lambda d=d: _payload_sha(

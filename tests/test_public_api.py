@@ -66,6 +66,7 @@ PUBLIC_NAMES = [
     "sample_pure_in_subspace",
     "sample_random_decomposition",
     "sample_random_subspace",
+    "subspace_cr_samples",
     "subspace_dimension",
     "subspace_threshold",
     "trace_distance_diag_mm",
