@@ -66,21 +66,17 @@ from .experiments import (
 from .measures import (
     classical_purity,
     coherence_of_formation_pure,
-    decomposition_average_coherence,
     fannes_floor,
     l1_coherence_pure,
     relative_entropy_coherence,
     trace_distance_diag_mm,
 )
 from .sampler import (
-    Decomposition,
     PureState,
     SubspaceBasis,
     ginibre,
     positive_qr,
     sample_haar_pure,
-    sample_pure_in_subspace,
-    sample_random_decomposition,
     sample_random_subspace,
 )
 from .streams import RandomStream, new_generator

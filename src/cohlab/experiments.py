@@ -3,43 +3,29 @@ statistics with their closed-form predictions.
 
 Determinism contract
 --------------------
-Trial ``i`` of a campaign draws from ``RandomStream(master_seed, i)`` (or a
-documented per-work-item index), or, where it needs only a diagonal, from
-its own window of words of the campaign stream of ``master_seed``
-(:func:`cohlab.streams.word_generator`); per-trial
-values are materialized in trial order, and every reduction runs over that
-ordered array (means via exact compensated summation).  Batches come from
-the two batch draws of :mod:`cohlab.sampler` (:func:`~cohlab.sampler.keyed_rows`
-and :func:`~cohlab.sampler.haar_prob_blocks`), and every campaign but the
-decomposition check (a loop over its ensembles) runs its chunks through the
-one chunk runner :func:`_run_chunked`.  Chunk partitions depend on the
-bytes of a drawn row alone and chunk results are combined in chunk order,
-so reports are byte-identical whether the runner fills the chunks serially
-or on a thread pool.  Campaigns that draw diagonals draw and evaluate every
+Which variates each campaign draws from which stream, and the arithmetic
+that turns them into payload bytes, is the stream contract of
+:mod:`cohlab.streams`.  Per-trial values are materialized in trial order,
+and every reduction runs over that ordered array (means via exact
+compensated summation).  Every campaign runs its chunks through the one
+chunk runner :func:`_run_chunked`.  Chunk partitions depend on the bytes of
+a drawn row alone and chunk results are combined in chunk order, so
+reports are byte-identical whether the runner fills the chunks serially or
+on a thread pool.  Campaigns that draw diagonals draw and evaluate every
 chunk in blocks of rows (:func:`_block_rows`): each block is drawn into the
 rows buffer of the worker that fills the chunk, and the kernels run in its
 work buffer, both one block in size and both living only as long as the
-campaign.  The subspace campaign projects its chunks of states (128 at
-s <= 4, 64 above) one fixed block of frame columns at a time, in row
-blocks of states (32 at s <= 4, 16 above) that fill those buffers, and
-sums each state's block entropies in block order, so its bytes depend on d
+campaign.  The subspace campaign and the decomposition check project their
+states through one projector (:func:`_project`): chunks of states (128 at
+s <= 4, 64 above), one fixed block of frame columns at a time, in row
+blocks of states (32 at s <= 4, 16 above) that fill those buffers, summing
+each state's block entropies in block order, so their bytes depend on d
 but not on the chunks or the row blocks either.
-
-Campaigns that need only a Haar state's diagonal draw it as normalised
-standard exponentials (:func:`cohlab.sampler.haar_prob_blocks`): every
-concentration measure, the inequality sweep and :func:`first_prob_samples`.
-Since stream contract v6 trial i of such a campaign in dimension d takes
-words [i d, (i + 1) d) of one PCG64DXSM stream seeded by ``master_seed``,
-so each chunk of trials is one draw by one generator, started at the
-chunk's first word and continued across its blocks, and its
-bytes still depend only on the seed, the trial and d.  A concentration
-trial has the law of ``measure(sample_haar_pure(...))`` but not its value.  The subspace,
-decomposition, matrix-integral and |U_11| campaigns need amplitudes or
-unitaries and draw standard normals from one stream per trial.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -57,12 +43,13 @@ from .errors import (
     VacuousGuaranteeError,
 )
 from .sampler import (
-    Decomposition,
+    _mix_ensemble,
+    ginibre,
     haar_amplitude_rows,
     haar_prob_blocks,
     haar_unitary_rows,
-    sample_pure_in_subspace,
-    sample_random_decomposition,
+    positive_qr,
+    sample_haar_pure,
     sample_random_subspace,
 )
 from .streams import RandomStream
@@ -228,8 +215,8 @@ _PARALLEL_MIN_DIM = 450
 MAX_ALLOC_BYTES = 1 << 30
 
 
-# columns of the subspace frame that subspace_cr_samples projects and
-# reduces at a time.  A chunk streams the frame from memory once, one block
+# columns of the subspace frame that _project projects and reduces at a
+# time.  A chunk streams the frame from memory once, one block
 # of columns after another, and projects each block in row blocks of
 # _SCRATCH_BYTES of products (32 states at s <= 4, 16 above), which reuse
 # the block of the frame (256 KiB of Q at s = 4) from cache.  Row blocks of
@@ -264,9 +251,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_chunked(
-    n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int = 0, scratch_rows: int = 0
-) -> list:
+def _run_chunked(n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int = 0) -> list:
     """``fill(start, stop)`` over the chunks of [0, n), results in chunk order.
 
     ``row_bytes``, the size of one drawn row, sets the rows per chunk
@@ -280,10 +265,10 @@ def _run_chunked(
     With ``scratch_cols``, each worker owns two float64 arrays of
     ``scratch_cols`` columns, rows and work, allocated on its first chunk
     and dropped when the campaign returns.  They have ``min(size, n)`` rows,
-    or ``scratch_rows`` where that is fewer, and every chunk is filled as
-    ``fill(start, stop, rows, work)`` with at most their first
-    ``stop - start`` rows.  ``fill`` may overwrite both but must not return
-    a view of them.
+    or one block of ``_SCRATCH_BYTES`` (:func:`_block_rows`) where that is
+    fewer, and every chunk is filled as ``fill(start, stop, rows, work)``
+    with at most their first ``stop - start`` rows.  ``fill`` may overwrite
+    both but must not return a view of them.
     """
     _check_alloc(row_bytes, "one drawn row")
     _check_alloc(8 * n, f"the values of {n} trials")
@@ -308,7 +293,8 @@ def _run_chunked(
                 # a serial laws iteration (3 campaigns of 77 chunks in blocks
                 # of 65 rows at d=1000) takes 15-18 minor faults, against
                 # about 680 for two allocations
-                scratch = np.empty((2, min(size, n, scratch_rows or size), scratch_cols))
+                rows = min(size, n, _block_rows(8 * scratch_cols))
+                scratch = np.empty((2, rows, scratch_cols))
             try:
                 results[i] = fill(start, stop, *(() if scratch is None else scratch[:, : stop - start]))
             except BaseException:
@@ -352,7 +338,7 @@ def _over_diagonals(dim: int, trials: int, master_seed: int, per_block) -> list:
         blocks = haar_prob_blocks(master_seed, start, stop, dim, rows)
         return [per_block(probs, work[: len(probs)]) for probs in blocks]
 
-    chunks = _run_chunked(trials, fill, 16 * dim, dim, scratch_rows=_block_rows(8 * dim))
+    chunks = _run_chunked(trials, fill, 16 * dim, dim)
     return [result for chunk in chunks for result in chunk]
 
 
@@ -421,25 +407,6 @@ def run_concentration(config: ExperimentConfig) -> ConcentrationReport:
         tails=tails,
         scaled_mean=scaled,
     )
-
-
-def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int, real_rows=lambda s: 0):
-    """The subspace dimension, the floor threshold and a random subspace from
-    stream (master_seed, 0).  s < ``min_s``, a frame past the cap, or a
-    ``real_rows(s)`` x d float64 frame past it (the projection frame Q a
-    campaign builds from the subspace) raises first."""
-    sdim = analytics.subspace_dimension(dim, eps)
-    if sdim.s < min_s:
-        raise VacuousGuaranteeError(
-            f"subspace dimension formula gives s = {sdim.s} at dim={dim}, eps={eps:.6g}, "
-            f"below the s >= {min_s} this campaign needs; a nontrivial guarantee "
-            f"(s >= 2) requires d >= {analytics.MIN_DIM_FOR_NONTRIVIAL_SUBSPACE}"
-        )
-    _check_alloc(16 * dim * sdim.s, f"a {dim} x {sdim.s} subspace frame")
-    rows = real_rows(sdim.s)
-    _check_alloc(8 * rows * dim, f"a {rows} x {dim} projection frame of an s = {sdim.s} subspace")
-    threshold = analytics.subspace_threshold(dim, eps)
-    return sdim, threshold, sample_random_subspace(dim, sdim.s, RandomStream(master_seed, 0))
 
 
 @dataclass
@@ -515,50 +482,43 @@ def _rows_view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
     return buffer.reshape(-1)[: rows * width].reshape(rows, width)
 
 
-def subspace_cr_samples(dim: int, eps: float, n_states: int, master_seed: int) -> np.ndarray:
-    """C_r of each sampled Haar state of one random subspace, in state order.
+def _project(frame: np.ndarray, n: int, coefficients) -> np.ndarray:
+    """C_r of n states of a subspace, in state order: for each chunk
+    [start, stop) of [0, n), the states F c of the rows c of
+    ``coefficients(start, stop)`` in the frame F.
 
-    The subspace draws from stream (master_seed, 0); state j draws from
-    stream (master_seed, j + 1).  Each state's C_r is the sum, in block
-    order, of the entropies of its probabilities over fixed blocks of
-    ``_BLOCK_COLS`` columns.  A chunk of states is projected one column
-    block at a time, in row blocks of ``_SCRATCH_BYTES`` of products, so
-    every row block reuses the column block of the frame from cache.  For
-    s <= 4 a block's probabilities are one real product, coefficient
-    quadratic forms times the frame's (:func:`_quadratic_frame`); above,
-    the product with the block's real frame ``[Re F^T; Im F^T]`` gives the
-    real and imaginary parts of the amplitudes, which are squared and
-    folded.  Raises :class:`~cohlab.errors.VacuousGuaranteeError` when the
-    dimension formula yields s = 0.
+    ``frame`` is what the projection reads: for s <= 4 the real s^2 x d
+    quadratic-form frame Q of F (:func:`_quadratic_frame`), and above F
+    itself, complex d x s.  Each state's C_r is the sum, in block order, of
+    the entropies of its probabilities over fixed blocks of ``_BLOCK_COLS``
+    columns.  A chunk of states is projected one column block at a time, in
+    row blocks of ``_SCRATCH_BYTES`` of products, so every row block reuses
+    the column block of the frame from cache.  With Q a block's
+    probabilities are one real product, coefficient quadratic forms times
+    the block of Q; with F the product with the block's real frame
+    ``[Re F^T; Im F^T]`` gives the real and imaginary parts of the
+    amplitudes, which are squared and folded.
     """
-    if n_states < 1:
-        raise InvalidArgumentError(f"n_states must be >= 1, got {n_states}")
-    sdim, _, basis = _random_subspace(
-        dim, eps, master_seed, 1, lambda s: s * s if _quadratic_form(s) else 0
-    )
-    s = sdim.s
     # product rows per state: its probabilities, or Re psi and Im psi
-    per_state = 1 if _quadratic_form(s) else 2
-    if per_state == 1:
-        q = _quadratic_frame(basis.columns)
-        del basis
-        coefficients, frame_block = _quadratic_coefficients, lambda lo, hi: q[:, lo:hi]
-    else:
-        columns = basis.columns
-        coefficients = _real_coefficients
+    if np.iscomplexobj(frame):
+        dim, per_state, expand = len(frame), 2, _real_coefficients
 
         def frame_block(lo: int, hi: int) -> np.ndarray:
-            f = columns[lo:hi].T
+            f = frame[lo:hi].T
             return np.concatenate((f.real, f.imag))
+    else:
+        dim, per_state, expand = frame.shape[1], 1, _quadratic_coefficients
+
+        def frame_block(lo: int, hi: int) -> np.ndarray:
+            return frame[:, lo:hi]
 
     cols = min(dim, _BLOCK_COLS)
     # both scratch buffers hold per_state * cols float64 per state
     scratch_cols = per_state * cols
-    block = _block_rows(8 * scratch_cols)
 
     def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
-        c = haar_amplitude_rows(master_seed, start + 1, stop + 1, s)
-        coeffs = [(r, coefficients(c[r : r + block])) for r in range(0, stop - start, block)]
+        c, block = coefficients(start, stop), len(rows)
+        coeffs = [(r, expand(c[r : r + block])) for r in range(0, stop - start, block)]
         values = np.zeros(stop - start)
         for lo in range(0, dim, cols):
             width = min(cols, dim - lo)
@@ -574,8 +534,46 @@ def subspace_cr_samples(dim: int, eps: float, n_states: int, master_seed: int) -
                 values[r : r + n] += measures.entropy_from_probs(probs, work=spare)
         return values
 
-    chunks = _run_chunked(n_states, fill, 16 * scratch_cols, scratch_cols, scratch_rows=block)
-    return np.concatenate(chunks)
+    return np.concatenate(_run_chunked(n, fill, 16 * scratch_cols, scratch_cols))
+
+
+def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int):
+    """The dimension s of a random subspace from stream (master_seed, 0) and
+    its projector, ``project(n, coefficients)`` of :func:`_project`.
+
+    s < ``min_s``, a frame past the cap, or for s <= 4 a quadratic-form frame
+    Q past it raises before anything is drawn.  The projector owns the one
+    frame its projection reads, Q or the subspace frame, so no other frame
+    outlives this call.
+    """
+    s = analytics.subspace_dimension(dim, eps).s
+    if s < min_s:
+        raise VacuousGuaranteeError(
+            f"subspace dimension formula gives s = {s} at dim={dim}, eps={eps:.6g}, "
+            f"below the s >= {min_s} this campaign needs; a nontrivial guarantee "
+            f"(s >= 2) requires d >= {analytics.MIN_DIM_FOR_NONTRIVIAL_SUBSPACE}"
+        )
+    _check_alloc(16 * dim * s, f"a {dim} x {s} subspace frame")
+    if _quadratic_form(s):
+        _check_alloc(8 * s * s * dim, f"a {s * s} x {dim} projection frame of an s = {s} subspace")
+    frame = sample_random_subspace(dim, s, RandomStream(master_seed, 0)).columns
+    if _quadratic_form(s):
+        frame = _quadratic_frame(frame)
+    return s, functools.partial(_project, frame)
+
+
+def subspace_cr_samples(dim: int, eps: float, n_states: int, master_seed: int) -> np.ndarray:
+    """C_r of each sampled Haar state of one random subspace, in state order.
+
+    The subspace draws from stream (master_seed, 0); state j draws from
+    stream (master_seed, j + 1), and :func:`_project` projects the states
+    in chunks.  Raises :class:`~cohlab.errors.VacuousGuaranteeError` when the
+    dimension formula yields s = 0.
+    """
+    if n_states < 1:
+        raise InvalidArgumentError(f"n_states must be >= 1, got {n_states}")
+    s, project = _random_subspace(dim, eps, master_seed, 1)
+    return project(n_states, lambda start, stop: haar_amplitude_rows(master_seed, start + 1, stop + 1, s))
 
 
 def run_subspace_floor(
@@ -623,7 +621,7 @@ class DecompositionCheckReport:
     master_seed: int
 
 
-def run_decomposition_check(
+def _decomposition_averages(
     dim: int,
     eps: float,
     n_ensembles: int,
@@ -631,15 +629,18 @@ def run_decomposition_check(
     master_seed: int,
     ensemble_size: int = 2,
     n_redecompositions: int = 5,
-) -> DecompositionCheckReport:
-    """Check that sampled decomposition averages stay above the floor.
+) -> np.ndarray:
+    """The sampled decomposition averages of C_r, in ensemble order: each
+    ensemble's own, then those of its re-decompositions.
 
-    Mixed states are built as random ensembles of Haar states inside one
-    random subspace (stream 0); ensemble e consumes stream e + 1 for its
-    states, weights, and re-decompositions.  Every member of every sampled
-    re-decomposition lies in the subspace, so each average diagonal entropy
-    should exceed H_d - 1 - eps; ``violations`` counts sampled averages
-    below it.
+    Mixed states are random ensembles of Haar states inside one random
+    subspace (stream 0); ensemble e draws from stream e + 1 the coefficients
+    of its states (Haar states of dimension s), their exponential weights,
+    and then the Ginibre matrix of each mixing isometry.  Every member of
+    every ensemble is F k for its coefficient row k in the frame F, so the
+    ensembles are mixed in coefficient space, the members of all of them are
+    projected in one pass of the subspace projector, and each average is the
+    dot product of the weights with its members' C_r.
     """
     if n_ensembles < 1:
         raise InvalidArgumentError(f"n_ensembles must be >= 1, got {n_ensembles}")
@@ -652,33 +653,56 @@ def run_decomposition_check(
     if n_redecompositions < 0:
         raise InvalidArgumentError("n_redecompositions must be >= 0")
     # a mixed-state ensemble needs two independent directions
-    sdim, threshold, basis = _random_subspace(dim, eps, master_seed, 2)
+    s, project = _random_subspace(dim, eps, master_seed, 2)
 
-    averages = []
+    ensembles = []
     for ensemble_idx in range(n_ensembles):
         stream = RandomStream(master_seed, ensemble_idx + 1)
-        states = [
-            sample_pure_in_subspace(basis, stream) for _ in range(ensemble_size)
-        ]
-        raw_w = stream.generator.standard_exponential(ensemble_size)
-        dec = Decomposition(weights=raw_w / raw_w.sum(), states=states)
-        averages.append(measures.decomposition_average_coherence(dec))
+        c = np.array([sample_haar_pure(s, stream).amplitudes for _ in range(ensemble_size)])
+        p = stream.generator.standard_exponential(ensemble_size)
+        p /= p.sum()
+        ensembles.append((p, c))
         for _ in range(n_redecompositions):
-            redec = sample_random_decomposition(dec, m_out, stream)
-            averages.append(measures.decomposition_average_coherence(redec))
+            isometry = positive_qr(ginibre(stream.generator, m_out, ensemble_size))
+            ensembles.append(_mix_ensemble(p, c, isometry))
 
-    averages_arr = np.asarray(averages)
+    weights, rows = zip(*ensembles)
+    members = np.concatenate(rows)
+    values = project(len(members), lambda start, stop: members[start:stop])
+    per_ensemble = np.split(values, np.cumsum([len(w) for w in weights])[:-1])
+    return np.array([np.dot(w, v) for w, v in zip(weights, per_ensemble)])
+
+
+def run_decomposition_check(
+    dim: int,
+    eps: float,
+    n_ensembles: int,
+    m_out: int,
+    master_seed: int,
+    ensemble_size: int = 2,
+    n_redecompositions: int = 5,
+) -> DecompositionCheckReport:
+    """Check that sampled decomposition averages stay above the floor.
+
+    Every member of every sampled ensemble lies in the subspace, so each
+    average diagonal entropy (:func:`_decomposition_averages`) should exceed
+    H_d - 1 - eps; ``violations`` counts sampled averages below it.
+    """
+    averages = _decomposition_averages(
+        dim, eps, n_ensembles, m_out, master_seed, ensemble_size, n_redecompositions
+    )
+    threshold = analytics.subspace_threshold(dim, eps)
     return DecompositionCheckReport(
         dim=dim,
         eps=eps,
-        sub_dim=sdim.s,
+        sub_dim=analytics.subspace_dimension(dim, eps).s,
         threshold=threshold,
         n_ensembles=n_ensembles,
         ensemble_size=ensemble_size,
         m_out=m_out,
         n_redecompositions=n_redecompositions,
-        min_average=float(averages_arr.min()),
-        violations=int(np.count_nonzero(averages_arr < threshold)),
+        min_average=float(averages.min()),
+        violations=int(np.count_nonzero(averages < threshold)),
         master_seed=master_seed,
     )
 

@@ -17,8 +17,8 @@ shape of ``probs``, and the mixedness two; a caller may pass the first as
 ``work``, a float64 array of that shape that is overwritten, with the same
 result bytes.  The scalar functions take one :class:`~cohlab.sampler.PureState`
 and delegate to the same kernels, so both paths share one numerical
-definition; the decomposition check sums :func:`relative_entropy_coherence`
-over ensemble members.
+definition.  A kernel's bytes are part of the payload bytes that the stream
+contract (:mod:`cohlab.streams`) pins.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .sampler import Decomposition, PureState
+from .sampler import PureState
 
 # probabilities at or below this are treated as exact zeros (0 ln 0 = 0)
 _ZERO_PROB = 1e-300
@@ -158,16 +158,6 @@ def coherence_of_formation_pure(psi: PureState) -> float:
     equals the relative entropy of coherence exactly.
     """
     return relative_entropy_coherence(psi)
-
-
-def decomposition_average_coherence(dec: Decomposition) -> float:
-    """Weighted average of member diagonal entropies, sum_a p_a S(rho_D(psi_a)).
-
-    For any decomposition of a mixed state this upper-bounds its coherence
-    of formation (the convex-roof minimum over decompositions).
-    """
-    entropies = [relative_entropy_coherence(s) for s in dec.states]
-    return float(np.dot(dec.weights, entropies))
 
 
 def fannes_floor(psi: PureState) -> float:

@@ -1,50 +1,30 @@
-"""Haar-distributed sampling of pure states, unitaries, subspaces, and
-ensemble decompositions.
+"""Haar-distributed sampling of pure states, unitaries and subspaces, and
+the mixing of ensembles.
 
-Every operation draws from a :class:`~cohlab.streams.RandomStream`, so any
-sample can be reproduced from its ``(master_seed, stream_index)`` pair; a
-batch of diagonals, from its seed and trials.
-Pure states are generated by normalizing a complex Gaussian vector, which
-is distributed exactly like ``U |psi_0>`` for Haar ``U`` (rotation
-invariance of the Gaussian) at O(d) instead of O(d^2) cost.  Unitaries,
-mixing isometries and subspace frames are the Q factors of complex Ginibre
-matrices with a positive real R diagonal; plain QR output, whose R diagonal
-has arbitrary phases, is NOT Haar-distributed.  Unitaries and isometries
-come from Householder QR with the R-diagonal phase correction
-(:func:`positive_qr`).  A d x s subspace frame, which at large d is the
-largest array a campaign draws, is orthonormalised in the drawn array by two
-passes of Cholesky QR over fixed blocks of rows, whose R diagonal is
-positive by construction (stream contract v7), so the frame phase holds the
-frame and one block.
+Every draw comes from a :mod:`cohlab.streams` generator, so any sample can
+be reproduced from its stream.  Which campaign draws what from which
+stream is the stream contract, stated once in :mod:`cohlab.streams`.
+Pure states are normalized complex Gaussian vectors, which are
+distributed exactly like ``U |psi_0>`` for Haar ``U`` at O(d) instead of
+O(d^2) cost.  Unitaries, mixing isometries and subspace frames are the Q
+factors of complex Ginibre matrices with a positive real R diagonal; plain
+QR output, whose R diagonal has arbitrary phases, is NOT Haar-distributed.
+Unitaries and isometries come from Householder QR with the R-diagonal
+phase correction (:func:`positive_qr`); a d x s subspace frame, at large d
+the largest array a campaign draws, is orthonormalised in the drawn array
+by two passes of Cholesky QR over fixed blocks of rows, so the frame phase
+holds the frame and one block.
 
-Campaigns draw whole batches of rows.  Under stream contract v7
-(:data:`~cohlab.streams.STREAM_VERSION`) a batch is one of two draws:
-
-* standard normals, for whatever needs amplitudes or unitaries, from
-  :func:`keyed_rows`: row r comes from stream ``(master_seed, first + r)``.
-  A batch constructs one generator and keys it to each row's stream
-  (:func:`~cohlab.streams.stream_setter`, built once per batch), so keying
-  costs a state reset per row, and concurrent batches never share a
-  generator.  On it build :func:`haar_amplitude_rows`, whose row r is
-  :func:`sample_haar_pure` on stream ``(master_seed, first + r)``, and
-  :func:`haar_unitary_rows`, which stacks phase-corrected QR factors of
-  Ginibre matrices;
-* standard exponentials, for whatever needs only the diagonal
-  p_i = |psi_i|^2 of a Haar state: :func:`haar_prob_rows` divides d
-  exponentials by their sum, which is Dirichlet(1, ..., 1), the law of that
-  diagonal.  Trial i takes its d uniforms from words [i d, (i + 1) d) of
-  the one PCG64DXSM campaign stream of ``master_seed``, so a batch is one
-  contiguous run of words, drawn by one generator that
-  :func:`~cohlab.streams.word_generator` starts at the batch's first word.
-  :func:`haar_prob_blocks` draws it in consecutive blocks of rows
-  into a caller's buffer, one generator continuing across them, so a
-  campaign can reuse one small buffer for all of its trials.  Its rows have
-  the law of ``|sample_haar_pure(...)|^2`` but not its values.
+Campaigns draw whole batches of rows: standard normals from
+:func:`keyed_rows`, row r from stream ``(master_seed, first + r)`` through
+one generator rekeyed per row (:func:`haar_amplitude_rows`,
+:func:`haar_unitary_rows`), and Haar diagonals from
+:func:`haar_prob_blocks`, one run of words of the campaign stream drawn in
+consecutive blocks of a caller's buffer.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +34,6 @@ from .streams import RandomStream, new_generator, stream_setter, word_generator
 
 _NORM_ATOL = 1e-12
 _ORTHO_ATOL = 1e-10
-_WEIGHT_SUM_ATOL = 1e-12
 _GRAM_ATOL = 1e-9
 # numerical noise floor for dropping zero-weight ensemble members; well
 # below any weight scale used in practice
@@ -108,41 +87,6 @@ class SubspaceBasis:
     @property
     def sub_dim(self) -> int:
         return self.columns.shape[1]
-
-
-@dataclass
-class Decomposition:
-    """Weighted pure-state ensemble {p_a, |psi_a>} of one density matrix."""
-
-    weights: np.ndarray
-    states: list[PureState]
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise InvalidArgumentError("weights must be a nonempty 1-d vector")
-        if w.min() < 0.0:
-            raise InvalidArgumentError("weights must be nonnegative")
-        total = float(w.sum())
-        if abs(total - 1.0) > _WEIGHT_SUM_ATOL:
-            raise InvalidArgumentError(f"weights must sum to 1, got {total!r}")
-        states = list(self.states)
-        if len(states) != w.size:
-            raise InvalidArgumentError("weights and states must have equal length")
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise InvalidArgumentError("all ensemble states must share one dimension")
-        self.weights = w
-        self.states = states
-
-    @property
-    def size(self) -> int:
-        return self.weights.size
-
-    def density_matrix(self) -> np.ndarray:
-        """Dense d x d reconstruction sum_a p_a |psi_a><psi_a| (small d only)."""
-        psi = np.stack([s.amplitudes for s in self.states])
-        return (psi.T * self.weights) @ psi.conj()
 
 
 def _complex_normals(normals: np.ndarray) -> np.ndarray:
@@ -325,65 +269,36 @@ def sample_random_subspace(dim: int, sub_dim: int, stream: RandomStream) -> Subs
     return SubspaceBasis(frame)
 
 
-def sample_pure_in_subspace(basis: SubspaceBasis, stream: RandomStream) -> PureState:
-    """Draw a Haar pure state supported on the given subspace.
+def _mix_ensemble(
+    weights: np.ndarray, coefficients: np.ndarray, isometry: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re-decompose the ensemble {p_a, c_a} of one density matrix
+    sum_a p_a c_a c_a^dag through a mixing isometry.
 
-    A Haar state of the subspace dimension is drawn and mapped through the
-    frame columns; the result is unit norm in the ambient dimension.
+    With W an m_out x m matrix satisfying W^dag W = I, the rows
+    k_b = sum_a W_ba sqrt(p_a) c_a carry weights q_b = |k_b|^2 and
+    reproduce the same density matrix.  Rows with q_b below
+    ``ZERO_WEIGHT_DROP`` are dropped; returns the weights normalised to sum
+    to 1 and the rows normalised to unit length.  Where the c_a are the
+    coefficients of states F c_a in an orthonormal frame F, the mixed states
+    are F k_b, of the same norms, so the ensemble is mixed in coefficient
+    space.
     """
-    coeff = _unit_rows(stream.generator.standard_normal(2 * basis.sub_dim))
-    return PureState(basis.columns @ coeff)
-
-
-def _mix_ensemble(seed_ensemble: Decomposition, isometry: np.ndarray) -> Decomposition:
-    """Re-decompose the ensemble's density matrix through a mixing isometry.
-
-    With W an m_out x m matrix satisfying W^dag W = I, the unnormalized
-    vectors |phi_b> = sum_a W_ba sqrt(p_a) |psi_a> carry weights
-    q_b = <phi_b|phi_b> and reproduce the same density matrix.  Members
-    with q_b below ``ZERO_WEIGHT_DROP`` are dropped and the weights
-    renormalized.
-    """
-    w = np.ascontiguousarray(isometry, dtype=np.complex128)
-    m = seed_ensemble.size
-    if w.ndim != 2 or w.shape[1] != m:
-        raise InvalidArgumentError(
-            f"mixing matrix must have {m} columns, got shape {w.shape}"
-        )
-    if np.abs(w.conj().T @ w - np.eye(m)).max() > _ORTHO_ATOL:
+    m = len(weights)
+    defect = np.abs(isometry.conj().T @ isometry - np.eye(m)).max()
+    if not defect <= _ORTHO_ATOL:  # a NaN defect fails too
         raise InvalidArgumentError("mixing matrix is not an isometry")
-
-    coeff = w * np.sqrt(seed_ensemble.weights)[None, :]
+    mix = isometry * np.sqrt(weights)
     # Gram-data check that the output decomposes the same density matrix:
-    # coefficient-space identity C^dag C = diag(p).
-    defect = np.abs(coeff.conj().T @ coeff - np.diag(seed_ensemble.weights)).max()
-    if defect > _GRAM_ATOL:
+    # coefficient-space identity C^dag C = diag(p)
+    defect = np.abs(mix.conj().T @ mix - np.diag(weights)).max()
+    if not defect <= _GRAM_ATOL:
         raise InvalidArgumentError(
             f"re-decomposition does not preserve the density matrix "
             f"(coefficient Gram defect {defect:.3e})"
         )
-
-    psi = np.stack([s.amplitudes for s in seed_ensemble.states])
-    phi = coeff @ psi
-    q = (phi.real**2 + phi.imag**2).sum(axis=1)
+    k = mix @ coefficients
+    q = (k.real**2 + k.imag**2).sum(axis=1)
     keep = q >= ZERO_WEIGHT_DROP
-    phi, q = phi[keep], q[keep]
-    states = [PureState(phi[b] / math.sqrt(q[b])) for b in range(q.size)]
-    return Decomposition(weights=q / q.sum(), states=states)
-
-
-def sample_random_decomposition(
-    seed_ensemble: Decomposition, m_out: int, stream: RandomStream
-) -> Decomposition:
-    """Draw a random size-m_out re-decomposition of the same density matrix.
-
-    The mixing matrix is a Haar random isometry (first ``size`` columns of
-    a Haar unitary of dimension m_out), sampled by phase-corrected QR.
-    Requires ``m_out >= seed_ensemble.size``.
-    """
-    if m_out < seed_ensemble.size:
-        raise InvalidArgumentError(
-            f"m_out must be >= ensemble size {seed_ensemble.size}, got {m_out}"
-        )
-    w = positive_qr(ginibre(stream.generator, m_out, seed_ensemble.size))
-    return _mix_ensemble(seed_ensemble, w)
+    q = q[keep]
+    return q / q.sum(), k[keep] / np.sqrt(q)[:, None]

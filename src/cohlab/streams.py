@@ -1,78 +1,32 @@
-"""Deterministic random streams.
+"""Deterministic random streams, and the stream contract.
 
-A stream is identified by the pair ``(master_seed, stream_index)``.
-Identical pairs always reproduce the same draw sequence; distinct stream
-indices give statistically independent streams.  This makes a stream the
-unit of parallelism: any number of workers may consume disjoint streams
-concurrently and the combined experiment stays bit-reproducible.
-
-Streams are backed by the Philox counter-based bit generator with the
-128-bit key set directly to ``(master_seed, stream_index)``, so stream
-derivation is a pure function of the pair and involves no shared seeding
-state.  Because a Philox stream is its key plus a counter, one generator
-can serve many streams in turn: :func:`stream_setter` points an existing
-generator at the start of another stream, which draws exactly what a fresh
-:func:`new_generator` for that pair would, at a fraction of the cost of
-constructing one.
+A stream ``(master_seed, stream_index)`` is a Philox generator keyed by the
+pair (:func:`new_generator`): equal pairs replay the same draws and distinct
+indices are independent.  :func:`stream_setter` points one generator at
+the start of another stream, drawing what a fresh one would, for less.
 
 :data:`STREAM_VERSION` names the stream contract: which variates each
-campaign draws from which stream.  It changes only with a deliberate change
-of the sampled bytes, together with the golden payloads that pin them.
-Version 2 drew standard exponentials, d from each trial's stream, for
-campaigns that need only a Haar state's diagonal (every concentration
-measure, the inequality sweep and the outcome-probability samples) and
-standard normals for amplitudes, unitaries and subspace frames; version 1
-drew normals everywhere.  Version 3 changed no variate, only the way the
-subspace campaign sums each state's entropy: over fixed blocks of columns,
-in block order, which moves some of its C_r values by about 1 ulp.
+campaign draws from which stream, and the arithmetic that turns them into
+payload bytes.  It changes only deliberately, with the golden payloads that
+pin it; the README keeps the history of its versions.  Under version 9:
 
-Version 4 changes no variate either.  For subspaces of s <= 4 dimensions
-the subspace campaign computes each probability p_i = |sum_j F_ij c_j|^2
-as one real quadratic form in the coefficients c, as a sum of
-|F_ij|^2 |c_j|^2 and 2 Re(conj(F_ij) F_ik conj(c_j) c_k) over j < k, not by
-squaring and adding the real and imaginary parts of psi_i; that moves some
-of its C_r values by about 1 ulp.  Above s = 4 its bytes are those of
-version 3.
-
-Version 5 draws the Haar diagonals from one stream per campaign instead of
-one stream per trial.  Trial i of a campaign of d-dimensional diagonals
-takes the 64-bit words [i d, (i + 1) d) of one stream, makes them doubles
-u as ``Generator.random`` does and uses the exponentials e = -ln(1 - u).
-Because d >= 1 these windows never overlap, and a trial's words still
-depend only on (master_seed, i, d), so chunking and threads leave the
-bytes as they were; a chunk of trials is one contiguous run of words.
-Only the diagonal campaigns change: every concentration measure, the
-inequality sweep and the outcome-probability samples.  Amplitudes,
-unitaries, subspaces and decompositions keep their per-trial streams of
-standard normals.  Version 5 took the words from Philox stream
-(master_seed, 0).
-
-Version 6 takes them from one PCG64DXSM stream per campaign, seeded by
-``SeedSequence(master_seed mod 2**64)``, with the same windows and the same
-transform; :func:`word_generator` starts a generator at any word of it.
-So there are two generator families, each for what it does cheaply.
-Per-trial streams of normals stay on Philox, whose key is the whole stream
-identity: rekeying one generator per trial is a state reset
-(:func:`stream_setter`).  The campaign stream of diagonals is one long run
-of words that each chunk enters at its own word: PCG64DXSM seeks there
-natively with ``advance`` and fills doubles about twice as fast as Philox.
-Only the diagonal campaigns change bytes.
-
-Version 7 changes no variate.  The subspace frame, the Q factor with a
-positive real R diagonal of a d x s Ginibre draw, is computed in the drawn
-array by two passes of Cholesky QR, each summing the Gram A^H A over fixed
-blocks of rows, in block order, and rescaling each block by R^-1, where it
-was a Householder QR with the R-diagonal phase fix.  That factor is unique,
-so the frame has the same law and the same value up to rounding; only the
-subspace and decomposition campaigns, whose states live in the frame, can
-change bytes.  Unitaries and mixing isometries keep the Householder route.
-
-Version 8 changes no variate either.  The subspace campaign still sums each
-state's entropy over fixed blocks of frame columns in block order, but the
-blocks are 2048 columns wide where they were 8192, so that a row block of
-32 states (16 above s = 4) fits the 512 KiB scratch block of the diagonal
-campaigns.  More, narrower blocks round differently, which moves some of
-its C_r values by a few ulps; only the subspace campaign can change bytes.
+* Haar diagonals (concentration measures, inequality sweep, outcome
+  probabilities): trial i in dimension d takes words [i d, (i + 1) d) of the
+  PCG64DXSM campaign stream of ``SeedSequence(master_seed mod 2**64)``
+  (:func:`word_generator`) as doubles u, and is e / sum e, e = -ln(1 - u).
+* Unitaries: trial i is the Householder QR factor, with a positive real R
+  diagonal, of a Ginibre matrix from stream (master_seed, i).
+* Subspaces: the d x s frame is a Ginibre draw from stream (master_seed, 0),
+  orthonormalised in place by two passes of Cholesky QR, each summing the
+  Gram over fixed row blocks.  Subspace state j has the unit-normalised
+  normals of stream (master_seed, j + 1) as coefficients.  Decomposition
+  ensemble e draws from stream (master_seed, e + 1) its state coefficients,
+  exponential weights and the Ginibre draw of each mixing isometry, and is
+  mixed in coefficient space.  A state's C_r sums, in block order, the
+  entropies over fixed blocks of 2048 frame columns of its probabilities:
+  quadratic forms of its coefficients times the frame's for s <= 4, else
+  the squared real and imaginary parts of its amplitudes.
+No chunking, blocking or thread count changes a byte.
 """
 
 from __future__ import annotations
@@ -81,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STREAM_VERSION = "8"
+STREAM_VERSION = "9"
 
 _UINT64_MASK = (1 << 64) - 1
 # counter and output buffer of a Philox state at the start of a stream

@@ -67,7 +67,7 @@ ENVELOPE_COMMANDS = {
 def test_envelope_carries_stream_version(capsys, command):
     env = run_json(capsys, ENVELOPE_COMMANDS[command])
     assert env["command"] == command
-    assert env["stream_version"] == "8"
+    assert env["stream_version"] == "9"
     assert set(env) == {"schema_version", "stream_version", "command", "timestamp_utc", "payload"}
 
 

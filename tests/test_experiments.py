@@ -13,6 +13,7 @@ from cohlab import experiments, measures, sampler
 from cohlab.analytics import (
     MIN_DIM_FOR_NONTRIVIAL_SUBSPACE,
     expected_cr,
+    subspace_dimension,
     subspace_threshold,
 )
 from cohlab.errors import (
@@ -31,7 +32,7 @@ from cohlab.experiments import (
     run_subspace_floor,
 )
 from cohlab.sampler import sample_haar_pure
-from cohlab.streams import RandomStream, word_generator
+from cohlab.streams import RandomStream, new_generator, word_generator
 
 
 def payload_bytes(report):
@@ -328,7 +329,55 @@ class TestSubspaceFloor:
             run_subspace_floor(dim, eps, 1, 0)
 
 
+def decomposition_averages_in_c_d(dim, eps, n_ensembles, m_out, seed, ensemble_size, n_redecompositions):
+    """The d-dimensional route, in plain numpy on the campaign's frame and
+    isometries: every member is a state psi = F c of C^d, ensembles are
+    mixed in C^d, and each member's entropy sums all d of its probabilities
+    at once."""
+    s = subspace_dimension(dim, eps).s
+    frame = sampler.sample_random_subspace(dim, s, RandomStream(seed, 0)).columns
+
+    def entropy(psi):
+        p = psi.real**2 + psi.imag**2
+        p = p[p > 0.0]
+        return -np.sum(p * np.log(p))
+
+    averages = []
+    for ensemble in range(n_ensembles):
+        gen = new_generator(seed, ensemble + 1)
+        z = gen.standard_normal((ensemble_size, 2 * s)).view(np.complex128)
+        psi = (z / np.linalg.norm(z, axis=1, keepdims=True)) @ frame.T
+        raw = gen.standard_exponential(ensemble_size)
+        p = raw / raw.sum()
+        averages.append(p @ [entropy(x) for x in psi])
+        for _ in range(n_redecompositions):
+            w = sampler.positive_qr(sampler.ginibre(gen, m_out, ensemble_size))
+            phi = (w * np.sqrt(p)) @ psi
+            q = (phi.real**2 + phi.imag**2).sum(axis=1)
+            keep = q >= sampler.ZERO_WEIGHT_DROP
+            phi, q = phi[keep] / np.sqrt(q[keep])[:, None], q[keep]
+            averages.append((q / q.sum()) @ [entropy(x) for x in phi])
+    return np.array(averages)
+
+
 class TestDecompositionCheck:
+    @pytest.mark.parametrize(
+        "dim, eps_frac, sub_dim, ensemble_size, m_out",
+        # the quadratic-form projection at s = 2 and at criterion 8's s = 4,
+        # and the real form at s = 6
+        [(34000, 0.99, 2, 2, 4), (10**5, 0.9, 4, 3, 5), (10**5, 0.999, 6, 2, 4)],
+    )
+    def test_coefficient_route_matches_the_d_dimensional_route(
+        self, dim, eps_frac, sub_dim, ensemble_size, m_out
+    ):
+        eps = eps_frac * math.log(dim)
+        assert subspace_dimension(dim, eps).s == sub_dim
+        args = (dim, eps, 4, m_out, 9, ensemble_size, 3)
+        averages = experiments._decomposition_averages(*args)
+        oracle = decomposition_averages_in_c_d(*args)
+        assert averages.shape == oracle.shape == (16,)
+        assert np.abs(averages / oracle - 1.0).max() <= 1e-12
+
     def test_requires_s_at_least_2(self):
         eps = 0.8 * math.log(34000)  # s = 1
         with pytest.raises(VacuousGuaranteeError, match=str(MIN_DIM_FOR_NONTRIVIAL_SUBSPACE)):
@@ -341,6 +390,19 @@ class TestDecompositionCheck:
         monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
         with pytest.raises(MemoryError, match="subspace frame"):
             run_decomposition_check(10**30, 0.5 * math.log(10**30), 2, 4, 0)
+
+    def test_oversize_projection_frame_raises_before_sampling(self, monkeypatch):
+        # s = 4 at d = 1e7: the 640 MB subspace frame is inside the cap, but
+        # its quadratic-form frame of 8 d s^2 bytes (1.28 GB) is not
+        dim, eps = 10**7, 0.14 * math.log(10**7)
+        assert 16 * dim * 4 <= experiments.MAX_ALLOC_BYTES < 8 * dim * 16
+
+        def allocate(*args):
+            raise AssertionError("a refused frame reached the sampler")
+
+        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
+        with pytest.raises(MemoryError, match="16 x 10000000 projection frame"):
+            run_decomposition_check(dim, eps, 1, 2, 0)
 
     def test_rejects_small_m_out(self):
         eps = 0.999 * math.log(34000)
@@ -574,6 +636,10 @@ _CHUNKED_CAMPAIGNS = {
     "subspace-d100000-s6": lambda: payload_bytes(
         run_subspace_floor(10**5, 0.999 * math.log(10**5), 20, 3)
     ),
+    # 30 members of 3 ensembles and their re-decompositions, in one projection
+    "decomposition-d34000": lambda: experiments._decomposition_averages(
+        34000, _SUBSPACE_EPS, 3, 4, 3, 2, 2
+    ).tobytes(),
 }
 
 

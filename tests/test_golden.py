@@ -35,6 +35,7 @@ import pytest
 from cohlab.cli import main
 from cohlab.experiments import (
     MEASURE_KINDS,
+    _decomposition_averages,
     first_prob_samples,
     ks_distance_u11,
     run_decomposition_check,
@@ -112,6 +113,18 @@ CASES = {
     "decomposition-d34000": lambda: _payload_sha(
         dataclasses.asdict(run_decomposition_check(34000, 0.99 * math.log(34000), 3, 4, SEED, 2, 2))
     ),
+    # the decomposition payload above sees only the least average, which
+    # kept its bytes when v9 moved the check into coefficient space; these
+    # hash every average (s = 2, and s = 6 on the real-form side)
+    **{
+        name: (lambda dim=dim, frac=frac: _sha(
+            _decomposition_averages(dim, frac * math.log(dim), 3, 4, SEED, 2, 2).tobytes()
+        ))
+        for name, dim, frac in (
+            ("decomposition-averages-d34000", 34000, 0.99),
+            ("decomposition-averages-d100000-s6", 100000, 0.999),
+        )
+    },
     **{
         f"first-prob-d{d}": (lambda d=d: _sha(first_prob_samples(d, 5000, SEED).tobytes()))
         for d in (2, 100)

@@ -10,7 +10,6 @@ from cohlab.measures import (
     _probs,
     classical_purity,
     coherence_of_formation_pure,
-    decomposition_average_coherence,
     entropy_from_probs,
     fannes_floor,
     fannes_floor_from_probs,
@@ -22,7 +21,7 @@ from cohlab.measures import (
     trace_distance_diag_mm,
     trdist_mm_from_probs,
 )
-from cohlab.sampler import Decomposition, PureState, sample_random_decomposition
+from cohlab.sampler import PureState, _mix_ensemble, ginibre, positive_qr
 from cohlab.streams import RandomStream
 
 from conftest import random_state_vector
@@ -162,17 +161,31 @@ class TestCoherenceOfFormation:
 
 
 class TestDecompositionAverage:
+    """Weighted member C_r of ensembles mixed in coefficient space, with the
+    identity frame: the coefficient rows are the states."""
+
+    @staticmethod
+    def average(weights, rows):
+        return float(np.dot(weights, [relative_entropy_coherence(PureState(r)) for r in rows]))
+
+    @staticmethod
+    def redecompose(weights, rows, m_out, stream):
+        isometry = positive_qr(ginibre(stream.generator, m_out, len(weights)))
+        return _mix_ensemble(weights, rows, isometry)
+
     def test_single_state(self, rng):
-        psi = PureState(random_state_vector(5, rng))
-        dec = Decomposition(np.array([1.0]), [psi])
-        avg = decomposition_average_coherence(dec)
-        assert abs(avg - relative_entropy_coherence(psi)) < 1e-15
+        # every member of a mixed one-state ensemble is the state up to phase
+        psi = random_state_vector(5, rng)
+        weights, rows = self.redecompose(np.array([1.0]), psi[None], 4, RandomStream(3, 0))
+        assert len(rows) == 4
+        avg = self.average(weights, rows)
+        assert abs(avg - relative_entropy_coherence(PureState(psi))) < 1e-15
 
     def test_incoherent_ensemble(self):
-        e1 = PureState(np.array([1, 0], dtype=complex))
-        e2 = PureState(np.array([0, 1], dtype=complex))
-        dec = Decomposition(np.array([0.5, 0.5]), [e1, e2])
-        assert decomposition_average_coherence(dec) == 0.0
+        # a permutation of basis states is an isometric mix with C_r 0 each
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        weights, rows = _mix_ensemble(np.array([0.5, 0.5]), np.eye(2, dtype=complex), swap)
+        assert self.average(weights, rows) == 0.0
 
     def test_averages_bound_formation_from_above(self, rng):
         # every decomposition average >= C_f >= C_r of the mixed state
@@ -181,12 +194,12 @@ class TestDecompositionAverage:
             states = [PureState(random_state_vector(3, rng)) for _ in range(2)]
             raw = rng.random(2)
             weights = raw / raw.sum()
-            dec = Decomposition(weights, states)
+            rows = np.array([s.amplitudes for s in states])
             floor = cr_rank2_mixture(weights, states)
-            assert decomposition_average_coherence(dec) >= floor - 1e-9
+            assert self.average(weights, rows) >= floor - 1e-9
             for trial in range(4):
-                redec = sample_random_decomposition(dec, 4, RandomStream(7, trial))
-                assert decomposition_average_coherence(redec) >= floor - 1e-9
+                redec = self.redecompose(weights, rows, 4, RandomStream(7, trial))
+                assert self.average(*redec) >= floor - 1e-9
 
 
 class TestBinaryEntropy:

@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "CheckResult",
     "CohlabError",
     "ConcentrationReport",
-    "Decomposition",
     "DecompositionCheckReport",
     "EULER_GAMMA",
     "ExperimentConfig",
@@ -33,7 +32,6 @@ PUBLIC_NAMES = [
     "beta",
     "classical_purity",
     "coherence_of_formation_pure",
-    "decomposition_average_coherence",
     "digamma_integer",
     "expected_classical_purity",
     "expected_cr",
@@ -63,8 +61,6 @@ PUBLIC_NAMES = [
     "run_matrix_integral_check",
     "run_subspace_floor",
     "sample_haar_pure",
-    "sample_pure_in_subspace",
-    "sample_random_decomposition",
     "sample_random_subspace",
     "subspace_cr_samples",
     "subspace_dimension",

@@ -8,7 +8,6 @@ from cohlab.errors import InvalidArgumentError, InvalidDimensionError
 from cohlab.experiments import first_prob_samples
 from cohlab.measures import relative_entropy_coherence
 from cohlab.sampler import (
-    Decomposition,
     PureState,
     SubspaceBasis,
     _mix_ensemble,
@@ -17,13 +16,23 @@ from cohlab.sampler import (
     haar_unitary_rows,
     positive_qr,
     sample_haar_pure,
-    sample_pure_in_subspace,
-    sample_random_decomposition,
     sample_random_subspace,
 )
 from cohlab.streams import RandomStream, new_generator
 
 from conftest import random_state_vector
+
+
+def subspace_state(basis, stream):
+    """A Haar state of the subspace, F c for a Haar state c of C^s: the
+    states the subspace campaigns project."""
+    return basis.columns @ sample_haar_pure(basis.sub_dim, stream).amplitudes
+
+
+def haar_isometry(m_out, m, stream):
+    """A Haar m_out x m mixing isometry, drawn as the decomposition check
+    draws it."""
+    return positive_qr(ginibre(stream.generator, m_out, m))
 
 
 def haar_prob_moment_exact(d, k):
@@ -60,29 +69,11 @@ class TestTypes:
             SubspaceBasis(np.eye(2, 3, dtype=complex))
 
     def test_decomposition_rejects_negative_weights(self):
-        e1 = PureState(np.array([1, 0], dtype=complex))
-        e2 = PureState(np.array([0, 1], dtype=complex))
-        with pytest.raises(InvalidArgumentError):
-            Decomposition(np.array([1.5, -0.5]), [e1, e2])
-
-    def test_decomposition_rejects_bad_sum(self):
-        e1 = PureState(np.array([1, 0], dtype=complex))
-        with pytest.raises(InvalidArgumentError):
-            Decomposition(np.array([0.5]), [e1])
-
-    def test_decomposition_rejects_mixed_dims(self):
-        e1 = PureState(np.array([1, 0], dtype=complex))
-        e2 = PureState(np.array([1, 0, 0], dtype=complex))
-        with pytest.raises(InvalidArgumentError):
-            Decomposition(np.array([0.5, 0.5]), [e1, e2])
-
-    def test_density_matrix_reconstruction(self, rng):
-        states = [PureState(random_state_vector(3, rng)) for _ in range(2)]
-        dec = Decomposition(np.array([0.3, 0.7]), states)
-        expected = 0.3 * np.outer(
-            states[0].amplitudes, states[0].amplitudes.conj()
-        ) + 0.7 * np.outer(states[1].amplitudes, states[1].amplitudes.conj())
-        assert np.abs(dec.density_matrix() - expected).max() < 1e-14
+        # the square root of a negative weight is NaN, which fails the
+        # coefficient Gram check
+        rows = np.eye(2, dtype=complex)
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidArgumentError, match="Gram"):
+            _mix_ensemble(np.array([1.5, -0.5]), rows, np.eye(2, dtype=complex))
 
 
 class TestHaarPure:
@@ -211,8 +202,7 @@ class TestRandomSubspace:
         for i in range(n):
             stream = RandomStream(808, i)
             basis = sample_random_subspace(d, s, stream)
-            psi = sample_pure_in_subspace(basis, stream)
-            vals[i] = abs(psi.amplitudes[0]) ** 2
+            vals[i] = abs(subspace_state(basis, stream)[0]) ** 2
         stderr = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - 1.0 / d) < 4 * stderr
 
@@ -286,14 +276,17 @@ class TestCholeskyFrame:
 class TestPureInSubspace:
     def test_s1_returns_column_up_to_phase(self):
         basis = sample_random_subspace(6, 1, RandomStream(3, 0))
-        psi = sample_pure_in_subspace(basis, RandomStream(3, 1))
-        overlap = abs(np.vdot(basis.columns[:, 0], psi.amplitudes))
+        psi = subspace_state(basis, RandomStream(3, 1))
+        overlap = abs(np.vdot(basis.columns[:, 0], psi))
         assert abs(overlap - 1.0) < 1e-12
 
     def test_projection_has_unit_norm(self):
+        # F c has the norm of c, so the weights of an ensemble mixed in
+        # coefficient space are those of its states in C^d
         basis = sample_random_subspace(8, 2, RandomStream(5, 0))
-        psi = sample_pure_in_subspace(basis, RandomStream(5, 1))
-        proj = basis.columns.conj().T @ psi.amplitudes
+        psi = subspace_state(basis, RandomStream(5, 1))
+        proj = basis.columns.conj().T @ psi
+        assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
         assert abs(np.vdot(proj, proj).real - 1.0) < 1e-12
 
     def test_frame_coefficient_moment(self):
@@ -302,82 +295,85 @@ class TestPureInSubspace:
         n = 10000
         vals = np.empty(n)
         for i in range(n):
-            psi = sample_pure_in_subspace(basis, RandomStream(6, i + 1))
-            c = basis.columns.conj().T @ psi.amplitudes
+            psi = subspace_state(basis, RandomStream(6, i + 1))
+            c = basis.columns.conj().T @ psi
             vals[i] = abs(c[0]) ** 2
         stderr = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - 0.5) < 3 * stderr
 
 
 class TestRandomDecomposition:
-    def _random_seed_ensemble(self, dim, size, rng, weights=None):
-        states = [PureState(random_state_vector(dim, rng)) for _ in range(size)]
+    """The coefficient-row mix: ensembles of rows c_a of C^s with weights
+    p_a; with the identity frame (s = d) the rows are the states."""
+
+    @staticmethod
+    def _random_seed_ensemble(dim, size, rng, weights=None):
+        rows = np.array([random_state_vector(dim, rng) for _ in range(size)])
         if weights is None:
             raw = rng.random(size)
             weights = raw / raw.sum()
-        return Decomposition(np.asarray(weights, dtype=float), states)
+        return np.asarray(weights, dtype=float), rows
+
+    @staticmethod
+    def _density(weights, rows):
+        return (rows.T * weights) @ rows.conj()
 
     def test_rejects_small_m_out(self, rng):
-        dec = self._random_seed_ensemble(3, 2, rng)
-        with pytest.raises(InvalidArgumentError):
-            sample_random_decomposition(dec, 1, RandomStream(0, 0))
+        # an m_out x m matrix with m_out < m has rank below m: no isometry
+        weights, rows = self._random_seed_ensemble(3, 2, rng)
+        w = np.ones((1, 2), dtype=complex) / math.sqrt(2.0)
+        with pytest.raises(InvalidArgumentError, match="isometry"):
+            _mix_ensemble(weights, rows, w)
 
     def test_pure_seed_outputs_same_ray(self, rng):
-        psi = PureState(random_state_vector(4, rng))
-        dec = Decomposition(np.array([1.0]), [psi])
-        out = sample_random_decomposition(dec, 5, RandomStream(12, 0))
-        for state in out.states:
-            assert abs(abs(np.vdot(psi.amplitudes, state.amplitudes)) - 1.0) < 1e-10
+        psi = random_state_vector(4, rng)
+        weights, rows = _mix_ensemble(np.array([1.0]), psi[None], haar_isometry(5, 1, RandomStream(12, 0)))
+        assert len(rows) == 5 and abs(weights.sum() - 1.0) < 1e-12
+        for row in rows:
+            assert abs(abs(np.vdot(psi, row)) - 1.0) < 1e-10
 
     def test_identity_mixing_is_noop(self):
-        e1 = PureState(np.array([1, 0], dtype=complex))
-        e2 = PureState(np.array([0, 1], dtype=complex))
-        dec = Decomposition(np.array([0.5, 0.5]), [e1, e2])
-        out = _mix_ensemble(dec, np.eye(2, dtype=complex))
-        assert np.array_equal(out.weights, dec.weights)
-        for got, want in zip(out.states, dec.states):
-            assert np.array_equal(got.amplitudes, want.amplitudes)
+        weights = np.array([0.5, 0.5])
+        rows = np.eye(2, dtype=complex)
+        out_weights, out_rows = _mix_ensemble(weights, rows, np.eye(2, dtype=complex))
+        assert np.array_equal(out_weights, weights)
+        assert np.array_equal(out_rows, rows)
 
     def test_zero_norm_members_dropped(self):
-        e1 = PureState(np.array([1, 0], dtype=complex))
-        e2 = PureState(np.array([0, 1], dtype=complex))
-        dec = Decomposition(np.array([0.5, 0.5]), [e1, e2])
         w = np.array([[1, 0], [0, 1], [0, 0]], dtype=complex)
-        out = _mix_ensemble(dec, w)
-        assert out.size == 2
-        assert abs(out.weights.sum() - 1.0) < 1e-12
+        weights, rows = _mix_ensemble(np.array([0.5, 0.5]), np.eye(2, dtype=complex), w)
+        assert len(weights) == len(rows) == 2
+        assert abs(weights.sum() - 1.0) < 1e-12
 
     def test_rejects_non_isometry(self):
-        e1 = PureState(np.array([1, 0], dtype=complex))
-        dec = Decomposition(np.array([1.0]), [e1])
-        with pytest.raises(InvalidArgumentError):
-            _mix_ensemble(dec, 2.0 * np.eye(1, dtype=complex))
+        with pytest.raises(InvalidArgumentError, match="isometry"):
+            _mix_ensemble(np.array([1.0]), np.eye(1, dtype=complex), 2.0 * np.eye(1, dtype=complex))
+
+    def test_rejects_a_nan_isometry(self):
+        w = np.full((2, 1), np.nan, dtype=complex)
+        with pytest.raises(InvalidArgumentError, match="isometry"):
+            _mix_ensemble(np.array([1.0]), np.eye(1, dtype=complex), w)
 
     def test_density_matrix_preserved(self, rng):
-        dec = self._random_seed_ensemble(3, 2, rng)
-        rho = sum(
-            w * np.outer(s.amplitudes, s.amplitudes.conj())
-            for w, s in zip(dec.weights, dec.states)
-        )
-        for trial in range(5):
-            out = sample_random_decomposition(dec, 4, RandomStream(33, trial))
-            rho_out = sum(
-                w * np.outer(s.amplitudes, s.amplitudes.conj())
-                for w, s in zip(out.weights, out.states)
-            )
-            assert np.abs(rho_out - rho).max() < 1e-9
+        # sum_b q_b k_b k_b^dag = sum_a p_a c_a c_a^dag in C^s
+        for dim, size, m_out in ((3, 2, 4), (4, 4, 4), (6, 3, 8)):
+            weights, rows = self._random_seed_ensemble(dim, size, rng)
+            rho = self._density(weights, rows)
+            for trial in range(5):
+                q, k = _mix_ensemble(weights, rows, haar_isometry(m_out, size, RandomStream(33, trial)))
+                assert np.abs(np.linalg.norm(k, axis=1) - 1.0).max() < 1e-14
+                assert np.abs(self._density(q, k) - rho).max() < 1e-12
 
     def test_degenerate_weight_behaves_as_pure(self, rng):
-        psi = PureState(random_state_vector(3, rng))
-        phi = PureState(random_state_vector(3, rng))
-        dec = Decomposition(np.array([1.0, 0.0]), [psi, phi])
-        out = sample_random_decomposition(dec, 4, RandomStream(64, 0))
-        for state in out.states:
-            assert abs(abs(np.vdot(psi.amplitudes, state.amplitudes)) - 1.0) < 1e-7
-        target = relative_entropy_coherence(psi)
-        got = float(
-            np.dot(out.weights, [relative_entropy_coherence(s) for s in out.states])
+        psi = random_state_vector(3, rng)
+        phi = random_state_vector(3, rng)
+        weights, rows = _mix_ensemble(
+            np.array([1.0, 0.0]), np.array([psi, phi]), haar_isometry(4, 2, RandomStream(64, 0))
         )
+        for row in rows:
+            assert abs(abs(np.vdot(psi, row)) - 1.0) < 1e-7
+        target = relative_entropy_coherence(PureState(psi))
+        got = float(np.dot(weights, [relative_entropy_coherence(PureState(row)) for row in rows]))
         assert abs(got - target) < 1e-7
 
 

@@ -1,9 +1,23 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cohlab import sampler
 from cohlab.sampler import haar_prob_rows, keyed_rows
-from cohlab.streams import RandomStream, new_generator, stream_setter, word_generator
+from cohlab.streams import STREAM_VERSION, RandomStream, new_generator, stream_setter, word_generator
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_names_the_current_stream_version():
+    # the contract's version, the envelope example and the last row of the
+    # version history all name STREAM_VERSION
+    text = README.read_text()
+    named = re.findall(r'STREAM_VERSION` = `"(\w+)"`|stream_version: "(\w+)"', text)
+    assert sorted(a or b for a, b in named) == [STREAM_VERSION] * 2
+    assert re.findall(r"^\| (\w+) \|", text, flags=re.MULTILINE)[-1] == STREAM_VERSION
 
 
 def test_identical_pair_replays_sequence():
