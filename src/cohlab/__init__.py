@@ -1,6 +1,6 @@
 """Coherence typicality of Haar-random pure states.
 
-Closed-form averages, concentration bounds, per-state coherence measures,
+Closed-form averages, concentration bounds, batched coherence measures,
 coherent-subspace guarantees, and reproducible Monte Carlo experiments
 that confront the sampled statistics with the analytic predictions.
 Command-line front end: ``cohlab``.
@@ -28,7 +28,6 @@ from .analytics import (
     levy_bound_trdist,
     levy_generic,
     lipschitz_cr,
-    net_log_size,
     subspace_dimension,
     subspace_threshold,
     typical_l1_upper,
@@ -63,20 +62,10 @@ from .experiments import (
     verify_matrix,
     verify_moments,
 )
-from .measures import (
-    classical_purity,
-    coherence_of_formation_pure,
-    fannes_floor,
-    l1_coherence_pure,
-    relative_entropy_coherence,
-    trace_distance_diag_mm,
-)
 from .sampler import (
-    PureState,
     SubspaceBasis,
     ginibre,
     positive_qr,
-    sample_haar_pure,
     sample_random_subspace,
 )
 from .streams import RandomStream, new_generator

@@ -81,9 +81,9 @@ def beta(alpha: float, beta_arg: float) -> float:
     full precision where the log-Gamma difference would cancel
     catastrophically (e.g. B(2, d-1) at large d).
     """
-    if alpha <= 0.0 or beta_arg <= 0.0:
+    if not (0.0 < alpha < math.inf and 0.0 < beta_arg < math.inf):  # NaN fails too
         raise InvalidArgumentError(
-            f"beta function needs positive arguments, got ({alpha}, {beta_arg})"
+            f"beta function needs finite positive arguments, got ({alpha}, {beta_arg})"
         )
     for small, other in ((alpha, beta_arg), (beta_arg, alpha)):
         if (
@@ -289,19 +289,6 @@ def subspace_threshold(d: int, eps: float) -> float:
     """Coherence floor H_d - 1 - eps guaranteed on the random subspace."""
     _check_subspace_args(d, eps)
     return expected_cr(d) - eps
-
-
-def net_log_size(d: int, eps0: float) -> float:
-    """Natural log of the eps0-net size bound (5/eps0)^(2d).
-
-    Only the logarithm, 2d ln(5/eps0), is ever materialized; the raw size
-    is astronomically large.
-    """
-    if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    if not 0.0 < eps0 < 1.0:
-        raise InvalidEpsilonError(f"net resolution must lie in (0, 1), got {eps0}")
-    return 2.0 * d * math.log(5.0 / eps0)
 
 
 def typical_l1_upper(d: int) -> float:

@@ -6,13 +6,9 @@ failure, 4 vacuous guarantee, 5 I/O failure (e.g. an unwritable
 (no NaN or Infinity) that carries the schema version and the stream
 contract version next to the payload; histogram CSV uses
 ``bin_low,bin_high,count`` rows.  Values are in nats unless stated
-otherwise.  States, diagonals and unitaries are drawn in chunks of at most
-4 MiB (one row where a row is larger; the matrix check keeps 2048
-unitaries, and ``subspace`` 128 states at s <= 4 and 64 above, which it
-projects onto fixed blocks of 2048 frame columns in row blocks of 32 and 16
-states), serially for rows under 7200 bytes (a state below d = 450) and
-otherwise on one thread per usable CPU; the payload bytes are the same
-either way.  A reader that closes stdout early (``| head``) is no I/O
+otherwise.  The campaigns' chunk and block shapes and their threading are
+those of :mod:`cohlab.experiments`; the payload bytes do not depend on the
+thread count.  A reader that closes stdout early (``| head``) is no I/O
 failure: the unread output is dropped and the command's exit code stands.
 """
 

@@ -44,12 +44,12 @@ from .errors import (
 )
 from .sampler import (
     _mix_ensemble,
+    _unit_rows,
     ginibre,
     haar_amplitude_rows,
     haar_prob_blocks,
     haar_unitary_rows,
     positive_qr,
-    sample_haar_pure,
     sample_random_subspace,
 )
 from .streams import RandomStream
@@ -415,8 +415,8 @@ class SubspaceFloorReport:
 
     ``violations`` counts sampled states with C_r below the threshold
     H_d - 1 - eps.  This is a sampled necessary check of the guarantee,
-    not its net-based sufficient construction (net sizes are beyond
-    astronomical; see :func:`cohlab.analytics.net_log_size`).
+    not its net-based sufficient construction, whose eps0-net has
+    (5/eps0)^(2d) points.
     """
 
     dim: int
@@ -658,7 +658,7 @@ def _decomposition_averages(
     ensembles = []
     for ensemble_idx in range(n_ensembles):
         stream = RandomStream(master_seed, ensemble_idx + 1)
-        c = np.array([sample_haar_pure(s, stream).amplitudes for _ in range(ensemble_size)])
+        c = _unit_rows(stream.generator.standard_normal((ensemble_size, 2 * s)))
         p = stream.generator.standard_exponential(ensemble_size)
         p /= p.sum()
         ensembles.append((p, c))
@@ -751,7 +751,9 @@ def run_matrix_integral_check(
         x = np.ascontiguousarray(x, dtype=np.complex128)
         if x.shape != (dim, dim):
             raise InvalidArgumentError(f"x must be {dim} x {dim}, got {x.shape}")
-        if np.abs(x - x.conj().T).max() > 1e-12:
+        if not np.isfinite(x).all():
+            raise InvalidArgumentError("x must have finite entries")
+        if not np.abs(x - x.conj().T).max() <= 1e-12:
             raise InvalidArgumentError("x must be Hermitian")
 
     closed_form = (np.trace(x).real * np.eye(dim) + x) / (dim + 1.0)

@@ -1,4 +1,5 @@
-"""Per-state coherence functionals in the fixed reference basis.
+"""Coherence functionals of pure states in the fixed reference basis,
+computed from their diagonals p_i = |psi_i|^2.
 
 Conventions used throughout the package:
 
@@ -9,16 +10,14 @@ Conventions used throughout the package:
 * ``0 * ln 0 = 0``; probabilities below 1e-300 are treated as exact zeros
   so underflow can never produce NaN.
 
-The ``*_from_probs`` functions are array kernels operating on (batches of)
-probability vectors along the last axis; the batched campaigns evaluate
-their measures through them.  The four measure kernels (entropy, purity,
-trace distance, l1) and the Fannes floor make one float64 temporary the
-shape of ``probs``, and the mixedness two; a caller may pass the first as
-``work``, a float64 array of that shape that is overwritten, with the same
-result bytes.  The scalar functions take one :class:`~cohlab.sampler.PureState`
-and delegate to the same kernels, so both paths share one numerical
-definition.  A kernel's bytes are part of the payload bytes that the stream
-contract (:mod:`cohlab.streams`) pins.
+Every function is an array kernel operating on (batches of) probability
+vectors along the last axis; the campaigns evaluate their measures through
+them.  The four measure kernels (entropy, purity, trace distance, l1) and
+the Fannes floor make one float64 temporary the shape of ``probs``, and the
+mixedness two; a caller may pass the first as ``work``, a float64 array of
+that shape that is overwritten, with the same result bytes.  A kernel's
+bytes are part of the payload bytes that the stream contract
+(:mod:`cohlab.streams`) pins.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .sampler import PureState
 
 # probabilities at or below this are treated as exact zeros (0 ln 0 = 0)
 _ZERO_PROB = 1e-300
@@ -125,41 +122,3 @@ def fannes_floor_from_probs(
         return np.zeros_like(t)
     return (1.0 - t) * math.log(d) - _binary_entropy(t)
 
-
-def _probs(psi: PureState) -> np.ndarray:
-    amps = psi.amplitudes
-    return amps.real**2 + amps.imag**2
-
-
-def relative_entropy_coherence(psi: PureState) -> float:
-    """C_r of a pure state: the entropy of its diagonal part, in [0, ln d]."""
-    return float(entropy_from_probs(_probs(psi)))
-
-
-def l1_coherence_pure(psi: PureState) -> float:
-    """l1 norm of coherence of a pure state, in [0, d - 1]."""
-    return float(l1_from_probs(_probs(psi)))
-
-
-def classical_purity(psi: PureState) -> float:
-    """Purity of the dephased state, in [1/d, 1]."""
-    return float(purity_from_probs(_probs(psi)))
-
-
-def trace_distance_diag_mm(psi: PureState) -> float:
-    """Trace distance (no 1/2) between the diagonal part and I/d."""
-    return float(trdist_mm_from_probs(_probs(psi)))
-
-
-def coherence_of_formation_pure(psi: PureState) -> float:
-    """Coherence of formation of a pure state.
-
-    A rank-1 density matrix has itself as its only decomposition, so this
-    equals the relative entropy of coherence exactly.
-    """
-    return relative_entropy_coherence(psi)
-
-
-def fannes_floor(psi: PureState) -> float:
-    """Continuity lower bound on C_r; see :func:`fannes_floor_from_probs`."""
-    return float(fannes_floor_from_probs(_probs(psi)))

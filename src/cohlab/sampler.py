@@ -32,34 +32,11 @@ import numpy as np
 from .errors import InvalidArgumentError, InvalidDimensionError
 from .streams import RandomStream, new_generator, stream_setter, word_generator
 
-_NORM_ATOL = 1e-12
 _ORTHO_ATOL = 1e-10
 _GRAM_ATOL = 1e-9
 # numerical noise floor for dropping zero-weight ensemble members; well
 # below any weight scale used in practice
 ZERO_WEIGHT_DROP = 1e-14
-
-
-@dataclass
-class PureState:
-    """Unit-norm complex amplitude vector in the fixed reference basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size < 1:
-            raise InvalidDimensionError("amplitudes must be a nonempty 1-d vector")
-        norm_sq = float((amps.real**2 + amps.imag**2).sum())
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
-            raise InvalidArgumentError(
-                f"state is not normalized: sum |psi_i|^2 = {norm_sq!r}"
-            )
-        self.amplitudes = amps
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
 
 @dataclass
@@ -180,30 +157,23 @@ def keyed_rows(master_seed: int, first: int, stop: int, shape: tuple[int, ...]) 
 def haar_amplitude_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
     """Haar pure-state amplitudes for streams [first, stop), one row each.
 
-    Row r equals ``sample_haar_pure(dim, RandomStream(master_seed, first + r))``.
+    Row r is ``_unit_rows(RandomStream(master_seed, first +
+    r).generator.standard_normal(2 * dim))``: the real and imaginary parts
+    drawn from stream ``(master_seed, first + r)``, normalised to unit length.
     """
     return _unit_rows(keyed_rows(master_seed, first, stop, (2 * dim,)))
 
 
-def haar_prob_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
-    """Diagonals p_i = |psi_i|^2 of Haar states for trials [first, stop).
-
-    Row r is ``e / e.sum()`` with ``e = -np.log(1.0 - u)`` and ``u`` row
-    ``first + r`` of ``word_generator(master_seed, 0).random((stop, dim))``:
-    Dirichlet(1, ..., 1), the law of a Haar state's diagonal.  The batch is
-    one draw from word ``first * dim`` of that stream
-    (:func:`~cohlab.streams.word_generator`); ln(1 - u) / sum ln(1 - u) has
-    the bytes of e / e.sum(), so the sign is never taken.
-    """
-    out = np.empty((stop - first, dim))
-    # all the rows are one block; there is none when first == stop
-    return next(haar_prob_blocks(master_seed, first, stop, dim, out), out)
-
-
 def haar_prob_blocks(master_seed: int, first: int, stop: int, dim: int, out: np.ndarray):
-    """The rows of ``haar_prob_rows(master_seed, first, stop, dim)`` in
+    """Diagonals p_i = |psi_i|^2 of Haar states for trials [first, stop), in
     consecutive blocks of ``len(out)`` rows, the last one shorter where that
     does not divide ``stop - first``.
+
+    Row r is ``e / e.sum()`` with ``e = -ln(1 - u)`` and ``u`` the floats
+    that ``Generator.random`` makes of words [(first + r) dim, (first + r +
+    1) dim) of ``word_generator(master_seed, 0)``: Dirichlet(1, ..., 1), the
+    law of a Haar state's diagonal.  ln(1 - u) / sum ln(1 - u) has the bytes
+    of e / e.sum(), so the sign is never taken.
 
     Each block is drawn and normalised in the first rows of ``out``, a
     C-contiguous float64 array of ``dim`` columns, and yielded; the next
@@ -228,18 +198,6 @@ def haar_prob_blocks(master_seed: int, first: int, stop: int, dim: int, out: np.
 def haar_unitary_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
     """Stacked Haar unitaries for streams [first, stop), one per stream."""
     return positive_qr(_complex_normals(keyed_rows(master_seed, first, stop, (dim, 2 * dim))))
-
-
-def sample_haar_pure(dim: int, stream: RandomStream) -> PureState:
-    """Draw a Haar-distributed pure state of the given dimension.
-
-    Implemented as 2*dim iid standard normals (real and imaginary parts)
-    normalized to unit length; by rotation invariance of the Gaussian this
-    is exactly the unitarily invariant measure.
-    """
-    if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-    return PureState(_unit_rows(stream.generator.standard_normal(2 * dim)))
 
 
 def sample_random_subspace(dim: int, sub_dim: int, stream: RandomStream) -> SubspaceBasis:

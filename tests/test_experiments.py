@@ -31,7 +31,6 @@ from cohlab.experiments import (
     run_matrix_integral_check,
     run_subspace_floor,
 )
-from cohlab.sampler import sample_haar_pure
 from cohlab.streams import RandomStream, new_generator, word_generator
 
 
@@ -274,7 +273,7 @@ class TestSubspaceFloor:
 
         basis = sampler.sample_random_subspace(dim, report.sub_dim, RandomStream(seed, 0))
         scalar = np.array([
-            measures.relative_entropy_coherence(sampler.PureState(basis.columns @ c))
+            measures.entropy_from_probs(abs(basis.columns @ c) ** 2)
             for c in sampler.haar_amplitude_rows(seed, 1, n + 1, report.sub_dim)
         ])
         assert report.min_observed_cr == pytest.approx(scalar.min(), rel=1e-14, abs=0)
@@ -440,6 +439,16 @@ class TestMatrixIntegral:
 
     def test_rejects_non_hermitian_input(self):
         x = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(InvalidArgumentError):
+            run_matrix_integral_check(2, 100, 0, x=x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.full((2, 2), np.nan, dtype=complex), np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)],
+        ids=["nan", "inf"],
+    )
+    def test_rejects_non_finite_input(self, x):
+        # a NaN Hermitian defect fails no "defect > tolerance" check
         with pytest.raises(InvalidArgumentError):
             run_matrix_integral_check(2, 100, 0, x=x)
 
@@ -769,7 +778,11 @@ class TestChunkScratch:
         fresh_kernel = getattr(measures, kernel)
         monkeypatch.setattr(measures, kernel, lambda probs, work: fresh_kernel(probs))
         monkeypatch.setattr(
-            experiments, "haar_prob_blocks", lambda *args: iter([sampler.haar_prob_rows(*args[:4])])
+            experiments,
+            "haar_prob_blocks",
+            lambda seed, first, stop, dim, out: sampler.haar_prob_blocks(
+                seed, first, stop, dim, np.empty((stop - first, dim))
+            ),
         )
         assert reused == payload_bytes(run_concentration(config))
 
@@ -832,10 +845,7 @@ class TestSamplingHelpers:
         # the two samples use different seeds, so they are independent
         trials = 4000
         diagonals = first_prob_samples(dim, trials, 31)
-        amplitudes = [
-            abs(sample_haar_pure(dim, RandomStream(32, i)).amplitudes[0]) ** 2
-            for i in range(trials)
-        ]
+        amplitudes = abs(sampler.haar_amplitude_rows(32, 0, trials, dim)[:, 0]) ** 2
         assert stats.ks_2samp(diagonals, amplitudes).pvalue > 0.01
 
     def test_ks_distance_small_at_d2(self):

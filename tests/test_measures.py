@@ -7,21 +7,14 @@ from hypothesis import strategies as st
 
 from cohlab.measures import (
     _binary_entropy,
-    _probs,
-    classical_purity,
-    coherence_of_formation_pure,
     entropy_from_probs,
-    fannes_floor,
     fannes_floor_from_probs,
-    l1_coherence_pure,
     l1_from_probs,
     mixedness_from_probs,
     purity_from_probs,
-    relative_entropy_coherence,
-    trace_distance_diag_mm,
     trdist_mm_from_probs,
 )
-from cohlab.sampler import PureState, _mix_ensemble, ginibre, positive_qr
+from cohlab.sampler import _mix_ensemble, ginibre, positive_qr
 from cohlab.streams import RandomStream
 
 from conftest import random_state_vector
@@ -31,15 +24,15 @@ ENTROPY_QUARTER = 0.5623351446188083
 # 2 * sqrt(0.25 * 0.75)
 L1_QUARTER = 0.8660254037844386
 
-BASIS3 = PureState(np.array([1, 0, 0], dtype=complex))
-UNIFORM4 = PureState(np.full(4, 0.5, dtype=complex))
-QUARTER = PureState(np.array([math.sqrt(0.25), math.sqrt(0.75)], dtype=complex))
+# amplitudes; the kernels take their diagonals abs(psi) ** 2
+BASIS3 = np.array([1, 0, 0], dtype=complex)
+UNIFORM4 = np.full(4, 0.5, dtype=complex)
+QUARTER = np.array([math.sqrt(0.25), math.sqrt(0.75)], dtype=complex)
 
 
 def l1_double_sum(psi):
     # O(d^2) oracle: sum_{i != j} |psi_i psi_j*|
-    amps = psi.amplitudes
-    mags = np.abs(amps)
+    mags = np.abs(psi)
     total = 0.0
     for i in range(mags.size):
         for j in range(mags.size):
@@ -54,7 +47,7 @@ def cr_rank2_mixture(weights, states):
     Eigenvalues of rho come from the closed-form quadratic of the overlap
     matrix M_ab = sqrt(p_a p_b) <psi_a|psi_b>; no eigensolver involved.
     """
-    a, b = states[0].amplitudes, states[1].amplitudes
+    a, b = states
     p1, p2 = weights
     g = np.vdot(a, b)
     trace = p1 + p2
@@ -65,18 +58,6 @@ def cr_rank2_mixture(weights, states):
     probs = p1 * (a.real**2 + a.imag**2) + p2 * (b.real**2 + b.imag**2)
     diag_entropy = -sum(x * math.log(x) for x in probs if x > 1e-300)
     return diag_entropy - spec_entropy
-
-
-class TestDiagonalPart:
-    # _probs is the diagonal |<i|psi>|^2 every scalar measure starts from
-    def test_basis_state(self):
-        assert np.array_equal(_probs(BASIS3), [1.0, 0.0, 0.0])
-
-    def test_uniform(self):
-        assert np.allclose(_probs(UNIFORM4), 0.25, atol=1e-15)
-
-    def test_quarter(self):
-        assert np.allclose(_probs(QUARTER), [0.25, 0.75], atol=1e-15)
 
 
 class TestShannonEntropy:
@@ -95,69 +76,60 @@ class TestShannonEntropy:
 
 class TestRelativeEntropyCoherence:
     def test_basis_state(self):
-        assert relative_entropy_coherence(BASIS3) == 0.0
+        assert entropy_from_probs(abs(BASIS3) ** 2) == 0.0
 
     def test_uniform_is_maximal(self):
-        assert abs(relative_entropy_coherence(UNIFORM4) - math.log(4)) < 1e-15
+        assert abs(entropy_from_probs(abs(UNIFORM4) ** 2) - math.log(4)) < 1e-15
 
     def test_quarter(self):
-        assert abs(relative_entropy_coherence(QUARTER) - ENTROPY_QUARTER) < 1e-15
+        assert abs(entropy_from_probs(abs(QUARTER) ** 2) - ENTROPY_QUARTER) < 1e-15
 
 
 class TestL1Coherence:
     def test_basis_state(self):
-        assert l1_coherence_pure(BASIS3) == 0.0
+        assert l1_from_probs(abs(BASIS3) ** 2) == 0.0
 
     def test_uniform(self):
-        assert abs(l1_coherence_pure(UNIFORM4) - 3.0) < 1e-12
+        assert abs(l1_from_probs(abs(UNIFORM4) ** 2) - 3.0) < 1e-12
 
     def test_quarter(self):
-        assert abs(l1_coherence_pure(QUARTER) - L1_QUARTER) < 1e-15
+        assert abs(l1_from_probs(abs(QUARTER) ** 2) - L1_QUARTER) < 1e-15
 
     @pytest.mark.parametrize("dim", [2, 8, 64])
     def test_matches_double_sum_oracle(self, dim, rng):
         for _ in range(5):
-            psi = PureState(random_state_vector(dim, rng))
-            assert abs(l1_coherence_pure(psi) - l1_double_sum(psi)) < 1e-10
+            psi = random_state_vector(dim, rng)
+            assert abs(l1_from_probs(abs(psi) ** 2) - l1_double_sum(psi)) < 1e-10
 
 
 class TestClassicalPurity:
     def test_basis_state(self):
-        assert classical_purity(BASIS3) == 1.0
+        assert purity_from_probs(abs(BASIS3) ** 2) == 1.0
 
     def test_uniform(self):
-        assert abs(classical_purity(UNIFORM4) - 0.25) < 1e-15
+        assert abs(purity_from_probs(abs(UNIFORM4) ** 2) - 0.25) < 1e-15
 
     def test_quarter(self):
-        assert abs(classical_purity(QUARTER) - 0.625) < 1e-15
+        assert abs(purity_from_probs(abs(QUARTER) ** 2) - 0.625) < 1e-15
 
 
 class TestTraceDistance:
     def test_uniform_is_zero(self):
-        assert trace_distance_diag_mm(UNIFORM4) < 1e-15
+        assert trdist_mm_from_probs(abs(UNIFORM4) ** 2) < 1e-15
 
     def test_basis_state_d4(self):
-        psi = PureState(np.array([1, 0, 0, 0], dtype=complex))
-        assert abs(trace_distance_diag_mm(psi) - 1.5) < 1e-15
+        assert abs(trdist_mm_from_probs(np.array([1.0, 0.0, 0.0, 0.0])) - 1.5) < 1e-15
 
     def test_quarter(self):
-        assert abs(trace_distance_diag_mm(QUARTER) - 0.5) < 1e-15
+        assert abs(trdist_mm_from_probs(abs(QUARTER) ** 2) - 0.5) < 1e-15
 
     def test_maximum_at_basis_states(self, rng):
         d = 7
-        basis = PureState(np.eye(d, dtype=complex)[0])
         bound = 2.0 * (1.0 - 1.0 / d)
-        assert abs(trace_distance_diag_mm(basis) - bound) < 1e-15
+        assert abs(trdist_mm_from_probs(np.eye(d)[0]) - bound) < 1e-15
         for _ in range(20):
-            psi = PureState(random_state_vector(d, rng))
-            assert trace_distance_diag_mm(psi) <= bound + 1e-12
-
-
-class TestCoherenceOfFormation:
-    def test_equals_relative_entropy(self, rng):
-        for dim in (2, 5, 30):
-            psi = PureState(random_state_vector(dim, rng))
-            assert coherence_of_formation_pure(psi) == relative_entropy_coherence(psi)
+            psi = random_state_vector(d, rng)
+            assert trdist_mm_from_probs(abs(psi) ** 2) <= bound + 1e-12
 
 
 class TestDecompositionAverage:
@@ -166,7 +138,7 @@ class TestDecompositionAverage:
 
     @staticmethod
     def average(weights, rows):
-        return float(np.dot(weights, [relative_entropy_coherence(PureState(r)) for r in rows]))
+        return float(np.dot(weights, entropy_from_probs(abs(rows) ** 2)))
 
     @staticmethod
     def redecompose(weights, rows, m_out, stream):
@@ -179,7 +151,7 @@ class TestDecompositionAverage:
         weights, rows = self.redecompose(np.array([1.0]), psi[None], 4, RandomStream(3, 0))
         assert len(rows) == 4
         avg = self.average(weights, rows)
-        assert abs(avg - relative_entropy_coherence(PureState(psi))) < 1e-15
+        assert abs(avg - entropy_from_probs(abs(psi) ** 2)) < 1e-15
 
     def test_incoherent_ensemble(self):
         # a permutation of basis states is an isometric mix with C_r 0 each
@@ -191,11 +163,10 @@ class TestDecompositionAverage:
         # every decomposition average >= C_f >= C_r of the mixed state
         # (rank-2 spectrum via the closed-form 2x2 overlap quadratic)
         for _ in range(5):
-            states = [PureState(random_state_vector(3, rng)) for _ in range(2)]
+            rows = np.array([random_state_vector(3, rng) for _ in range(2)])
             raw = rng.random(2)
             weights = raw / raw.sum()
-            rows = np.array([s.amplitudes for s in states])
-            floor = cr_rank2_mixture(weights, states)
+            floor = cr_rank2_mixture(weights, rows)
             assert self.average(weights, rows) >= floor - 1e-9
             for trial in range(4):
                 redec = self.redecompose(weights, rows, 4, RandomStream(7, trial))
@@ -213,42 +184,41 @@ class TestBinaryEntropy:
 
 class TestFannesFloor:
     def test_uniform_meets_floor_with_equality(self):
-        psi = PureState(np.full(8, math.sqrt(1 / 8), dtype=complex))
-        assert abs(fannes_floor(psi) - math.log(8)) < 1e-12
-        assert abs(relative_entropy_coherence(psi) - fannes_floor(psi)) < 1e-12
+        probs = abs(np.full(8, math.sqrt(1 / 8), dtype=complex)) ** 2
+        assert abs(fannes_floor_from_probs(probs) - math.log(8)) < 1e-12
+        assert abs(entropy_from_probs(probs) - fannes_floor_from_probs(probs)) < 1e-12
 
     def test_basis_state_d2_vacuous(self):
-        psi = PureState(np.array([1, 0], dtype=complex))
+        probs = np.array([1.0, 0.0])
         # (1 - 1/2) ln 2 - H2(1/2) = -ln(2)/2
-        assert abs(fannes_floor(psi) - (-0.34657359027997264)) < 1e-15
-        assert relative_entropy_coherence(psi) >= fannes_floor(psi)
+        assert abs(fannes_floor_from_probs(probs) - (-0.34657359027997264)) < 1e-15
+        assert entropy_from_probs(probs) >= fannes_floor_from_probs(probs)
 
     def test_degenerate_d1(self):
-        psi = PureState(np.array([1.0], dtype=complex))
-        assert fannes_floor(psi) == 0.0
+        assert fannes_floor_from_probs(np.array([1.0])) == 0.0
 
     def test_floor_holds_for_samples(self, rng):
         for _ in range(50):
-            psi = PureState(random_state_vector(100, rng))
-            c_r = relative_entropy_coherence(psi)
-            assert c_r >= fannes_floor(psi) - 1e-12
+            probs = abs(random_state_vector(100, rng)) ** 2
+            assert entropy_from_probs(probs) >= fannes_floor_from_probs(probs) - 1e-12
 
 
 class TestProfile:
     def test_profile_invariants(self, rng):
         for dim in (2, 3, 17, 100):
-            psi = PureState(random_state_vector(dim, rng))
-            c_r = relative_entropy_coherence(psi)
+            probs = abs(random_state_vector(dim, rng)) ** 2
+            c_r = entropy_from_probs(probs)
             assert 0.0 <= c_r <= math.log(dim) + 1e-12
-            assert 0.0 <= l1_coherence_pure(psi) <= dim - 1 + 1e-9
-            assert 1.0 / dim - 1e-12 <= classical_purity(psi) <= 1.0 + 1e-12
-            assert 0.0 <= trace_distance_diag_mm(psi) <= 2.0 * (1 - 1 / dim) + 1e-12
-            assert c_r >= fannes_floor(psi) - 1e-12
+            assert 0.0 <= l1_from_probs(probs) <= dim - 1 + 1e-9
+            assert 1.0 / dim - 1e-12 <= purity_from_probs(probs) <= 1.0 + 1e-12
+            assert 0.0 <= trdist_mm_from_probs(probs) <= 2.0 * (1 - 1 / dim) + 1e-12
+            assert c_r >= fannes_floor_from_probs(probs) - 1e-12
 
     def test_l1_purity_bound_tight_at_uniform(self):
         d = 4
-        c_l1 = l1_coherence_pure(UNIFORM4)
-        bound = math.sqrt(d * (d - 1) * (1.0 - classical_purity(UNIFORM4)))
+        probs = abs(UNIFORM4) ** 2
+        c_l1 = l1_from_probs(probs)
+        bound = math.sqrt(d * (d - 1) * (1.0 - purity_from_probs(probs)))
         assert abs(c_l1 - bound) < 1e-12
         assert abs(c_l1 - (d - 1)) < 1e-12
 
@@ -281,22 +251,18 @@ def amplitude_vectors(draw):
 @given(amplitude_vectors())
 @settings(max_examples=120, deadline=None)
 def test_entropy_bounds_property(z):
-    psi = PureState(z)
-    c_r = relative_entropy_coherence(psi)
-    assert 0.0 <= c_r <= math.log(psi.dim) + 1e-9
+    c_r = entropy_from_probs(abs(z) ** 2)
+    assert 0.0 <= c_r <= math.log(len(z)) + 1e-9
 
 
 @given(amplitude_vectors(), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_permutation_covariance(z, pyrandom):
-    psi = PureState(z)
-    perm = list(range(psi.dim))
+    perm = list(range(len(z)))
     pyrandom.shuffle(perm)
-    permuted = PureState(z[perm])
-    assert abs(relative_entropy_coherence(psi) - relative_entropy_coherence(permuted)) < 1e-12
-    assert abs(l1_coherence_pure(psi) - l1_coherence_pure(permuted)) < 1e-12
-    assert abs(classical_purity(psi) - classical_purity(permuted)) < 1e-12
-    assert abs(trace_distance_diag_mm(psi) - trace_distance_diag_mm(permuted)) < 1e-12
+    probs = abs(z) ** 2
+    for kernel in (entropy_from_probs, l1_from_probs, purity_from_probs, trdist_mm_from_probs):
+        assert abs(kernel(probs) - kernel(probs[perm])) < 1e-12
 
 
 @given(amplitude_vectors())
@@ -307,10 +273,10 @@ def test_permutation_covariance(z, pyrandom):
 @example(np.array([1.0, 2e-9, 2e-9]))
 @settings(max_examples=80, deadline=None)
 def test_l1_purity_inequality_property(z):
-    psi = PureState(z)
-    d = psi.dim
-    bound = math.sqrt(d * (d - 1) * mixedness_from_probs(np.abs(psi.amplitudes) ** 2))
-    assert l1_coherence_pure(psi) <= bound + 1e-9
+    d = len(z)
+    probs = abs(z) ** 2
+    bound = math.sqrt(d * (d - 1) * mixedness_from_probs(probs))
+    assert l1_from_probs(probs) <= bound + 1e-9
 
 
 def test_mixedness_matches_one_minus_purity(rng):

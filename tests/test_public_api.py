@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "MEASURE_KINDS",
     "MIN_DIM_FOR_NONTRIVIAL_SUBSPACE",
     "MatrixIntegralReport",
-    "PureState",
     "RandomStream",
     "SUBSPACE_K_DENOM",
     "SubspaceBasis",
@@ -30,8 +29,6 @@ PUBLIC_NAMES = [
     "UnsupportedDimensionError",
     "VacuousGuaranteeError",
     "beta",
-    "classical_purity",
-    "coherence_of_formation_pure",
     "digamma_integer",
     "expected_classical_purity",
     "expected_cr",
@@ -39,33 +36,27 @@ PUBLIC_NAMES = [
     "expected_cr_via_quadrature",
     "expected_trace_distance",
     "fannes_asymptote",
-    "fannes_floor",
     "first_prob_samples",
     "ginibre",
     "haar_prob_moment",
     "harmonic",
     "ks_distance_u11",
-    "l1_coherence_pure",
     "levy_bound_cr",
     "levy_bound_purity",
     "levy_bound_trdist",
     "levy_generic",
     "lipschitz_cr",
-    "net_log_size",
     "new_generator",
     "positive_qr",
-    "relative_entropy_coherence",
     "run_concentration",
     "run_decomposition_check",
     "run_inequality_sweep",
     "run_matrix_integral_check",
     "run_subspace_floor",
-    "sample_haar_pure",
     "sample_random_subspace",
     "subspace_cr_samples",
     "subspace_dimension",
     "subspace_threshold",
-    "trace_distance_diag_mm",
     "typical_l1_upper",
     "verify_inequalities",
     "verify_integral",

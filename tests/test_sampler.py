@@ -6,16 +6,15 @@ import pytest
 
 from cohlab.errors import InvalidArgumentError, InvalidDimensionError
 from cohlab.experiments import first_prob_samples
-from cohlab.measures import relative_entropy_coherence
+from cohlab.measures import entropy_from_probs
 from cohlab.sampler import (
-    PureState,
     SubspaceBasis,
     _mix_ensemble,
+    _unit_rows,
     ginibre,
     haar_amplitude_rows,
     haar_unitary_rows,
     positive_qr,
-    sample_haar_pure,
     sample_random_subspace,
 )
 from cohlab.streams import RandomStream, new_generator
@@ -26,7 +25,7 @@ from conftest import random_state_vector
 def subspace_state(basis, stream):
     """A Haar state of the subspace, F c for a Haar state c of C^s: the
     states the subspace campaigns project."""
-    return basis.columns @ sample_haar_pure(basis.sub_dim, stream).amplitudes
+    return basis.columns @ _unit_rows(stream.generator.standard_normal(2 * basis.sub_dim))
 
 
 def haar_isometry(m_out, m, stream):
@@ -42,18 +41,6 @@ def haar_prob_moment_exact(d, k):
 
 
 class TestTypes:
-    def test_pure_state_rejects_unnormalized(self):
-        with pytest.raises(InvalidArgumentError):
-            PureState(np.array([1.0, 1.0], dtype=complex))
-
-    def test_pure_state_rejects_empty(self):
-        with pytest.raises(InvalidDimensionError):
-            PureState(np.array([], dtype=complex))
-
-    def test_pure_state_dim(self):
-        psi = PureState(np.array([0.0, 1.0], dtype=complex))
-        assert psi.dim == 2
-
     def test_subspace_rejects_nonorthonormal(self):
         with pytest.raises(InvalidArgumentError):
             SubspaceBasis(np.ones((4, 2), dtype=complex))
@@ -77,30 +64,24 @@ class TestTypes:
 
 
 class TestHaarPure:
-    def test_rejects_zero_dim(self):
-        with pytest.raises(InvalidDimensionError):
-            sample_haar_pure(0, RandomStream(0, 0))
-
     def test_d1_is_pure_phase(self):
-        psi = sample_haar_pure(1, RandomStream(5, 5))
-        assert abs(abs(psi.amplitudes[0]) - 1.0) < 1e-15
+        (psi,) = haar_amplitude_rows(5, 5, 6, 1)
+        assert abs(abs(psi[0]) - 1.0) < 1e-15
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 100, 1000])
     def test_unit_norm(self, dim):
-        psi = sample_haar_pure(dim, RandomStream(11, dim))
-        assert abs(np.vdot(psi.amplitudes, psi.amplitudes).real - 1.0) < 1e-12
+        (psi,) = haar_amplitude_rows(11, dim, dim + 1, dim)
+        assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
 
     def test_deterministic_per_stream(self):
-        a = sample_haar_pure(50, RandomStream(1, 2))
-        b = sample_haar_pure(50, RandomStream(1, 2))
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(haar_amplitude_rows(1, 2, 3, 50), haar_amplitude_rows(1, 2, 3, 50))
 
     def test_amplitude_rows_match_per_stream_states(self):
         # a batch that starts past stream 0 keys row r to stream first + r
         rows = haar_amplitude_rows(13, 5, 12, 9)
         for r in range(rows.shape[0]):
-            psi = sample_haar_pure(9, RandomStream(13, 5 + r))
-            assert rows[r].tobytes() == psi.amplitudes.tobytes()
+            psi = _unit_rows(RandomStream(13, 5 + r).generator.standard_normal(18))
+            assert rows[r].tobytes() == psi.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 10, 100])
     def test_first_prob_moments(self, dim):
@@ -372,8 +353,8 @@ class TestRandomDecomposition:
         )
         for row in rows:
             assert abs(abs(np.vdot(psi, row)) - 1.0) < 1e-7
-        target = relative_entropy_coherence(PureState(psi))
-        got = float(np.dot(weights, [relative_entropy_coherence(PureState(row)) for row in rows]))
+        target = entropy_from_probs(abs(psi) ** 2)
+        got = float(np.dot(weights, entropy_from_probs(abs(rows) ** 2)))
         assert abs(got - target) < 1e-7
 
 

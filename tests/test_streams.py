@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cohlab import sampler
-from cohlab.sampler import haar_prob_rows, keyed_rows
+from cohlab.sampler import haar_prob_blocks, keyed_rows
 from cohlab.streams import STREAM_VERSION, RandomStream, new_generator, stream_setter, word_generator
 
 README = Path(__file__).parents[1] / "README.md"
@@ -167,7 +167,7 @@ def philox_word_generator(seed, word):
 
 def test_haar_prob_rows_are_normalised_exponentials():
     first, stop, dim = 3, 8, 7
-    rows = haar_prob_rows(77, first, stop, dim)
+    rows = next(haar_prob_blocks(77, first, stop, dim, np.empty((stop - first, dim))))
     u = campaign_generator(77).random((stop, dim))
     for row, index in zip(rows, range(first, stop)):
         e = -np.log(1.0 - u[index])
@@ -183,7 +183,8 @@ ORACLE_STARTS = [(0, 9), (1, 9), (2, 7), (3, 4), (6, 13)]
 @pytest.mark.parametrize("dim", ORACLE_DIMS)
 @pytest.mark.parametrize("first, stop", ORACLE_STARTS)
 def test_haar_prob_rows_match_the_v6_oracle(dim, first, stop):
-    rows = haar_prob_rows(77, first, stop, dim)
+    # the whole batch as one block
+    rows = next(haar_prob_blocks(77, first, stop, dim, np.empty((stop - first, dim))))
     assert rows.tobytes() == v6_diagonals(77, first, stop, dim).tobytes()
 
 
@@ -193,7 +194,7 @@ def test_haar_prob_rows_match_the_v5_oracle(monkeypatch, dim, first, stop):
     # v6 changed the bit generator only: given v5's Philox words, the
     # windows and the transform reproduce v5's bytes
     monkeypatch.setattr(sampler, "word_generator", philox_word_generator)
-    rows = haar_prob_rows(77, first, stop, dim)
+    rows = next(haar_prob_blocks(77, first, stop, dim, np.empty((stop - first, dim))))
     assert rows.tobytes() == v5_diagonals(77, first, stop, dim).tobytes()
 
 
@@ -226,9 +227,10 @@ class ZeroWords:
 
 
 def test_haar_prob_rows_at_d1_are_one_even_for_a_zero_word(monkeypatch):
-    assert (haar_prob_rows(4, 0, 5000, 1) == 1.0).all()
+    assert (next(haar_prob_blocks(4, 0, 5000, 1, np.empty((5000, 1)))) == 1.0).all()
     monkeypatch.setattr(sampler, "word_generator", lambda *args: ZeroWords())
     with np.errstate(invalid="ignore"):
-        assert np.isnan(haar_prob_rows(4, 0, 3, 2)).all()  # 0 / 0 where d > 1
-    rows = haar_prob_rows(4, 0, 3, 1)
+        # 0 / 0 where d > 1
+        assert np.isnan(next(haar_prob_blocks(4, 0, 3, 2, np.empty((3, 2))))).all()
+    rows = next(haar_prob_blocks(4, 0, 3, 1, np.empty((3, 1))))
     assert rows.shape == (3, 1) and (rows == 1.0).all()
