@@ -11,7 +11,6 @@ from .analytics import (
     MIN_DIM_FOR_NONTRIVIAL_SUBSPACE,
     SUBSPACE_K_DENOM,
     BoundValue,
-    LevyParams,
     SubspaceDimension,
     beta,
     digamma_integer,
@@ -63,11 +62,10 @@ from .experiments import (
     verify_moments,
 )
 from .sampler import (
-    SubspaceBasis,
     ginibre,
     positive_qr,
     sample_random_subspace,
 )
-from .streams import RandomStream, new_generator
+from .streams import new_generator
 
 __version__ = "0.1.0"

@@ -160,28 +160,6 @@ def haar_prob_moment(d: int, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class LevyParams:
-    """Inputs of the sphere concentration inequality.
-
-    ``sphere_dim_k`` is the sphere dimension (2d - 1 for d-dimensional pure
-    states), ``epsilon`` the deviation, ``lipschitz_eta`` the Lipschitz
-    constant of the functional.
-    """
-
-    sphere_dim_k: int
-    epsilon: float
-    lipschitz_eta: float
-
-    def __post_init__(self):
-        if self.sphere_dim_k < 1:
-            raise InvalidDimensionError(f"sphere dimension must be >= 1, got {self.sphere_dim_k}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise InvalidEpsilonError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not (math.isfinite(self.lipschitz_eta) and self.lipschitz_eta > 0.0):
-            raise InvalidArgumentError(f"Lipschitz constant must be finite and positive, got {self.lipschitz_eta}")
-
-
-@dataclass(frozen=True)
 class BoundValue:
     """A probability bound kept in both linear and log domain.
 
@@ -202,10 +180,17 @@ class BoundValue:
         return cls(raw=raw, effective=min(raw, 1.0), log_raw=log_raw)
 
 
-def levy_generic(params: LevyParams) -> BoundValue:
-    """Sphere concentration bound 2 exp(-(k+1) eps^2 / (9 pi^3 eta^2 ln 2))."""
-    k, eps, eta = params.sphere_dim_k, params.epsilon, params.lipschitz_eta
-    exponent = -(k + 1) * eps * eps / (9.0 * _PI3 * eta * eta * _LN2)
+def levy_generic(sphere_dim_k: int, eps: float, eta: float) -> BoundValue:
+    """Sphere concentration bound 2 exp(-(k+1) eps^2 / (9 pi^3 eta^2 ln 2))
+    for a functional of Lipschitz constant ``eta`` on the sphere of dimension
+    k (2d - 1 for d-dimensional pure states)."""
+    if sphere_dim_k < 1:
+        raise InvalidDimensionError(f"sphere dimension must be >= 1, got {sphere_dim_k}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise InvalidEpsilonError(f"epsilon must be finite and positive, got {eps}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise InvalidArgumentError(f"Lipschitz constant must be finite and positive, got {eta}")
+    exponent = -(sphere_dim_k + 1) * eps * eps / (9.0 * _PI3 * eta * eta * _LN2)
     return BoundValue.from_log(_LN2 + exponent)
 
 

@@ -185,10 +185,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if wanted == "generic" or (wanted is None and args.eta is not None):
         if args.eta is None:
             raise InvalidArgumentError("--theorem generic requires --eta")
-        params = analytics.LevyParams(
-            sphere_dim_k=2 * d - 1, epsilon=eps, lipschitz_eta=args.eta
-        )
-        add("generic", analytics.levy_generic(params), args.eta)
+        add("generic", analytics.levy_generic(2 * d - 1, eps, args.eta), args.eta)
 
     def text() -> str:
         lines = []

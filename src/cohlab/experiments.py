@@ -52,7 +52,7 @@ from .sampler import (
     positive_qr,
     sample_random_subspace,
 )
-from .streams import RandomStream
+from .streams import new_generator
 
 
 class _Measure(NamedTuple):
@@ -556,7 +556,7 @@ def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int):
     _check_alloc(16 * dim * s, f"a {dim} x {s} subspace frame")
     if _quadratic_form(s):
         _check_alloc(8 * s * s * dim, f"a {s * s} x {dim} projection frame of an s = {s} subspace")
-    frame = sample_random_subspace(dim, s, RandomStream(master_seed, 0)).columns
+    frame = sample_random_subspace(dim, s, new_generator(master_seed, 0))
     if _quadratic_form(s):
         frame = _quadratic_frame(frame)
     return s, functools.partial(_project, frame)
@@ -657,13 +657,13 @@ def _decomposition_averages(
 
     ensembles = []
     for ensemble_idx in range(n_ensembles):
-        stream = RandomStream(master_seed, ensemble_idx + 1)
-        c = _unit_rows(stream.generator.standard_normal((ensemble_size, 2 * s)))
-        p = stream.generator.standard_exponential(ensemble_size)
+        gen = new_generator(master_seed, ensemble_idx + 1)
+        c = _unit_rows(gen.standard_normal((ensemble_size, 2 * s)))
+        p = gen.standard_exponential(ensemble_size)
         p /= p.sum()
         ensembles.append((p, c))
         for _ in range(n_redecompositions):
-            isometry = positive_qr(ginibre(stream.generator, m_out, ensemble_size))
+            isometry = positive_qr(ginibre(gen, m_out, ensemble_size))
             ensembles.append(_mix_ensemble(p, c, isometry))
 
     weights, rows = zip(*ensembles)
@@ -734,9 +734,11 @@ def run_matrix_integral_check(
 
     For the dephasing map Pi the Haar twirl has the closed form
     (Tr X * I + X) / (d + 1).  X defaults to the first basis projector;
-    any Hermitian d x d matrix may be supplied.  Dense averaging, so only
-    2 <= d <= 16 is supported.  The tolerance is the 5/sqrt(n) Monte Carlo
-    scale.
+    any Hermitian d x d matrix may be supplied whose real and imaginary parts
+    are at most finfo(float).max / (8 d n) in magnitude, which keeps every
+    sum the check forms finite.  Dense averaging, so only 2 <= d <= 16 is
+    supported.  The tolerance is the 5 ||X||_2 / sqrt(n) Monte Carlo scale:
+    ||X||_2 bounds every entry of U^dag Pi(U X U^dag) U.
     """
     if not 2 <= dim <= 16:
         raise UnsupportedDimensionError(
@@ -751,8 +753,9 @@ def run_matrix_integral_check(
         x = np.ascontiguousarray(x, dtype=np.complex128)
         if x.shape != (dim, dim):
             raise InvalidArgumentError(f"x must be {dim} x {dim}, got {x.shape}")
-        if not np.isfinite(x).all():
-            raise InvalidArgumentError("x must have finite entries")
+        limit = np.finfo(np.float64).max / (8.0 * dim * n_unitaries)
+        if not np.abs(x.view(np.float64)).max() <= limit:  # NaN and inf fail too
+            raise InvalidArgumentError(f"x must have finite entries with parts at most {limit:.3e}")
         if not np.abs(x - x.conj().T).max() <= 1e-12:
             raise InvalidArgumentError("x must be Hermitian")
 
@@ -766,7 +769,7 @@ def run_matrix_integral_check(
 
     total = sum(_run_chunked(n_unitaries, fill, 16 * dim * dim, size=_MATRIX_CHUNK))
     deviation = float(np.abs(total / n_unitaries - closed_form).max())
-    tolerance = 5.0 / math.sqrt(n_unitaries)
+    tolerance = 5.0 * float(np.linalg.norm(x, 2)) / math.sqrt(n_unitaries)
     return MatrixIntegralReport(
         dim=dim,
         n_unitaries=n_unitaries,

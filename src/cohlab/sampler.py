@@ -25,45 +25,16 @@ consecutive blocks of a caller's buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidDimensionError
-from .streams import RandomStream, new_generator, stream_setter, word_generator
+from .streams import new_generator, stream_setter, word_generator
 
 _ORTHO_ATOL = 1e-10
 _GRAM_ATOL = 1e-9
 # numerical noise floor for dropping zero-weight ensemble members; well
 # below any weight scale used in practice
 ZERO_WEIGHT_DROP = 1e-14
-
-
-@dataclass
-class SubspaceBasis:
-    """Column-orthonormal d x s frame spanning a subspace of C^d."""
-
-    columns: np.ndarray
-
-    def __post_init__(self):
-        b = np.ascontiguousarray(self.columns, dtype=np.complex128)
-        if b.ndim != 2:
-            raise InvalidDimensionError("columns must be a 2-d array")
-        d, s = b.shape
-        if not 1 <= s <= d:
-            raise InvalidDimensionError(
-                f"need 1 <= sub_dim <= ambient_dim, got {s} and {d}"
-            )
-        defect = np.abs(_gram(b) - np.eye(s)).max()
-        if not defect <= _ORTHO_ATOL:  # a NaN defect fails too
-            raise InvalidArgumentError(
-                f"columns are not orthonormal: max deviation {defect:.3e}"
-            )
-        self.columns = b
-
-    @property
-    def sub_dim(self) -> int:
-        return self.columns.shape[1]
 
 
 def _complex_normals(normals: np.ndarray) -> np.ndarray:
@@ -140,10 +111,9 @@ def _unit_rows(normals: np.ndarray) -> np.ndarray:
 def keyed_rows(master_seed: int, first: int, stop: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals of the given row shape for streams [first, stop).
 
-    Row r draws from stream ``(master_seed, first + r)``, exactly as a fresh
-    :class:`~cohlab.streams.RandomStream` for that pair would.  One generator
-    is constructed per call and keyed to each row's stream through one
-    :func:`~cohlab.streams.stream_setter`.
+    Row r draws what ``new_generator(master_seed, first + r)`` draws first.
+    One generator is constructed per call and keyed to each row's stream
+    through one :func:`~cohlab.streams.stream_setter`.
     """
     out = np.empty((stop - first, *shape))
     gen = new_generator(master_seed, first)
@@ -157,9 +127,9 @@ def keyed_rows(master_seed: int, first: int, stop: int, shape: tuple[int, ...]) 
 def haar_amplitude_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:
     """Haar pure-state amplitudes for streams [first, stop), one row each.
 
-    Row r is ``_unit_rows(RandomStream(master_seed, first +
-    r).generator.standard_normal(2 * dim))``: the real and imaginary parts
-    drawn from stream ``(master_seed, first + r)``, normalised to unit length.
+    Row r is ``_unit_rows(new_generator(master_seed, first +
+    r).standard_normal(2 * dim))``: the real and imaginary parts drawn from
+    stream ``(master_seed, first + r)``, normalised to unit length.
     """
     return _unit_rows(keyed_rows(master_seed, first, stop, (2 * dim,)))
 
@@ -200,31 +170,37 @@ def haar_unitary_rows(master_seed: int, first: int, stop: int, dim: int) -> np.n
     return positive_qr(_complex_normals(keyed_rows(master_seed, first, stop, (dim, 2 * dim))))
 
 
-def sample_random_subspace(dim: int, sub_dim: int, stream: RandomStream) -> SubspaceBasis:
-    """Draw a Haar-random sub_dim-dimensional subspace of C^dim.
+def sample_random_subspace(dim: int, sub_dim: int, generator: np.random.Generator) -> np.ndarray:
+    """Column-orthonormal dim x sub_dim frame of a Haar-random subspace of C^dim.
 
-    The returned frame is the Q factor, with a positive real R diagonal, of
-    a dim x sub_dim Ginibre matrix, equal in distribution to the first
-    sub_dim columns of a Haar unitary.  It is computed in the drawn array by
-    two passes of Cholesky QR (CholeskyQR2): one pass leaves orthonormality
-    defects near the 1e-10 that :class:`SubspaceBasis` accepts on square
+    The frame is the Q factor, with a positive real R diagonal, of a dim x
+    sub_dim Ginibre matrix drawn from ``generator``, equal in distribution to
+    the first sub_dim columns of a Haar unitary.  It is computed in the drawn
+    array by two passes of Cholesky QR (CholeskyQR2): one pass leaves
+    orthonormality defects near the 1e-10 this function accepts on square
     frames (up to 5.9e-11 at 16 x 16 over 2000 draws), the second takes them
     below 1e-15.  That factor is unique, so it is the frame
     :func:`positive_qr` gives, up to rounding.  Where Cholesky refuses a
     Gram, :func:`positive_qr` orthonormalises the array as it stands, whose
-    Q factor is the same.
+    Q factor is the same.  Either way, a frame whose Gram is further than
+    1e-10 from the identity, or NaN, raises ``InvalidArgumentError``.
     """
     if dim < 1 or sub_dim < 1 or sub_dim > dim:
         raise InvalidDimensionError(
             f"need 1 <= sub_dim <= dim, got sub_dim={sub_dim}, dim={dim}"
         )
-    frame = ginibre(stream.generator, dim, sub_dim)
+    frame = ginibre(generator, dim, sub_dim)
     try:
         _cholesky_qr(frame)
         _cholesky_qr(frame)
     except np.linalg.LinAlgError:
         frame = positive_qr(frame)
-    return SubspaceBasis(frame)
+    defect = np.abs(_gram(frame) - np.eye(sub_dim)).max()
+    if not defect <= _ORTHO_ATOL:  # a NaN defect fails too
+        raise InvalidArgumentError(
+            f"frame columns are not orthonormal: max deviation {defect:.3e}"
+        )
+    return frame
 
 
 def _mix_ensemble(

@@ -31,8 +31,6 @@ No chunking, blocking or thread count changes a byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 STREAM_VERSION = "9"
@@ -106,26 +104,3 @@ def word_generator(master_seed: int, word: int) -> np.random.Generator:
     bit_generator = np.random.PCG64DXSM(np.random.SeedSequence(master_seed & _UINT64_MASK))
     bit_generator.advance(word)
     return np.random.Generator(bit_generator)
-
-
-@dataclass
-class RandomStream:
-    """One reproducible draw sequence, addressed by (master_seed, stream_index).
-
-    The underlying generator is created lazily and consumed sequentially:
-    successive sampling calls on the same object continue the sequence,
-    while a new ``RandomStream`` with the same pair replays it from the
-    start.
-    """
-
-    master_seed: int
-    stream_index: int
-    _generator: np.random.Generator | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._generator is None:
-            self._generator = new_generator(self.master_seed, self.stream_index)
-        return self._generator

@@ -10,7 +10,6 @@ from cohlab.analytics import (
     MIN_DIM_FOR_NONTRIVIAL_SUBSPACE,
     SUBSPACE_K_DENOM,
     BoundValue,
-    LevyParams,
     beta,
     digamma_integer,
     expected_classical_purity,
@@ -215,28 +214,28 @@ class TestHaarProbMoment:
 class TestLevyBounds:
     def test_params_validation(self):
         with pytest.raises(InvalidDimensionError):
-            LevyParams(0, 0.5, 1.0)
+            levy_generic(0, 0.5, 1.0)
         with pytest.raises(InvalidEpsilonError):
-            LevyParams(3, 0.0, 1.0)
+            levy_generic(3, 0.0, 1.0)
         with pytest.raises(InvalidArgumentError):
-            LevyParams(3, 0.5, 0.0)
+            levy_generic(3, 0.5, 0.0)
 
     def test_generic_vacuous_limit(self):
-        bound = levy_generic(LevyParams(3, 0.5, 1e12))
+        bound = levy_generic(3, 0.5, 1e12)
         assert abs(bound.raw - 2.0) < 1e-12
         assert bound.effective == 1.0
 
     def test_generic_frozen_example(self):
         # k = 2e7 - 1, eps = 0.5, eta = sqrt(8) ln(1e7): exponent -12.44, raw 7.9e-6
         eta = math.sqrt(8) * math.log(1e7)
-        bound = levy_generic(LevyParams(2 * 10**7 - 1, 0.5, eta))
+        bound = levy_generic(2 * 10**7 - 1, 0.5, eta)
         exponent = -(2 * 10**7) * 0.25 / (9 * math.pi**3 * eta * eta * math.log(2))
         assert abs(bound.log_raw - (math.log(2) + exponent)) < 1e-12
         assert abs(bound.raw - 7.9e-6) < 1e-7
 
     def test_doubling_eps_quadruples_exponent(self):
-        b1 = levy_generic(LevyParams(99, 0.3, 2.0))
-        b2 = levy_generic(LevyParams(99, 0.6, 2.0))
+        b1 = levy_generic(99, 0.3, 2.0)
+        b2 = levy_generic(99, 0.6, 2.0)
         e1 = b1.log_raw - math.log(2)
         e2 = b2.log_raw - math.log(2)
         assert abs(e2 - 4 * e1) < 1e-12
@@ -245,7 +244,7 @@ class TestLevyBounds:
         # k+1 = 2d and eta^2 = 8 (ln d)^2 fold into the printed constant 36
         for d in (3, 20, 1000, 10**7):
             eta = math.sqrt(8) * math.log(d)
-            generic = levy_generic(LevyParams(2 * d - 1, 0.5, eta))
+            generic = levy_generic(2 * d - 1, 0.5, eta)
             printed = levy_bound_cr(d, 0.5)
             assert abs(generic.log_raw - printed.log_raw) < 1e-12
 

@@ -4,6 +4,7 @@ import math
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from cohlab.experiments import (
     run_matrix_integral_check,
     run_subspace_floor,
 )
-from cohlab.streams import RandomStream, new_generator, word_generator
+from cohlab.streams import new_generator, word_generator
 
 
 def payload_bytes(report):
@@ -219,8 +220,8 @@ class TestSubspaceFloor:
 
         monkeypatch.setattr(experiments, "sample_random_subspace", spy_subspace)
         first = payload_bytes(run_subspace_floor(34000, eps, 20, 8))
-        fresh = draw_subspace(34000, 2, RandomStream(8, 0))
-        assert np.array_equal(bases[0].columns, fresh.columns)
+        fresh = draw_subspace(34000, 2, new_generator(8, 0))
+        assert np.array_equal(bases[0], fresh)
         assert payload_bytes(run_subspace_floor(34000, eps, 20, 8)) == first
 
     @staticmethod
@@ -271,9 +272,9 @@ class TestSubspaceFloor:
         assert sum(rows for rows, _ in calls) == n * blocks
         assert sum(rows * width for rows, width in calls) == n * dim
 
-        basis = sampler.sample_random_subspace(dim, report.sub_dim, RandomStream(seed, 0))
+        frame = sampler.sample_random_subspace(dim, report.sub_dim, new_generator(seed, 0))
         scalar = np.array([
-            measures.entropy_from_probs(abs(basis.columns @ c) ** 2)
+            measures.entropy_from_probs(abs(frame @ c) ** 2)
             for c in sampler.haar_amplitude_rows(seed, 1, n + 1, report.sub_dim)
         ])
         assert report.min_observed_cr == pytest.approx(scalar.min(), rel=1e-14, abs=0)
@@ -334,7 +335,7 @@ def decomposition_averages_in_c_d(dim, eps, n_ensembles, m_out, seed, ensemble_s
     mixed in C^d, and each member's entropy sums all d of its probabilities
     at once."""
     s = subspace_dimension(dim, eps).s
-    frame = sampler.sample_random_subspace(dim, s, RandomStream(seed, 0)).columns
+    frame = sampler.sample_random_subspace(dim, s, new_generator(seed, 0))
 
     def entropy(psi):
         p = psi.real**2 + psi.imag**2
@@ -451,6 +452,39 @@ class TestMatrixIntegral:
         # a NaN Hermitian defect fails no "defect > tolerance" check
         with pytest.raises(InvalidArgumentError):
             run_matrix_integral_check(2, 100, 0, x=x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [1e308 * np.eye(2), np.array([[0.0, 1e308], [-1e308, 0.0]])],
+        ids=["diagonal", "off-diagonal"],
+    )
+    def test_rejects_input_whose_arithmetic_overflows(self, x):
+        # both used to overflow: the first into a NaN report, the second in
+        # the Hermitian check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="at most"):
+                run_matrix_integral_check(2, 100, 0, x=x)
+
+    def test_large_finite_input_runs_and_passes(self):
+        x = np.zeros((2, 2), dtype=complex)
+        x[0, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_matrix_integral_check(2, 100, 0, x=x)
+        assert math.isfinite(report.max_abs_deviation)
+        assert report.ok
+
+    def test_tolerance_scales_with_x(self):
+        # the twirl is linear in x: scaling x scales the deviation, and the
+        # tolerance 5 ||x||_2 / sqrt(n) with it
+        x = np.zeros((2, 2), dtype=complex)
+        x[0, 0] = 1000.0
+        base = run_matrix_integral_check(2, 20000, 31)
+        scaled = run_matrix_integral_check(2, 20000, 31, x=x)
+        assert scaled.ok
+        assert scaled.tolerance == pytest.approx(1000.0 * base.tolerance, rel=1e-15)
+        assert scaled.max_abs_deviation == pytest.approx(1000.0 * base.max_abs_deviation, rel=1e-12)
 
     def test_d2_converges_to_closed_form(self):
         report = run_matrix_integral_check(2, 20000, 31)
@@ -683,7 +717,7 @@ def test_abs2_halves_match_real_and_imaginary_squares(rng):
 def test_quadratic_form_gives_the_probabilities(rng, s):
     # from s = 3 on, several pairs j < k must line up between Q's rows and
     # M's columns; the sums run in another order, so rounding differs
-    frame = sampler.sample_random_subspace(3000, s, RandomStream(s, 0)).columns
+    frame = sampler.sample_random_subspace(3000, s, new_generator(s, 0))
     c = sampler.haar_amplitude_rows(s, 1, 41, s)
     expected = np.abs(c @ frame.T) ** 2
     probs = experiments._quadratic_coefficients(c) @ experiments._quadratic_frame(frame)
@@ -693,7 +727,7 @@ def test_quadratic_form_gives_the_probabilities(rng, s):
 @pytest.mark.parametrize("dim, s, block_cols", [(3000, 2, 1000), (3000, 4, 700), (3000, 3, 8192)])
 def test_quadratic_frame_in_column_blocks_keeps_its_bytes(monkeypatch, dim, s, block_cols):
     # the full-width construction, every row of Q in one pass
-    frame = sampler.sample_random_subspace(dim, s, RandomStream(s, 0)).columns
+    frame = sampler.sample_random_subspace(dim, s, new_generator(s, 0))
     f = frame.T
     expected = np.empty((s * s, dim))
     np.add(f.real**2, f.imag**2, out=expected[:s])

@@ -15,7 +15,7 @@ from cohlab.measures import (
     trdist_mm_from_probs,
 )
 from cohlab.sampler import _mix_ensemble, ginibre, positive_qr
-from cohlab.streams import RandomStream
+from cohlab.streams import new_generator
 
 from conftest import random_state_vector
 
@@ -141,14 +141,14 @@ class TestDecompositionAverage:
         return float(np.dot(weights, entropy_from_probs(abs(rows) ** 2)))
 
     @staticmethod
-    def redecompose(weights, rows, m_out, stream):
-        isometry = positive_qr(ginibre(stream.generator, m_out, len(weights)))
+    def redecompose(weights, rows, m_out, generator):
+        isometry = positive_qr(ginibre(generator, m_out, len(weights)))
         return _mix_ensemble(weights, rows, isometry)
 
     def test_single_state(self, rng):
         # every member of a mixed one-state ensemble is the state up to phase
         psi = random_state_vector(5, rng)
-        weights, rows = self.redecompose(np.array([1.0]), psi[None], 4, RandomStream(3, 0))
+        weights, rows = self.redecompose(np.array([1.0]), psi[None], 4, new_generator(3, 0))
         assert len(rows) == 4
         avg = self.average(weights, rows)
         assert abs(avg - entropy_from_probs(abs(psi) ** 2)) < 1e-15
@@ -169,7 +169,7 @@ class TestDecompositionAverage:
             floor = cr_rank2_mixture(weights, rows)
             assert self.average(weights, rows) >= floor - 1e-9
             for trial in range(4):
-                redec = self.redecompose(weights, rows, 4, RandomStream(7, trial))
+                redec = self.redecompose(weights, rows, 4, new_generator(7, trial))
                 assert self.average(*redec) >= floor - 1e-9
 
 

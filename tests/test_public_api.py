@@ -17,13 +17,10 @@ PUBLIC_NAMES = [
     "InvalidArgumentError",
     "InvalidDimensionError",
     "InvalidEpsilonError",
-    "LevyParams",
     "MEASURE_KINDS",
     "MIN_DIM_FOR_NONTRIVIAL_SUBSPACE",
     "MatrixIntegralReport",
-    "RandomStream",
     "SUBSPACE_K_DENOM",
-    "SubspaceBasis",
     "SubspaceDimension",
     "SubspaceFloorReport",
     "UnsupportedDimensionError",

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cohlab import sampler
 from cohlab.errors import InvalidArgumentError, InvalidDimensionError
 from cohlab.experiments import first_prob_samples
 from cohlab.measures import entropy_from_probs
 from cohlab.sampler import (
-    SubspaceBasis,
     _mix_ensemble,
     _unit_rows,
     ginibre,
@@ -17,21 +17,21 @@ from cohlab.sampler import (
     positive_qr,
     sample_random_subspace,
 )
-from cohlab.streams import RandomStream, new_generator
+from cohlab.streams import new_generator
 
 from conftest import random_state_vector
 
 
-def subspace_state(basis, stream):
+def subspace_state(frame, generator):
     """A Haar state of the subspace, F c for a Haar state c of C^s: the
     states the subspace campaigns project."""
-    return basis.columns @ _unit_rows(stream.generator.standard_normal(2 * basis.sub_dim))
+    return frame @ _unit_rows(generator.standard_normal(2 * frame.shape[1]))
 
 
-def haar_isometry(m_out, m, stream):
+def haar_isometry(m_out, m, generator):
     """A Haar m_out x m mixing isometry, drawn as the decomposition check
     draws it."""
-    return positive_qr(ginibre(stream.generator, m_out, m))
+    return positive_qr(ginibre(generator, m_out, m))
 
 
 def haar_prob_moment_exact(d, k):
@@ -41,19 +41,28 @@ def haar_prob_moment_exact(d, k):
 
 
 class TestTypes:
-    def test_subspace_rejects_nonorthonormal(self):
-        with pytest.raises(InvalidArgumentError):
-            SubspaceBasis(np.ones((4, 2), dtype=complex))
+    def test_subspace_rejects_nonorthonormal(self, monkeypatch):
+        # without Cholesky QR the frame is the raw Ginibre draw
+        monkeypatch.setattr(sampler, "_cholesky_qr", lambda frame: None)
+        with pytest.raises(InvalidArgumentError, match="orthonormal"):
+            sample_random_subspace(4, 2, new_generator(0, 0))
 
-    def test_subspace_rejects_a_nan_frame(self):
+    def test_subspace_rejects_a_nan_frame(self, monkeypatch):
         # every comparison with a NaN defect is false, so the check must not
-        # be "defect > tolerance"
-        with pytest.raises(InvalidArgumentError):
-            SubspaceBasis(np.full((4, 2), np.nan, dtype=complex))
+        # be "defect > tolerance"; it follows the Cholesky QR, which passes
+        # NaN through, and the Householder fallback alike
+        def nan_draw(generator, rows, cols):
+            return np.full((rows, cols), np.nan, dtype=complex)
 
-    def test_subspace_rejects_wide_frame(self):
-        with pytest.raises(InvalidDimensionError):
-            SubspaceBasis(np.eye(2, 3, dtype=complex))
+        def refuse(gram):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(sampler, "ginibre", nan_draw)
+        with pytest.raises(InvalidArgumentError, match="orthonormal"):
+            sample_random_subspace(4, 2, new_generator(0, 0))
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        with pytest.raises(InvalidArgumentError, match="orthonormal"):
+            sample_random_subspace(4, 2, new_generator(0, 0))
 
     def test_decomposition_rejects_negative_weights(self):
         # the square root of a negative weight is NaN, which fails the
@@ -80,7 +89,7 @@ class TestHaarPure:
         # a batch that starts past stream 0 keys row r to stream first + r
         rows = haar_amplitude_rows(13, 5, 12, 9)
         for r in range(rows.shape[0]):
-            psi = _unit_rows(RandomStream(13, 5 + r).generator.standard_normal(18))
+            psi = _unit_rows(new_generator(13, 5 + r).standard_normal(18))
             assert rows[r].tobytes() == psi.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 10, 100])
@@ -160,19 +169,19 @@ class TestHaarUnitary:
 class TestRandomSubspace:
     def test_rejects_bad_dims(self):
         with pytest.raises(InvalidDimensionError):
-            sample_random_subspace(4, 0, RandomStream(0, 0))
+            sample_random_subspace(4, 0, new_generator(0, 0))
         with pytest.raises(InvalidDimensionError):
-            sample_random_subspace(4, 5, RandomStream(0, 0))
+            sample_random_subspace(4, 5, new_generator(0, 0))
 
     def test_columns_orthonormal(self):
-        basis = sample_random_subspace(8, 2, RandomStream(2, 0))
-        gram = basis.columns.conj().T @ basis.columns
+        frame = sample_random_subspace(8, 2, new_generator(2, 0))
+        gram = frame.conj().T @ frame
         assert np.abs(gram - np.eye(2)).max() < 1e-10
 
     def test_full_subspace_spans_everything(self, rng):
-        basis = sample_random_subspace(4, 4, RandomStream(9, 0))
+        frame = sample_random_subspace(4, 4, new_generator(9, 0))
         psi = random_state_vector(4, rng)
-        proj = basis.columns.conj().T @ psi
+        proj = frame.conj().T @ psi
         assert abs(np.vdot(proj, proj).real - 1.0) < 1e-12
 
     def test_states_in_fresh_subspaces_are_haar_marginal(self):
@@ -181,9 +190,9 @@ class TestRandomSubspace:
         d, s, n = 100, 3, 10000
         vals = np.empty(n)
         for i in range(n):
-            stream = RandomStream(808, i)
-            basis = sample_random_subspace(d, s, stream)
-            vals[i] = abs(subspace_state(basis, stream)[0]) ** 2
+            generator = new_generator(808, i)
+            frame = sample_random_subspace(d, s, generator)
+            vals[i] = abs(subspace_state(frame, generator)[0]) ** 2
         stderr = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - 1.0 / d) < 4 * stderr
 
@@ -195,12 +204,12 @@ class TestCholeskyFrame:
 
     @staticmethod
     def draw(dim, sub_dim, seed):
-        return ginibre(RandomStream(seed, 0).generator, dim, sub_dim)
+        return ginibre(new_generator(seed, 0), dim, sub_dim)
 
     @pytest.mark.parametrize("dim, sub_dim", [(8, 2), (100, 3), (3000, 6), (34000, 2)])
     def test_tall_frames_equal_positive_qr_of_the_same_draw(self, dim, sub_dim):
         for seed in range(3):
-            frame = sample_random_subspace(dim, sub_dim, RandomStream(seed, 0)).columns
+            frame = sample_random_subspace(dim, sub_dim, new_generator(seed, 0))
             expected = positive_qr(self.draw(dim, sub_dim, seed))
             assert np.abs(frame - expected).max() <= 1e-12
 
@@ -209,7 +218,7 @@ class TestCholeskyFrame:
         # a single pass leaves defects up to about 6e-11 on these frames
         defect, phase = 0.0, 0.0
         for seed in range(2000):
-            frame = sample_random_subspace(sub_dim, sub_dim, RandomStream(seed, 0)).columns
+            frame = sample_random_subspace(sub_dim, sub_dim, new_generator(seed, 0))
             defect = max(defect, np.abs(frame.conj().T @ frame - np.eye(sub_dim)).max())
             diag = np.diagonal(frame.conj().T @ self.draw(sub_dim, sub_dim, seed))
             assert diag.real.min() > 0.0
@@ -222,7 +231,7 @@ class TestCholeskyFrame:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
-        frame = sample_random_subspace(300, 5, RandomStream(11, 0)).columns
+        frame = sample_random_subspace(300, 5, new_generator(11, 0))
         assert np.array_equal(frame, positive_qr(self.draw(300, 5, 11)))
 
     def test_a_refusal_after_one_pass_keeps_the_q_factor(self, monkeypatch):
@@ -237,7 +246,7 @@ class TestCholeskyFrame:
             return cholesky(gram)
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse_second)
-        frame = sample_random_subspace(300, 5, RandomStream(11, 0)).columns
+        frame = sample_random_subspace(300, 5, new_generator(11, 0))
         assert calls == [5, 5]
         assert np.abs(frame - positive_qr(self.draw(300, 5, 11))).max() <= 1e-12
 
@@ -247,7 +256,7 @@ class TestCholeskyFrame:
         dim, sub_dim = 100000, 4
         tracemalloc.start()
         try:
-            sample_random_subspace(dim, sub_dim, RandomStream(1, 0))
+            sample_random_subspace(dim, sub_dim, new_generator(1, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -256,28 +265,28 @@ class TestCholeskyFrame:
 
 class TestPureInSubspace:
     def test_s1_returns_column_up_to_phase(self):
-        basis = sample_random_subspace(6, 1, RandomStream(3, 0))
-        psi = subspace_state(basis, RandomStream(3, 1))
-        overlap = abs(np.vdot(basis.columns[:, 0], psi))
+        frame = sample_random_subspace(6, 1, new_generator(3, 0))
+        psi = subspace_state(frame, new_generator(3, 1))
+        overlap = abs(np.vdot(frame[:, 0], psi))
         assert abs(overlap - 1.0) < 1e-12
 
     def test_projection_has_unit_norm(self):
         # F c has the norm of c, so the weights of an ensemble mixed in
         # coefficient space are those of its states in C^d
-        basis = sample_random_subspace(8, 2, RandomStream(5, 0))
-        psi = subspace_state(basis, RandomStream(5, 1))
-        proj = basis.columns.conj().T @ psi
+        frame = sample_random_subspace(8, 2, new_generator(5, 0))
+        psi = subspace_state(frame, new_generator(5, 1))
+        proj = frame.conj().T @ psi
         assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
         assert abs(np.vdot(proj, proj).real - 1.0) < 1e-12
 
     def test_frame_coefficient_moment(self):
         # coefficients are Haar in the subspace dimension: E|c_1|^2 = 1/s
-        basis = sample_random_subspace(8, 2, RandomStream(6, 0))
+        frame = sample_random_subspace(8, 2, new_generator(6, 0))
         n = 10000
         vals = np.empty(n)
         for i in range(n):
-            psi = subspace_state(basis, RandomStream(6, i + 1))
-            c = basis.columns.conj().T @ psi
+            psi = subspace_state(frame, new_generator(6, i + 1))
+            c = frame.conj().T @ psi
             vals[i] = abs(c[0]) ** 2
         stderr = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - 0.5) < 3 * stderr
@@ -308,7 +317,7 @@ class TestRandomDecomposition:
 
     def test_pure_seed_outputs_same_ray(self, rng):
         psi = random_state_vector(4, rng)
-        weights, rows = _mix_ensemble(np.array([1.0]), psi[None], haar_isometry(5, 1, RandomStream(12, 0)))
+        weights, rows = _mix_ensemble(np.array([1.0]), psi[None], haar_isometry(5, 1, new_generator(12, 0)))
         assert len(rows) == 5 and abs(weights.sum() - 1.0) < 1e-12
         for row in rows:
             assert abs(abs(np.vdot(psi, row)) - 1.0) < 1e-10
@@ -341,7 +350,7 @@ class TestRandomDecomposition:
             weights, rows = self._random_seed_ensemble(dim, size, rng)
             rho = self._density(weights, rows)
             for trial in range(5):
-                q, k = _mix_ensemble(weights, rows, haar_isometry(m_out, size, RandomStream(33, trial)))
+                q, k = _mix_ensemble(weights, rows, haar_isometry(m_out, size, new_generator(33, trial)))
                 assert np.abs(np.linalg.norm(k, axis=1) - 1.0).max() < 1e-14
                 assert np.abs(self._density(q, k) - rho).max() < 1e-12
 
@@ -349,7 +358,7 @@ class TestRandomDecomposition:
         psi = random_state_vector(3, rng)
         phi = random_state_vector(3, rng)
         weights, rows = _mix_ensemble(
-            np.array([1.0, 0.0]), np.array([psi, phi]), haar_isometry(4, 2, RandomStream(64, 0))
+            np.array([1.0, 0.0]), np.array([psi, phi]), haar_isometry(4, 2, new_generator(64, 0))
         )
         for row in rows:
             assert abs(abs(np.vdot(psi, row)) - 1.0) < 1e-7

@@ -6,7 +6,7 @@ import pytest
 
 from cohlab import sampler
 from cohlab.sampler import haar_prob_blocks, keyed_rows
-from cohlab.streams import STREAM_VERSION, RandomStream, new_generator, stream_setter, word_generator
+from cohlab.streams import STREAM_VERSION, new_generator, stream_setter, word_generator
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -21,30 +21,30 @@ def test_readme_names_the_current_stream_version():
 
 
 def test_identical_pair_replays_sequence():
-    a = RandomStream(42, 7).generator.standard_normal(100)
-    b = RandomStream(42, 7).generator.standard_normal(100)
+    a = new_generator(42, 7).standard_normal(100)
+    b = new_generator(42, 7).standard_normal(100)
     assert np.array_equal(a, b)
 
 
 def test_distinct_indices_differ():
-    a = RandomStream(42, 0).generator.standard_normal(100)
-    b = RandomStream(42, 1).generator.standard_normal(100)
+    a = new_generator(42, 0).standard_normal(100)
+    b = new_generator(42, 1).standard_normal(100)
     assert not np.array_equal(a, b)
 
 
 def test_distinct_seeds_differ():
-    a = RandomStream(1, 5).generator.standard_normal(100)
-    b = RandomStream(2, 5).generator.standard_normal(100)
+    a = new_generator(1, 5).standard_normal(100)
+    b = new_generator(2, 5).standard_normal(100)
     assert not np.array_equal(a, b)
 
 
 def test_stream_is_consumed_sequentially():
-    stream = RandomStream(3, 3)
-    first = stream.generator.standard_normal(10)
-    second = stream.generator.standard_normal(10)
+    generator = new_generator(3, 3)
+    first = generator.standard_normal(10)
+    second = generator.standard_normal(10)
     assert not np.array_equal(first, second)
-    # a fresh object replays the concatenated sequence
-    replay = RandomStream(3, 3).generator.standard_normal(20)
+    # a fresh generator replays the concatenated sequence
+    replay = new_generator(3, 3).standard_normal(20)
     assert np.array_equal(replay, np.concatenate([first, second]))
 
 
@@ -136,7 +136,7 @@ def test_keyed_normal_rows_match_per_row_streams(shape):
     rows = keyed_rows(77, first, stop, shape)
     assert rows.shape == (stop - first, *shape)
     for row, index in zip(rows, range(first, stop)):
-        assert np.array_equal(row, RandomStream(77, index).generator.standard_normal(shape))
+        assert np.array_equal(row, new_generator(77, index).standard_normal(shape))
 
 
 def diagonals(generator, first, stop, dim):
@@ -154,7 +154,7 @@ def v6_diagonals(seed, first, stop, dim):
 
 def v5_diagonals(seed, first, stop, dim):
     """Stream contract v5: the uniforms come from Philox stream (seed, 0)."""
-    return diagonals(RandomStream(seed, 0).generator, first, stop, dim)
+    return diagonals(new_generator(seed, 0), first, stop, dim)
 
 
 def philox_word_generator(seed, word):
