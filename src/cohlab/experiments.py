@@ -15,12 +15,14 @@ on a thread pool.  Campaigns that draw diagonals draw and evaluate every
 chunk in blocks of rows (:func:`_block_rows`): each block is drawn into the
 rows buffer of the worker that fills the chunk, and the kernels run in its
 work buffer, both one block in size and both living only as long as the
-campaign.  The subspace campaign and the decomposition check project their
-states through one projector (:func:`_project`): chunks of states (128 at
-s <= 4, 64 above), one fixed block of frame columns at a time, in row
-blocks of states (32 at s <= 4, 16 above) that fill those buffers, summing
-each state's block entropies in block order, so their bytes depend on d
-but not on the chunks or the row blocks either.
+campaign; the worker writes each kernel's per-row values of the block into
+that kernel's array of every trial (:func:`_diagonal_values`).  The
+subspace campaign and the decomposition check project their states through
+one projector (:func:`_project`): chunks of states (128 at s <= 4, 64
+above), one fixed block of frame columns at a time, in row blocks of states
+(32 at s <= 4, 16 above) that fill those buffers, summing each state's
+block entropies in block order, so their bytes depend on d but not on the
+chunks or the row blocks either.
 """
 
 from __future__ import annotations
@@ -171,11 +173,13 @@ _PARALLEL_MIN_DIM = 450
 # _CHUNK_BYTES budget, a subspace frame (16 d s bytes) or the quadratic-form
 # frame Q that subspace states of s <= 4 are projected onto (8 d s^2 bytes;
 # above s = 4 they are projected through the real form of one column block
-# of the frame at a time), the values of every trial (8 bytes each) or a
-# histogram with its payload (_HISTOGRAM_BIN_BYTES per bin).  The frame cap
-# bounds the whole frame phase, which orthonormalises the frame in place and
-# needs the frame plus one 512 KiB block of its rows, not the 3-5 frames of
-# a Householder QR.
+# of the frame at a time), the values of every trial (8 bytes per trial and
+# kernel, a diagonal campaign's kernels counted together), the coefficient
+# rows of a decomposition check's members (16 s bytes each) and its mixing
+# Ginibre matrices, or a histogram with its payload (_HISTOGRAM_BIN_BYTES
+# per bin).  The frame cap bounds the whole frame phase, which
+# orthonormalises the frame in place and needs the frame plus one 512 KiB
+# block of its rows, not the 3-5 frames of a Householder QR.
 # Larger requests raise MemoryError before anything is allocated (CLI exit
 # 6); every acceptance and golden campaign stays far inside it (the largest
 # frame, d=1e5 and s=6, is 9.6 MB, and the largest projection frame, d=1e5
@@ -226,9 +230,9 @@ def _run_chunked(n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int 
     (``size`` overrides them) and picks serial or threaded; it is checked
     against the cap before any chunk runs, as are the 8 bytes per trial
     that a campaign may keep.  Workers take the chunks in order from one
-    lazily generated sequence.  A chunk that raises ends the campaign: the
-    sequence is emptied, so no worker takes another chunk, and the
-    exception reaches the caller.
+    lazily generated sequence.  A chunk that raises, or an interrupt of the
+    caller, ends the campaign: the sequence is emptied, so no worker takes
+    another chunk, and the exception reaches the caller.
 
     With ``scratch_cols``, each worker owns two float64 arrays of
     ``scratch_cols`` columns, rows and work, allocated on its first chunk
@@ -247,7 +251,6 @@ def _run_chunked(n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int 
     take = threading.Lock()
 
     def work() -> None:
-        nonlocal chunks
         scratch = None
         while True:
             with take:
@@ -263,18 +266,20 @@ def _run_chunked(n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int 
                 # about 680 for two allocations
                 rows = min(size, n, _block_rows(8 * scratch_cols))
                 scratch = np.empty((2, rows, scratch_cols))
-            try:
-                results[i] = fill(start, stop, *(() if scratch is None else scratch[:, : stop - start]))
-            except BaseException:
-                with take:
-                    chunks = iter(())
-                raise
+            results[i] = fill(start, stop, *(() if scratch is None else scratch[:, : stop - start]))
 
     workers = 1 if row_bytes < 16 * _PARALLEL_MIN_DIM else min(_usable_cpus(), count)
     if workers > 1:
         with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for done in [pool.submit(work) for _ in range(workers)]:
-                done.result()
+            try:
+                running = [pool.submit(work) for _ in range(workers)]
+                for done in futures.wait(running, return_when=futures.FIRST_EXCEPTION).done:
+                    done.result()
+            finally:
+                # before the pool waits for its workers, which stop at their
+                # next chunk
+                with take:
+                    chunks = iter(())
     else:
         work()
     return results
@@ -292,22 +297,30 @@ def _abs2_halves(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(amps[:half], amps[half:], out=out)
 
 
-def _over_diagonals(dim: int, trials: int, master_seed: int, per_block) -> list:
-    """``per_block(probs, work)`` over the blocks of Haar diagonals of trials
-    [0, trials), results in trial order.
+def _diagonal_values(dim: int, trials: int, master_seed: int, kernels) -> list[np.ndarray]:
+    """The per-row values of each ``kernel(probs, work)`` over the Haar
+    diagonals of trials [0, trials): one owning float64 array per kernel, in
+    trial order.
 
-    Each chunk of :func:`_run_chunked` is one draw
+    Their ``8 len(kernels) trials`` bytes are checked against the cap before
+    anything is drawn.  Each chunk of :func:`_run_chunked` is one draw
     (:func:`~cohlab.sampler.haar_prob_blocks`), made and evaluated in blocks
     of :func:`_block_rows` rows: ``probs`` and ``work`` are the first rows of
-    the worker's rows and work buffers, which hold one block.
+    the worker's rows and work buffers, which hold one block, and each
+    kernel's values are copied into its array before the next block.
     """
+    _check_alloc(8 * len(kernels) * trials, f"the values of {trials} trials ({len(kernels)} per trial)")
+    values = [np.empty(trials) for _ in kernels]
 
-    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> list:
-        blocks = haar_prob_blocks(master_seed, start, stop, dim, rows)
-        return [per_block(probs, work[: len(probs)]) for probs in blocks]
+    def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> None:
+        for probs in haar_prob_blocks(master_seed, start, stop, dim, rows):
+            block = slice(start, start + len(probs))
+            for kernel, out in zip(kernels, values):
+                out[block] = kernel(probs, work[: len(probs)])
+            start = block.stop
 
-    chunks = _run_chunked(trials, fill, 16 * dim, dim)
-    return [result for chunk in chunks for result in chunk]
+    _run_chunked(trials, fill, 16 * dim, dim)
+    return values
 
 
 def run_concentration(
@@ -346,8 +359,7 @@ def run_concentration(
         raise InvalidArgumentError("epsilons must be sorted ascending")
     _check_alloc(_HISTOGRAM_BIN_BYTES * histogram_bins, f"a histogram of {histogram_bins} bins")
     measure = _MEASURES[measure_kind]
-    kernel = getattr(measures, measure.kernel)
-    values = np.concatenate(_over_diagonals(dim, trials, master_seed, kernel))
+    (values,) = _diagonal_values(dim, trials, master_seed, [getattr(measures, measure.kernel)])
     mean = math.fsum(values) / trials
     variance = math.fsum((values - mean) ** 2) / (trials - 1) if trials > 1 else 0.0
     stderr = math.sqrt(variance / trials)
@@ -530,14 +542,15 @@ def _project(frame: np.ndarray, n: int, coefficients) -> np.ndarray:
     return np.concatenate(_run_chunked(n, fill, 16 * scratch_cols, scratch_cols))
 
 
-def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int):
+def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int, rows: int = 0):
     """The dimension s of a random subspace from stream (master_seed, 0) and
     the frame :func:`_project` reads: for s <= 4 its quadratic-form frame Q,
     above it the subspace frame itself.
 
-    s < ``min_s``, a frame past the cap, or for s <= 4 a quadratic-form frame
-    Q past it raises before anything is drawn.  No other frame outlives this
-    call.
+    s < ``min_s``, a frame past the cap, for s <= 4 a quadratic-form frame Q
+    past it, or ``rows`` coefficient rows of 16 s bytes past it, which the
+    caller holds at once, raises before anything is drawn.  No other frame
+    outlives this call.
     """
     s = analytics.subspace_dimension(dim, eps).s
     if s < min_s:
@@ -549,6 +562,7 @@ def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int):
     _check_alloc(16 * dim * s, f"a {dim} x {s} subspace frame")
     if _quadratic_form(s):
         _check_alloc(8 * s * s * dim, f"a {s * s} x {dim} projection frame of an s = {s} subspace")
+    _check_alloc(16 * s * rows, f"the coefficient rows of {rows} states of an s = {s} subspace")
     frame = sample_random_subspace(dim, s, new_generator(master_seed, 0))
     if _quadratic_form(s):
         frame = _quadratic_frame(frame)
@@ -565,6 +579,7 @@ def subspace_cr_samples(dim: int, eps: float, n_states: int, master_seed: int) -
     """
     if n_states < 1:
         raise InvalidArgumentError(f"n_states must be >= 1, got {n_states}")
+    _check_alloc(8 * n_states, f"the values of {n_states} states")
     s, frame = _random_subspace(dim, eps, master_seed, 1)
     return _project(frame, n_states, lambda start, stop: haar_amplitude_rows(master_seed, start + 1, stop + 1, s))
 
@@ -645,8 +660,14 @@ def _decomposition_averages(
         )
     if n_redecompositions < 0:
         raise InvalidArgumentError("n_redecompositions must be >= 0")
+    # the mixing Ginibre matrices and the values of every member are checked
+    # against the cap before the frame is drawn, and the members' coefficient
+    # rows after its own checks
+    members = n_ensembles * (ensemble_size + n_redecompositions * m_out)
+    _check_alloc(16 * m_out * ensemble_size, f"a {m_out} x {ensemble_size} mixing Ginibre matrix")
+    _check_alloc(8 * members, f"the values of {members} members")
     # a mixed-state ensemble needs two independent directions
-    s, frame = _random_subspace(dim, eps, master_seed, 2)
+    s, frame = _random_subspace(dim, eps, master_seed, 2, members)
 
     ensembles = []
     for ensemble_idx in range(n_ensembles):
@@ -804,27 +825,19 @@ def run_inequality_sweep(
     log_d = math.log(dim)
     atol = 1e-10
 
-    def per_block(probs: np.ndarray, work: np.ndarray) -> tuple[int, int, int]:
-        c_r = measures.entropy_from_probs(probs, work=work)
-        c_l1 = measures.l1_from_probs(probs, work=work)
-        floor = measures.fannes_floor_from_probs(probs, work=work)
-        l1_bound = np.sqrt(dim * (dim - 1) * measures.mixedness_from_probs(probs, work=work))
-        # each check counts the rows that do not pass it, NaN rows included
-        return (
-            int(np.count_nonzero(~(c_l1 <= l1_bound + atol))),
-            int(np.count_nonzero(~(c_r >= floor - atol))),
-            int(np.count_nonzero(~((c_r >= -atol) & (c_r <= log_d + atol)))),
-        )
-
-    partials = _over_diagonals(dim, trials, master_seed, per_block)
-    totals = [sum(p[i] for p in partials) for i in range(3)]
+    c_r, c_l1, floor, mixedness = _diagonal_values(dim, trials, master_seed, [
+        measures.entropy_from_probs, measures.l1_from_probs,
+        measures.fannes_floor_from_probs, measures.mixedness_from_probs,
+    ])
+    l1_bound = np.sqrt(dim * (dim - 1) * mixedness)
+    # each check counts the rows that do not pass it, NaN rows included
     return InequalitySweepReport(
         dim=dim,
         trials=trials,
         master_seed=master_seed,
-        l1_purity_violations=totals[0],
-        fannes_violations=totals[1],
-        cr_range_violations=totals[2],
+        l1_purity_violations=int(np.count_nonzero(~(c_l1 <= l1_bound + atol))),
+        fannes_violations=int(np.count_nonzero(~(c_r >= floor - atol))),
+        cr_range_violations=int(np.count_nonzero(~((c_r >= -atol) & (c_r <= log_d + atol)))),
         atol=atol,
     )
 
@@ -832,12 +845,7 @@ def run_inequality_sweep(
 def first_prob_samples(dim: int, trials: int, master_seed: int) -> np.ndarray:
     """First diagonal probability of each sampled Haar state, in trial order."""
     _check_counts(dim, trials)
-
-    def per_block(probs: np.ndarray, work: np.ndarray) -> np.ndarray:
-        # a copy: the next block overwrites the rows
-        return probs[:, 0].copy()
-
-    return np.concatenate(_over_diagonals(dim, trials, master_seed, per_block))
+    return _diagonal_values(dim, trials, master_seed, [lambda probs, work: probs[:, 0]])[0]
 
 
 def ks_distance_u11(dim: int, trials: int, master_seed: int) -> float:

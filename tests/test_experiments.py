@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import signal
 import threading
 import time
 import tracemalloc
@@ -30,6 +32,7 @@ from cohlab.experiments import (
     run_inequality_sweep,
     run_matrix_integral_check,
     run_subspace_floor,
+    subspace_cr_samples,
 )
 from cohlab.streams import new_generator, word_generator
 
@@ -344,6 +347,16 @@ class TestSubspaceFloor:
         with pytest.raises(MemoryError, match="16 x 10000000 projection frame"):
             run_subspace_floor(dim, eps, 1, 0)
 
+    def test_oversize_state_count_raises_before_sampling(self, monkeypatch):
+        # the values of the states past the cap: refused before the frame
+        def allocate(*args):
+            raise AssertionError("a refused campaign reached the sampler")
+
+        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
+        n = experiments.MAX_ALLOC_BYTES // 8 + 1
+        with pytest.raises(MemoryError, match=f"the values of {n} states"):
+            subspace_cr_samples(34000, 0.99 * math.log(34000), n, 0)
+
 
 def decomposition_averages_in_c_d(dim, eps, n_ensembles, m_out, seed, ensemble_size, n_redecompositions):
     """The d-dimensional route, in plain numpy on the campaign's frame and
@@ -419,6 +432,33 @@ class TestDecompositionCheck:
         monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
         with pytest.raises(MemoryError, match="16 x 10000000 projection frame"):
             run_decomposition_check(dim, eps, 1, 2, 0)
+
+    @pytest.mark.parametrize(
+        "n_ensembles, m_out, n_redecompositions, match",
+        [
+            # 16 x 2 x (2^25 + 1) bytes of Ginibre, 32 bytes past the cap
+            (1, 2**25 + 1, 1, "mixing Ginibre matrix"),
+            # 2^25 + 2 members: their rows at 16 s = 32 bytes are past the
+            # cap, their values at 8 bytes inside it
+            (2**24 + 1, 2, 0, "coefficient rows of 33554434 states"),
+            # 2^27 + 2 members: their values alone are past the cap
+            (2**26 + 1, 2, 0, "the values of 134217730 members"),
+        ],
+    )
+    def test_oversize_members_raise_before_sampling(
+        self, monkeypatch, n_ensembles, m_out, n_redecompositions, match
+    ):
+        # s = 2 at d = 34000; never run unpatched, as each would allocate
+        # more than the cap
+        def allocate(*args):
+            raise AssertionError("a refused campaign reached the sampler")
+
+        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
+        monkeypatch.setattr(experiments, "ginibre", allocate)
+        with pytest.raises(MemoryError, match=match):
+            experiments._decomposition_averages(
+                34000, 0.99 * math.log(34000), n_ensembles, m_out, 1, 2, n_redecompositions
+            )
 
     def test_rejects_small_m_out(self):
         eps = 0.999 * math.log(34000)
@@ -577,6 +617,15 @@ class TestInequalitySweep:
         counts = (report.l1_purity_violations, report.fannes_violations, report.cr_range_violations)
         assert counts == (300, 300, 300)
 
+    def test_values_past_the_cap_are_refused_before_any_draw(self, monkeypatch):
+        # four kernels of 8 bytes per trial: 2^25 + 1 trials are past the cap
+        def draw(*args):
+            raise AssertionError("a refused campaign drew its diagonals")
+
+        monkeypatch.setattr(experiments, "haar_prob_blocks", draw)
+        with pytest.raises(MemoryError, match=r"the values of 33554433 trials \(4 per trial\)"):
+            run_inequality_sweep(2, 2**25 + 1, 0)
+
 
 class TestChunkRunner:
     @staticmethod
@@ -651,6 +700,23 @@ class TestChunkRunner:
 
         with pytest.raises(ValueError, match="chunk 0 failed"):
             experiments._run_chunked(10000, fill, 16 * 1000, size=1)
+        assert len(ran) < 100
+
+    def test_an_interrupt_of_the_caller_stops_the_workers(self, monkeypatch, chunk_workers):
+        # SIGINT during chunk 50 of 10000 reaches the caller, which waits on
+        # the pool; the workers take a few more chunks of 1 ms at most
+        chunk_workers(2)
+        monkeypatch.setattr(experiments, "_chunk_size", lambda row_bytes: 1)
+        ran = []
+
+        def fill(start, stop):
+            ran.append(start)
+            if start == 50:
+                os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(0.001)
+
+        with pytest.raises(KeyboardInterrupt):
+            experiments._run_chunked(10000, fill, 16 * 1000)
         assert len(ran) < 100
 
     def test_workers_capped_by_chunk_count(self, chunk_workers):
@@ -867,6 +933,17 @@ class TestChunkScratch:
         for caller in callers:
             caller.join()
         assert concurrent == sequential
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 1000])
+    def test_joint_pass_equals_one_pass_per_kernel(self, chunk_workers, cpus, dim):
+        # 600 trials at d = 1000 are chunks of 262 in blocks of 65
+        chunk_workers(cpus)
+        kernels = [getattr(measures, m.kernel) for m in experiments._MEASURES.values()]
+        joint = experiments._diagonal_values(dim, 600, 7, kernels)
+        single = [experiments._diagonal_values(dim, 600, 7, [kernel])[0] for kernel in kernels]
+        assert [v.tobytes() for v in joint] == [v.tobytes() for v in single]
+        assert all(v.flags.owndata and v.dtype == np.float64 for v in joint)
 
     def test_first_prob_samples_own_their_data(self, chunk_workers):
         chunk_workers(2)
