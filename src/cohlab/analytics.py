@@ -277,10 +277,17 @@ def subspace_threshold(d: int, eps: float) -> float:
 
 
 def typical_l1_upper(d: int) -> float:
-    """Dimension-only l1 bound sqrt(d (d-1)^2 / (d+1)) at the typical purity."""
+    """Dimension-only l1 bound sqrt(d (d-1)^2 / (d+1)) at the typical purity.
+
+    Where the integer d (d-1)^2 is past the float range (d above about
+    10^102), the bound is taken as (d-1) sqrt(d / (d+1)), which differs in
+    the last bits at small d."""
     if d < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    return math.sqrt(d * (d - 1) ** 2 / (d + 1.0))
+    try:
+        return math.sqrt(d * (d - 1) ** 2 / (d + 1.0))
+    except OverflowError:
+        return (d - 1) * math.sqrt(d / (d + 1.0))
 
 
 def fannes_asymptote() -> float:

@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 
 from . import analytics, experiments
 from .errors import (
+    CohlabError,
     InvalidArgumentError,
     InvalidDimensionError,
     InvalidEpsilonError,
@@ -271,12 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except VacuousGuaranteeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (
-        InvalidDimensionError,
-        UnsupportedDimensionError,
-        InvalidEpsilonError,
-        InvalidArgumentError,
-    ) as exc:
+    except CohlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -445,19 +445,17 @@ def _quadratic_frame(columns: np.ndarray) -> np.ndarray:
     """The s^2 x d real frame Q of the frame columns F_j: rows |F_j|^2, then
     2 Re(conj(F_j) F_k) and -2 Im(conj(F_j) F_k) for each j < k.
 
-    Q is built one block of ``_BLOCK_COLS`` columns at a time, so its
-    temporaries are a block's; every entry is elementwise, so the blocks
-    change no byte."""
+    Each block of ``_BLOCK_COLS`` columns of Q is the transposed
+    :func:`_quadratic_coefficients` of that block of F's rows, times 1 on
+    the s squared rows and 2, -2 on each pair's; the scaling is exact, and
+    every entry is elementwise, so the blocks change no byte and the pair
+    order of Q's rows is that of M's columns."""
     dim, s = columns.shape
     q = np.empty((s * s, dim))
-    pairs = list(zip(range(s, s * s, 2), zip(*np.triu_indices(s, 1))))
+    scale = np.array([1.0] * s + [2.0, -2.0] * (s * (s - 1) // 2))[:, None]
     for lo in range(0, dim, _BLOCK_COLS):
-        f, out = columns[lo : lo + _BLOCK_COLS].T, q[:, lo : lo + _BLOCK_COLS]
-        np.add(f.real**2, f.imag**2, out=out[:s])
-        for row, (j, k) in pairs:
-            cross = f[j].conj() * f[k]
-            np.multiply(cross.real, 2.0, out=out[row])
-            np.multiply(cross.imag, -2.0, out=out[row + 1])
+        block = _quadratic_coefficients(columns[lo : lo + _BLOCK_COLS]).T
+        np.multiply(block, scale, out=q[:, lo : lo + _BLOCK_COLS])
     return q
 
 
@@ -646,9 +644,11 @@ def _decomposition_averages(
     of its states (Haar states of dimension s), their exponential weights,
     and then the Ginibre matrix of each mixing isometry.  Every member of
     every ensemble is F k for its coefficient row k in the frame F, so the
-    ensembles are mixed in coefficient space, the members of all of them are
-    projected in one pass of :func:`_project`, and each average is the
-    dot product of the weights with its members' C_r.
+    ensembles are mixed in coefficient space.  Each member's weight and
+    coefficient row are written straight into two arrays sized by the
+    member count the cap checks, the filled rows are projected in one pass
+    of :func:`_project`, and each average is the dot product of its
+    members' weights with their C_r.
     """
     if n_ensembles < 1:
         raise InvalidArgumentError(f"n_ensembles must be >= 1, got {n_ensembles}")
@@ -669,22 +669,27 @@ def _decomposition_averages(
     # a mixed-state ensemble needs two independent directions
     s, frame = _random_subspace(dim, eps, master_seed, 2, members)
 
-    ensembles = []
-    for ensemble_idx in range(n_ensembles):
-        gen = new_generator(master_seed, ensemble_idx + 1)
-        c = _unit_rows(gen.standard_normal((ensemble_size, 2 * s)))
-        p = gen.standard_exponential(ensemble_size)
-        p /= p.sum()
-        ensembles.append((p, c))
-        for _ in range(n_redecompositions):
-            isometry = positive_qr(ginibre(gen, m_out, ensemble_size))
-            ensembles.append(_mix_ensemble(p, c, isometry))
+    def groups():
+        # each ensemble, then each of its re-decompositions
+        for ensemble_idx in range(n_ensembles):
+            gen = new_generator(master_seed, ensemble_idx + 1)
+            c = _unit_rows(gen.standard_normal((ensemble_size, 2 * s)))
+            p = gen.standard_exponential(ensemble_size)
+            p /= p.sum()
+            yield p, c
+            for _ in range(n_redecompositions):
+                yield _mix_ensemble(p, c, positive_qr(ginibre(gen, m_out, ensemble_size)))
 
-    weights, rows = zip(*ensembles)
-    members = np.concatenate(rows)
-    values = _project(frame, len(members), lambda start, stop: members[start:stop])
-    per_ensemble = np.split(values, np.cumsum([len(w) for w in weights])[:-1])
-    return np.array([np.dot(w, v) for w, v in zip(weights, per_ensemble)])
+    # every member's weight and coefficient row, written in place; group i
+    # holds the members [bounds[i], bounds[i + 1])
+    weights, rows = np.empty(members), np.empty((members, s), complex)
+    bounds = np.zeros(1 + n_ensembles * (1 + n_redecompositions), dtype=np.intp)
+    for i, (w, k) in enumerate(groups()):
+        lo, hi = bounds[i], bounds[i] + len(w)
+        weights[lo:hi], rows[lo:hi], bounds[i + 1] = w, k, hi
+    values = _project(frame, bounds[-1], lambda start, stop: rows[start:stop])
+    averages = (np.dot(weights[lo:hi], values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return np.fromiter(averages, float, len(bounds) - 1)
 
 
 def run_decomposition_check(

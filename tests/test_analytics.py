@@ -408,6 +408,12 @@ class TestL1Bounds:
             assert abs(ratio - math.sqrt(d / (d + 1.0))) < 1e-12
         assert typical_l1_upper(10**6) / (10**6 - 1) > 1.0 - 1e-6
 
+    @pytest.mark.parametrize("exponent", [103, 200, 300])
+    def test_typical_upper_past_the_float_range_of_its_integer(self, exponent):
+        # d (d-1)^2 no longer converts to a float, but the bound, about d, does
+        d = 10**exponent
+        assert abs(typical_l1_upper(d) / float(d) - 1.0) <= 1e-15
+
 
 class TestFannesAsymptote:
     def test_value(self):

@@ -89,6 +89,14 @@ class TestExpect:
         payload = run_json(capsys, ["expect", "--dim", "100"])["payload"]
         assert abs(payload["expected_classical_purity"] - 2.0 / 101.0) < 1e-15
 
+    def test_dim_whose_cube_is_past_the_float_range(self, capsys):
+        # every entry is finite at d = 10^200, the l1 bound too
+        code, out, _ = run_cli(capsys, ["expect", "--dim", str(10**200)])
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["typical_l1_upper"] == pytest.approx(1e200, rel=1e-15)
+        assert all(math.isfinite(v) for v in payload.values() if not isinstance(v, str))
+
     def test_invalid_dim_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["expect", "--dim", "1"])
         assert code == 2

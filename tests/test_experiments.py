@@ -460,6 +460,44 @@ class TestDecompositionCheck:
                 34000, 0.99 * math.log(34000), n_ensembles, m_out, 1, 2, n_redecompositions
             )
 
+    def test_members_cost_their_arrays_alone(self, monkeypatch):
+        # with the frame and the projection stubbed, an ensemble of 2 members
+        # at s = 2 holds two 8-byte weights, two 32-byte coefficient rows, two
+        # 8-byte values, one average and one group bound: 112 bytes, about 700
+        # for a list of small arrays per ensemble.  The real frame phase peaks
+        # at about 2.4 MB, above the members of 4000 ensembles, so it would
+        # hide their growth; the first call also makes one-time allocations
+        # of about 1 MB, so it is not measured
+        monkeypatch.setattr(experiments, "_random_subspace", lambda *args: (2, np.zeros((4, 1))))
+        monkeypatch.setattr(experiments, "_project", lambda frame, n, coefficients: np.zeros(n))
+        peaks = []
+        for n_ensembles in (10, 2000, 4000):
+            tracemalloc.start()
+            try:
+                experiments._decomposition_averages(34000, 0.99 * math.log(34000), n_ensembles, 2, 1, 2, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[2] - peaks[1]) / 2000 <= 200
+
+    def test_dropped_members_leave_the_arrays_partly_filled(self, monkeypatch):
+        # no real run drops a member: at a drop weight of 0.3 some of the 4
+        # rows of every re-decomposition go, and the groups turn ragged
+        monkeypatch.setattr(sampler, "ZERO_WEIGHT_DROP", 0.3)
+        projected, project = [], experiments._project
+
+        def spy(frame, n, coefficients):
+            projected.append(n)
+            return project(frame, n, coefficients)
+
+        monkeypatch.setattr(experiments, "_project", spy)
+        args = (34000, 0.99 * math.log(34000), 4, 4, 9, 2, 3)
+        averages = experiments._decomposition_averages(*args)
+        oracle = decomposition_averages_in_c_d(*args)
+        assert len(projected) == 1 and projected[0] < 4 * (2 + 3 * 4)
+        assert averages.shape == oracle.shape == (16,)
+        assert np.abs(averages / oracle - 1.0).max() <= 1e-12
+
     def test_rejects_small_m_out(self):
         eps = 0.999 * math.log(34000)
         with pytest.raises(InvalidArgumentError):
@@ -814,7 +852,8 @@ def test_abs2_halves_match_real_and_imaginary_squares(rng):
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
 def test_quadratic_form_gives_the_probabilities(rng, s):
     # from s = 3 on, several pairs j < k must line up between Q's rows and
-    # M's columns; the sums run in another order, so rounding differs
+    # M's columns, which Q takes from M's expansion of F's rows; the sums run
+    # in another order, so rounding differs
     frame = sampler.sample_random_subspace(3000, s, new_generator(s, 0))
     c = sampler.haar_amplitude_rows(s, 1, 41, s)
     expected = np.abs(c @ frame.T) ** 2
