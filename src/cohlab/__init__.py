@@ -31,14 +31,7 @@ from .analytics import (
     subspace_threshold,
     typical_l1_upper,
 )
-from .errors import (
-    CohlabError,
-    InvalidArgumentError,
-    InvalidDimensionError,
-    InvalidEpsilonError,
-    UnsupportedDimensionError,
-    VacuousGuaranteeError,
-)
+from .errors import CohlabError, InvalidArgumentError, VacuousGuaranteeError
 from .experiments import (
     MEASURE_KINDS,
     CheckResult,

@@ -17,12 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    InvalidDimensionError,
-    InvalidEpsilonError,
-    UnsupportedDimensionError,
-)
+from .errors import InvalidArgumentError
 
 #: Euler-Mascheroni constant to full double precision
 EULER_GAMMA = 0.5772156649015329
@@ -49,7 +44,7 @@ def harmonic(d: int) -> float:
     ln d + gamma + 1/(2d) - 1/(12 d^2) beyond.
     """
     if d < 1:
-        raise InvalidDimensionError(f"harmonic number needs d >= 1, got {d}")
+        raise InvalidArgumentError(f"harmonic number needs d >= 1, got {d}")
     if d <= _EXACT_HARMONIC_LIMIT:
         return float(np.sum(1.0 / np.arange(d, 0, -1, dtype=np.float64)))
     x = float(d)
@@ -59,7 +54,7 @@ def harmonic(d: int) -> float:
 def digamma_integer(n: int) -> float:
     """Digamma at a positive integer: Psi(n) = H_{n-1} - gamma."""
     if n < 1:
-        raise InvalidDimensionError(f"digamma pole at nonpositive integer {n}")
+        raise InvalidArgumentError(f"digamma pole at nonpositive integer {n}")
     if n == 1:
         return -EULER_GAMMA
     return harmonic(n - 1) - EULER_GAMMA
@@ -109,7 +104,7 @@ def expected_cr_via_beta(d: int) -> float:
     checks the digamma and Beta algebra, not the harmonic sum or log-Gamma.
     """
     if d < 2:
-        raise InvalidDimensionError(f"Beta route needs d >= 2, got {d}")
+        raise InvalidArgumentError(f"Beta route needs d >= 2, got {d}")
     return -d * (d - 1) * (digamma_integer(2) - digamma_integer(d + 1)) * beta(2.0, float(d - 1))
 
 
@@ -122,7 +117,7 @@ def expected_cr_via_quadrature(d: int) -> float:
     from scipy import integrate
 
     if not 2 <= d <= 50:
-        raise UnsupportedDimensionError(f"quadrature route supports 2 <= d <= 50, got {d}")
+        raise InvalidArgumentError(f"quadrature route supports 2 <= d <= 50, got {d}")
 
     def integrand(r: float) -> float:
         if r <= 0.0:
@@ -136,14 +131,14 @@ def expected_cr_via_quadrature(d: int) -> float:
 def expected_classical_purity(d: int) -> float:
     """Average purity of the dephased Haar state: 2/(d+1)."""
     if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+        raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
     return 2.0 / (d + 1.0)
 
 
 def expected_trace_distance(d: int) -> float:
     """Average trace distance (no 1/2) of the diagonal part from I/d: 2(1-1/d)^d."""
     if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+        raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
     if d == 1:
         return 0.0
     return 2.0 * math.exp(d * math.log1p(-1.0 / d))
@@ -185,9 +180,9 @@ def levy_generic(sphere_dim_k: int, eps: float, eta: float) -> BoundValue:
     for a functional of Lipschitz constant ``eta`` on the sphere of dimension
     k (2d - 1 for d-dimensional pure states)."""
     if sphere_dim_k < 1:
-        raise InvalidDimensionError(f"sphere dimension must be >= 1, got {sphere_dim_k}")
+        raise InvalidArgumentError(f"sphere dimension must be >= 1, got {sphere_dim_k}")
     if not (math.isfinite(eps) and eps > 0.0):
-        raise InvalidEpsilonError(f"epsilon must be finite and positive, got {eps}")
+        raise InvalidArgumentError(f"epsilon must be finite and positive, got {eps}")
     if not (math.isfinite(eta) and eta > 0.0):
         raise InvalidArgumentError(f"Lipschitz constant must be finite and positive, got {eta}")
     exponent = -(sphere_dim_k + 1) * eps * eps / (9.0 * _PI3 * eta * eta * _LN2)
@@ -197,7 +192,7 @@ def levy_generic(sphere_dim_k: int, eps: float, eta: float) -> BoundValue:
 def lipschitz_cr(d: int) -> float:
     """Lipschitz constant bound sqrt(8) ln d for C_r on pure states, d >= 3."""
     if d < 3:
-        raise UnsupportedDimensionError(f"the C_r Lipschitz bound needs d >= 3, got {d}")
+        raise InvalidArgumentError(f"the C_r Lipschitz bound needs d >= 3, got {d}")
     return math.sqrt(8.0) * math.log(d)
 
 
@@ -213,9 +208,9 @@ def levy_bound_cr(d: int, eps: float) -> BoundValue:
     the constants fold together exactly.  Needs d >= 3.
     """
     if d < 3:
-        raise UnsupportedDimensionError(f"the C_r concentration bound needs d >= 3, got {d}")
+        raise InvalidArgumentError(f"the C_r concentration bound needs d >= 3, got {d}")
     if not (math.isfinite(eps) and eps > 0.0):
-        raise InvalidEpsilonError(f"epsilon must be finite and positive, got {eps}")
+        raise InvalidArgumentError(f"epsilon must be finite and positive, got {eps}")
     log_d = math.log(d)
     exponent = -d * eps * eps / (36.0 * _PI3 * _LN2 * log_d * log_d)
     return BoundValue.from_log(_LN2 + exponent)
@@ -224,9 +219,9 @@ def levy_bound_cr(d: int, eps: float) -> BoundValue:
 def _levy_eta2(d: int, eps: float) -> BoundValue:
     # shared form for Lipschitz-constant-2 functionals (purity, trace distance)
     if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+        raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
     if not (math.isfinite(eps) and eps > 0.0):
-        raise InvalidEpsilonError(f"epsilon must be finite and positive, got {eps}")
+        raise InvalidArgumentError(f"epsilon must be finite and positive, got {eps}")
     exponent = -d * eps * eps / (18.0 * _PI3 * _LN2)
     return BoundValue.from_log(_LN2 + exponent)
 
@@ -250,10 +245,10 @@ class SubspaceDimension(NamedTuple):
 
 def _check_subspace_args(d: int, eps: float) -> float:
     if d < 3:
-        raise UnsupportedDimensionError(f"coherent-subspace formula needs d >= 3, got {d}")
+        raise InvalidArgumentError(f"coherent-subspace formula needs d >= 3, got {d}")
     log_d = math.log(d)
     if not 0.0 < eps < log_d:
-        raise InvalidEpsilonError(f"need 0 < eps < ln d = {log_d:.6g}, got {eps}")
+        raise InvalidArgumentError(f"need 0 < eps < ln d = {log_d:.6g}, got {eps}")
     return log_d
 
 
@@ -283,7 +278,7 @@ def typical_l1_upper(d: int) -> float:
     10^102), the bound is taken as (d-1) sqrt(d / (d+1)), which differs in
     the last bits at small d."""
     if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+        raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
     try:
         return math.sqrt(d * (d - 1) ** 2 / (d + 1.0))
     except OverflowError:

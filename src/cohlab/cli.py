@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-failure, 4 vacuous guarantee, 5 I/O failure (e.g. an unwritable
+Exit codes: 0 success, 1 verification failure, 2 usage error (a flag
+argparse refuses, or any :class:`~cohlab.errors.InvalidArgumentError`), 3
+numeric failure, 4 vacuous guarantee, 5 I/O failure (e.g. an unwritable
 ``--out``), 6 out of memory.  Reports are wrapped in a strict JSON envelope
 (no NaN or Infinity) that carries the schema version and the stream
 contract version next to the payload; histogram CSV uses
@@ -23,14 +24,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import analytics, experiments
-from .errors import (
-    CohlabError,
-    InvalidArgumentError,
-    InvalidDimensionError,
-    InvalidEpsilonError,
-    UnsupportedDimensionError,
-    VacuousGuaranteeError,
-)
+from .errors import CohlabError, InvalidArgumentError, VacuousGuaranteeError
 from .streams import STREAM_VERSION
 
 SCHEMA_VERSION = "1"
@@ -101,7 +95,7 @@ def _text_table(rows: list[tuple[str, object]]) -> str:
 def cmd_expect(args: argparse.Namespace) -> int:
     d = args.dim
     if d < 2:
-        raise InvalidDimensionError(f"expect needs dim >= 2, got {d}")
+        raise InvalidArgumentError(f"expect needs dim >= 2, got {d}")
     log_d = math.log(d)
     ecr = analytics.expected_cr(d)
     unit = "bits" if args.bits else "nats"
@@ -143,9 +137,9 @@ def cmd_concentrate(args: argparse.Namespace) -> int:
 
 def cmd_subspace(args: argparse.Namespace) -> int:
     if args.dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {args.dim}")
+        raise InvalidArgumentError(f"dimension must be >= 1, got {args.dim}")
     if not 0.0 < args.eps_frac < 1.0:
-        raise InvalidEpsilonError(f"--eps-frac must lie in (0, 1), got {args.eps_frac}")
+        raise InvalidArgumentError(f"--eps-frac must lie in (0, 1), got {args.eps_frac}")
     eps = args.eps_frac * math.log(args.dim)
     report = experiments.run_subspace_floor(args.dim, eps, args.states, args.seed)
     payload = asdict(report)
@@ -160,7 +154,9 @@ _THEOREMS = {m.theorem: m for m in experiments._MEASURES.values() if m.theorem i
 def cmd_bounds(args: argparse.Namespace) -> int:
     d, eps, wanted = args.dim, args.eps, args.theorem
     if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+        raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
+    if args.eta is not None and wanted not in (None, "generic"):
+        raise InvalidArgumentError(f"--eta applies to the generic bound only, not to theorem {wanted}")
     entries = []
 
     def add(theorem: str, bound: analytics.BoundValue, eta: float) -> None:
@@ -172,10 +168,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if d < m.bound_min_dim:
             # unless asked for by number, a theorem that does not hold at d is left out
             if wanted == theorem:
-                raise UnsupportedDimensionError(f"theorem {theorem} needs dim >= {m.bound_min_dim}")
+                raise InvalidArgumentError(f"theorem {theorem} needs dim >= {m.bound_min_dim}")
             continue
         add(theorem, getattr(analytics, m.bound)(d, eps), getattr(analytics, m.lipschitz)(d))
-    if wanted == "generic" or (wanted is None and args.eta is not None):
+    if wanted == "generic" or args.eta is not None:
         if args.eta is None:
             raise InvalidArgumentError("--theorem generic requires --eta")
         add("generic", analytics.levy_generic(2 * d - 1, eps, args.eta), args.eta)

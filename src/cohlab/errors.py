@@ -1,24 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Two refusal types, told apart by the exit code ``cohlab`` gives them:
+:class:`InvalidArgumentError` (exit 2) for any argument that breaks an
+operation's precondition, whatever the argument, and
+:class:`VacuousGuaranteeError` (exit 4) for a guarantee that holds only
+vacuously at the given parameters.
+"""
 
 
 class CohlabError(Exception):
     """Base class for all cohlab errors."""
 
 
-class InvalidDimensionError(CohlabError, ValueError):
-    """Dimension argument is zero, negative, or structurally unusable."""
-
-
-class UnsupportedDimensionError(CohlabError, ValueError):
-    """Operation is only defined on a restricted dimension range."""
-
-
-class InvalidEpsilonError(CohlabError, ValueError):
-    """Epsilon-type argument lies outside its valid interval."""
-
-
 class InvalidArgumentError(CohlabError, ValueError):
-    """Argument combination violates an operation precondition."""
+    """Argument, or argument combination, violates an operation precondition."""
 
 
 class VacuousGuaranteeError(CohlabError, RuntimeError):

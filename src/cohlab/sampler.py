@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidDimensionError
+from .errors import InvalidArgumentError
 from .streams import new_generator, stream_setter, word_generator
 
 _ORTHO_ATOL = 1e-10
@@ -186,9 +186,7 @@ def sample_random_subspace(dim: int, sub_dim: int, generator: np.random.Generato
     1e-10 from the identity, or NaN, raises ``InvalidArgumentError``.
     """
     if dim < 1 or sub_dim < 1 or sub_dim > dim:
-        raise InvalidDimensionError(
-            f"need 1 <= sub_dim <= dim, got sub_dim={sub_dim}, dim={dim}"
-        )
+        raise InvalidArgumentError(f"need 1 <= sub_dim <= dim, got sub_dim={sub_dim}, dim={dim}")
     frame = ginibre(generator, dim, sub_dim)
     try:
         _cholesky_qr(frame)

@@ -29,12 +29,7 @@ from cohlab.analytics import (
     subspace_threshold,
     typical_l1_upper,
 )
-from cohlab.errors import (
-    InvalidArgumentError,
-    InvalidDimensionError,
-    InvalidEpsilonError,
-    UnsupportedDimensionError,
-)
+from cohlab.errors import InvalidArgumentError
 from cohlab.measures import entropy_from_probs, mixedness_from_probs
 
 from conftest import random_state_vector
@@ -69,7 +64,7 @@ class TestHarmonic:
         assert harmonic(d) == asym
 
     def test_rejects_zero(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidArgumentError):
             harmonic(0)
 
 
@@ -84,7 +79,7 @@ class TestDigamma:
         assert abs(digamma_integer(11) - digamma_integer(1) - 2.9289682539682538) < 1e-13
 
     def test_rejects_pole(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidArgumentError):
             digamma_integer(0)
 
 
@@ -152,7 +147,7 @@ class TestExpectedCrViaBeta:
         assert abs(expected_cr_via_beta(1000) - expected_cr(1000)) < 1e-10
 
     def test_rejects_d1(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidArgumentError):
             expected_cr_via_beta(1)
 
 
@@ -167,9 +162,9 @@ class TestExpectedCrViaQuadrature:
         assert abs(expected_cr_via_quadrature(50) - 3.4992053383294253) < 1e-6
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(InvalidArgumentError):
             expected_cr_via_quadrature(1)
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(InvalidArgumentError):
             expected_cr_via_quadrature(51)
 
 
@@ -213,9 +208,9 @@ class TestHaarProbMoment:
 
 class TestLevyBounds:
     def test_params_validation(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidArgumentError):
             levy_generic(0, 0.5, 1.0)
-        with pytest.raises(InvalidEpsilonError):
+        with pytest.raises(InvalidArgumentError):
             levy_generic(3, 0.0, 1.0)
         with pytest.raises(InvalidArgumentError):
             levy_generic(3, 0.5, 0.0)
@@ -261,7 +256,7 @@ class TestLevyBounds:
         assert bound.effective == 1.0
 
     def test_cr_bound_rejects_small_d(self):
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(InvalidArgumentError):
             levy_bound_cr(2, 0.5)
 
     def test_purity_bound_frozen_values(self):
@@ -303,7 +298,7 @@ class TestLipschitz:
         assert abs(lipschitz_cr(20) - 8.473210420997681) < 1e-12
 
     def test_rejects_small_d(self):
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(InvalidArgumentError):
             lipschitz_cr(2)
 
     def test_empirical_lipschitz_bound(self, rng):
@@ -336,13 +331,13 @@ class TestSubspaceDimension:
         assert subspace_dimension(at, math.nextafter(math.log(at), 0.0)) == (2, False)
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(InvalidEpsilonError):
+        with pytest.raises(InvalidArgumentError):
             subspace_dimension(1000, 0.0)
-        with pytest.raises(InvalidEpsilonError):
+        with pytest.raises(InvalidArgumentError):
             subspace_dimension(1000, math.log(1000))
 
     def test_rejects_small_d(self):
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(InvalidArgumentError):
             subspace_dimension(2, 0.1)
 
     @given(
@@ -377,7 +372,7 @@ class TestSubspaceThreshold:
         assert abs(threshold - expected_cr(d)) < 1e-8
 
     def test_shares_validation(self):
-        with pytest.raises(InvalidEpsilonError):
+        with pytest.raises(InvalidArgumentError):
             subspace_threshold(1000, -1.0)
 
 

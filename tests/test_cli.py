@@ -288,6 +288,22 @@ class TestBounds:
         assert code == 2
         assert "--eta" in err
 
+    @pytest.mark.parametrize("theorem", ["1", "3", "4"])
+    def test_eta_with_numbered_theorem_exits_2(self, capsys, monkeypatch, theorem):
+        # a numbered theorem has its own Lipschitz constant, so --eta would be
+        # dropped; it is refused before any bound is evaluated
+        def unreachable(*args):
+            raise AssertionError("bound evaluated")
+
+        for name in ("levy_bound_cr", "levy_bound_purity", "levy_bound_trdist", "levy_generic"):
+            monkeypatch.setattr(cli.analytics, name, unreachable)
+        code, out, err = run_cli(
+            capsys, ["bounds", "--dim", "100", "--eps", "0.05", "--theorem", theorem, "--eta", "2"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--eta" in err
+
     def test_generic_with_eta(self, capsys):
         payload = run_json(
             capsys,

@@ -6,7 +6,6 @@ import signal
 import threading
 import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -19,11 +18,7 @@ from cohlab.analytics import (
     subspace_dimension,
     subspace_threshold,
 )
-from cohlab.errors import (
-    InvalidArgumentError,
-    UnsupportedDimensionError,
-    VacuousGuaranteeError,
-)
+from cohlab.errors import InvalidArgumentError, VacuousGuaranteeError
 from cohlab.experiments import (
     first_prob_samples,
     ks_distance_u11,
@@ -527,70 +522,10 @@ class TestDecompositionCheck:
 
 class TestMatrixIntegral:
     def test_rejects_out_of_range_dim(self):
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(InvalidArgumentError):
             run_matrix_integral_check(1, 100, 0)
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(InvalidArgumentError):
             run_matrix_integral_check(17, 100, 0)
-
-    def test_rejects_non_hermitian_input(self):
-        x = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(InvalidArgumentError):
-            run_matrix_integral_check(2, 100, 0, x=x)
-
-    def test_hermitian_check_scales_with_x(self):
-        # u diag(lam) u^H of entries near 1e6 keeps a rounding defect of
-        # about 1e-10, which an absolute 1e-12 bound refused
-        u = sampler.haar_unitary_rows(1, 0, 1, 4)[0]
-        x = u @ np.diag([1e6, 2e6, -3e6, 4e6]) @ u.conj().T
-        assert np.abs(x - x.conj().T).max() > 1e-12
-        assert run_matrix_integral_check(4, 1000, 3, x=x).ok
-        # a defect well above rounding is still refused at that scale
-        x[0, 1] += 1e-3
-        with pytest.raises(InvalidArgumentError, match="Hermitian"):
-            run_matrix_integral_check(4, 1000, 3, x=x)
-
-    @pytest.mark.parametrize(
-        "x",
-        [np.full((2, 2), np.nan, dtype=complex), np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)],
-        ids=["nan", "inf"],
-    )
-    def test_rejects_non_finite_input(self, x):
-        # a NaN Hermitian defect fails no "defect > tolerance" check
-        with pytest.raises(InvalidArgumentError):
-            run_matrix_integral_check(2, 100, 0, x=x)
-
-    @pytest.mark.parametrize(
-        "x",
-        [1e308 * np.eye(2), np.array([[0.0, 1e308], [-1e308, 0.0]])],
-        ids=["diagonal", "off-diagonal"],
-    )
-    def test_rejects_input_whose_arithmetic_overflows(self, x):
-        # both used to overflow: the first into a NaN report, the second in
-        # the Hermitian check
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidArgumentError, match="at most"):
-                run_matrix_integral_check(2, 100, 0, x=x)
-
-    def test_large_finite_input_runs_and_passes(self):
-        x = np.zeros((2, 2), dtype=complex)
-        x[0, 0] = 1e200
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = run_matrix_integral_check(2, 100, 0, x=x)
-        assert math.isfinite(report.max_abs_deviation)
-        assert report.ok
-
-    def test_tolerance_scales_with_x(self):
-        # the twirl is linear in x: scaling x scales the deviation, and the
-        # tolerance 5 ||x||_2 / sqrt(n) with it
-        x = np.zeros((2, 2), dtype=complex)
-        x[0, 0] = 1000.0
-        base = run_matrix_integral_check(2, 20000, 31)
-        scaled = run_matrix_integral_check(2, 20000, 31, x=x)
-        assert scaled.ok
-        assert scaled.tolerance == pytest.approx(1000.0 * base.tolerance, rel=1e-15)
-        assert scaled.max_abs_deviation == pytest.approx(1000.0 * base.max_abs_deviation, rel=1e-12)
 
     def test_d2_converges_to_closed_form(self):
         report = run_matrix_integral_check(2, 20000, 31)
@@ -613,11 +548,6 @@ class TestMatrixIntegral:
         mean = total / n
         target = np.diag([2.0 / 3.0, 1.0 / 3.0])
         assert np.abs(mean - target).max() < 5.0 / math.sqrt(n)
-
-    def test_maximally_mixed_input_is_fixed_point(self):
-        d = 3
-        report = run_matrix_integral_check(d, 20000, 32, x=np.eye(d, dtype=complex) / d)
-        assert report.ok
 
     def test_deterministic(self):
         a = run_matrix_integral_check(4, 2000, 7)

@@ -14,15 +14,12 @@ PUBLIC_NAMES = [
     "EULER_GAMMA",
     "InequalitySweepReport",
     "InvalidArgumentError",
-    "InvalidDimensionError",
-    "InvalidEpsilonError",
     "MEASURE_KINDS",
     "MIN_DIM_FOR_NONTRIVIAL_SUBSPACE",
     "MatrixIntegralReport",
     "SUBSPACE_K_DENOM",
     "SubspaceDimension",
     "SubspaceFloorReport",
-    "UnsupportedDimensionError",
     "VacuousGuaranteeError",
     "beta",
     "digamma_integer",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cohlab import sampler
-from cohlab.errors import InvalidArgumentError, InvalidDimensionError
+from cohlab.errors import InvalidArgumentError
 from cohlab.experiments import first_prob_samples
 from cohlab.measures import entropy_from_probs
 from cohlab.sampler import (
@@ -168,9 +168,9 @@ class TestHaarUnitary:
 
 class TestRandomSubspace:
     def test_rejects_bad_dims(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidArgumentError):
             sample_random_subspace(4, 0, new_generator(0, 0))
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidArgumentError):
             sample_random_subspace(4, 5, new_generator(0, 0))
 
     def test_columns_orthonormal(self):
