@@ -18,6 +18,7 @@ from .analytics import (
     expected_cr,
     expected_cr_via_beta,
     expected_cr_via_quadrature,
+    expected_l1,
     expected_trace_distance,
     fannes_asymptote,
     haar_prob_moment,

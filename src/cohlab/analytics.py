@@ -271,6 +271,29 @@ def subspace_threshold(d: int, eps: float) -> float:
     return expected_cr(d) - eps
 
 
+def expected_l1(d: int) -> float:
+    """Average l1 coherence of a Haar state: (d-1) pi / 4.
+
+    The diagonal is Dirichlet(1, ..., 1), so E[sqrt(p_i p_j)] = pi / (4d)
+    for i != j, and C_l1 sums d (d-1) such terms."""
+    if d < 1:
+        raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
+    return (d - 1) * math.pi / 4.0
+
+
+def variance_l1(d: int) -> float:
+    """Variance of the l1 coherence of a Haar state, from Dirichlet(1, ..., 1) moments:
+
+    (d-1) [(16 pi - 5 pi^2) d + 32 - 32 pi + 7 pi^2] / (16 (d+1)).
+
+    This factored form keeps full precision at large d, where
+    E[C_l1^2] - E[C_l1]^2 would cancel about log10 d digits."""
+    if d < 1:
+        raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
+    pi = math.pi
+    return (d - 1) / (d + 1.0) * ((16 * pi - 5 * pi**2) * d + 32 - 32 * pi + 7 * pi**2) / 16
+
+
 def typical_l1_upper(d: int) -> float:
     """Dimension-only l1 bound sqrt(d (d-1)^2 / (d+1)) at the typical purity.
 

@@ -27,7 +27,7 @@ from . import analytics, experiments
 from .errors import CohlabError, InvalidArgumentError, VacuousGuaranteeError
 from .streams import STREAM_VERSION
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _envelope(command: str, payload: dict) -> dict:
@@ -109,6 +109,7 @@ def cmd_expect(args: argparse.Namespace) -> int:
         "expected_classical_purity": analytics.expected_classical_purity(d),
         "expected_trace_distance": analytics.expected_trace_distance(d),
         "trace_distance_limit": 2.0 / math.e,
+        "expected_l1": analytics.expected_l1(d),
         "typical_l1_upper": analytics.typical_l1_upper(d),
         "l1_trivial_bound": float(d - 1),
         "fannes_asymptote": analytics.fannes_asymptote(),

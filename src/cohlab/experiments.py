@@ -55,8 +55,7 @@ class _Measure(NamedTuple):
     """One measure kind; functions are looked up by name per call, so wrappers see them."""
 
     kernel: str  # batched kernel in measures
-    target: str  # analytic target in analytics
-    target_kind: str  # "mean", or "l1_upper_bound" where no closed-form mean exists
+    target: str  # analytic mean in analytics, on which the tails are centred
     bound: str | None = None  # Levy tail bound in analytics, None where none is stated
     theorem: str | None = None  # the paper's number of that bound, as `cohlab bounds` names it
     lipschitz: str | None = None  # Lipschitz constant in analytics that the bound is built on
@@ -64,12 +63,11 @@ class _Measure(NamedTuple):
 
 
 _MEASURES = {
-    "cr": _Measure("entropy_from_probs", "expected_cr", "mean",
-                   "levy_bound_cr", "1", "lipschitz_cr", 3),
-    "l1": _Measure("l1_from_probs", "typical_l1_upper", "l1_upper_bound"),
-    "purity": _Measure("purity_from_probs", "expected_classical_purity", "mean",
+    "cr": _Measure("entropy_from_probs", "expected_cr", "levy_bound_cr", "1", "lipschitz_cr", 3),
+    "l1": _Measure("l1_from_probs", "expected_l1"),
+    "purity": _Measure("purity_from_probs", "expected_classical_purity",
                        "levy_bound_purity", "3", "lipschitz_eta2"),
-    "trdist": _Measure("trdist_mm_from_probs", "expected_trace_distance", "mean",
+    "trdist": _Measure("trdist_mm_from_probs", "expected_trace_distance",
                        "levy_bound_trdist", "4", "lipschitz_eta2"),
 }
 MEASURE_KINDS = tuple(_MEASURES)
@@ -84,14 +82,10 @@ def _check_counts(dim: int, trials: int) -> None:
 
 @dataclass
 class ConcentrationReport:
-    """Empirical statistics of one campaign next to their analytic targets.
+    """Empirical statistics of one campaign next to their analytic mean.
 
-    For the l1 measure no closed-form mean exists; ``analytic_mean`` then
-    holds the dimension-only upper bound (``analytic_kind`` is
-    ``"l1_upper_bound"``) and tail frequencies are centered on the
-    empirical mean (``tails_center`` is ``"empirical"``).  Tail entries
-    carry the Levy bound for the measure, or None where no Lipschitz
-    constant is established (l1, and cr below d = 3).
+    Tail entries carry the Levy bound for the measure, or None where no
+    Lipschitz constant is established (l1, and cr below d = 3).
     """
 
     config: dict
@@ -99,8 +93,6 @@ class ConcentrationReport:
     empirical_stderr: float
     empirical_variance: float
     analytic_mean: float
-    analytic_kind: str
-    tails_center: str
     histogram: list[tuple[float, float, int]]
     tails: list[tuple[float, float, float | None, float | None]]
     scaled_mean: float | None
@@ -328,11 +320,10 @@ def run_concentration(
 ) -> ConcentrationReport:
     """Run one concentration campaign of ``trials`` independent trials.
 
-    Tail frequencies count ``|value - center| > eps`` where the center is
-    the analytic mean (the theorems' centering), except for l1 where it is
-    the empirical mean.  cr histograms use the fixed range [0, ln d] so
-    campaigns across dimensions are comparable after scaling.  The
-    arguments are checked before anything is drawn: the counts, bins >= 2,
+    Tail frequencies count ``|value - analytic mean| > eps``, the theorems'
+    centering.  cr histograms use the fixed range [0, ln d] so campaigns
+    across dimensions are comparable after scaling.  The arguments are
+    checked before anything is drawn: the counts, bins >= 2,
     a known measure kind, then finite positive epsilons, distinct and
     sorted ascending.  The report's ``config`` is the dict of everything it
     depends on: ``dim``, ``trials``, ``master_seed``, ``epsilons`` (a tuple
@@ -360,13 +351,11 @@ def run_concentration(
     stderr = math.sqrt(variance / trials)
 
     analytic_mean = getattr(analytics, measure.target)(dim)
-    empirical = measure.target_kind == "l1_upper_bound"
-    center = mean if empirical else analytic_mean
     has_bound = measure.bound is not None and dim >= measure.bound_min_dim
 
     tails = []
     for eps in epsilons:
-        freq = float(np.count_nonzero(np.abs(values - center) > eps)) / trials
+        freq = float(np.count_nonzero(np.abs(values - analytic_mean) > eps)) / trials
         raw = effective = None
         if has_bound:
             try:
@@ -401,8 +390,6 @@ def run_concentration(
         empirical_stderr=stderr,
         empirical_variance=variance,
         analytic_mean=analytic_mean,
-        analytic_kind=measure.target_kind,
-        tails_center="empirical" if empirical else "analytic",
         histogram=histogram,
         tails=tails,
         scaled_mean=scaled,

@@ -8,7 +8,7 @@ the start of another stream, drawing what a fresh one would, for less.
 :data:`STREAM_VERSION` names the stream contract: which variates each
 campaign draws from which stream, and the arithmetic that turns them into
 payload bytes.  It changes only deliberately, with the golden payloads that
-pin it; the README keeps the history of its versions.  Under version 9:
+pin it; the README keeps the history of its versions.  Under version 10:
 
 * Haar diagonals (concentration measures, inequality sweep, outcome
   probabilities): trial i in dimension d takes words [i d, (i + 1) d) of the
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-STREAM_VERSION = "9"
+STREAM_VERSION = "10"
 
 _UINT64_MASK = (1 << 64) - 1
 # counter and output buffer of a Philox state at the start of a stream

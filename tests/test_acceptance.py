@@ -12,14 +12,18 @@ from contextlib import contextmanager
 
 import pytest
 
+from cohlab import measures
 from cohlab.analytics import (
     expected_classical_purity,
     expected_cr,
+    expected_l1,
     expected_trace_distance,
     subspace_threshold,
+    variance_l1,
 )
 from cohlab.cli import main
 from cohlab.experiments import (
+    _diagonal_values,
     run_concentration,
     run_decomposition_check,
     run_subspace_floor,
@@ -217,3 +221,24 @@ def test_12_sampler_statistics():
         results = verify_moments(SEED)
         for res in results:
             assert res.passed, f"{res.name}: {res.detail}"
+
+
+def test_13_l1_mean_and_variance_laws():
+    with criterion(13, "l1 mean (d-1) pi/4 and its variance within 4 stderr at d in {2, 5, 50, 1000}"):
+        n = 100000
+        for dim in (2, 5, 50, 1000):
+            (values,) = _diagonal_values(dim, n, SEED, [measures.l1_from_probs])
+            mean = math.fsum(values) / n
+            dev = values - mean
+            variance = math.fsum(dev * dev) / (n - 1)
+            fourth = math.fsum(dev**4) / n
+            z_mean = (mean - expected_l1(dim)) / math.sqrt(variance / n)
+            # the standard error of a sample variance, from the fourth central moment
+            stderr_var = math.sqrt((fourth - variance * variance * (n - 3) / (n - 1)) / n)
+            z_var = (variance - variance_l1(dim)) / stderr_var
+            assert abs(z_mean) <= 4.0, (
+                f"d={dim}: l1 mean {mean:.6f} is {z_mean:+.2f} stderr from {expected_l1(dim):.6f}"
+            )
+            assert abs(z_var) <= 4.0, (
+                f"d={dim}: l1 variance {variance:.6f} is {z_var:+.2f} stderr from {variance_l1(dim):.6f}"
+            )

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cohlab.analytics import (
     expected_cr,
     expected_cr_via_beta,
     expected_cr_via_quadrature,
+    expected_l1,
     expected_trace_distance,
     fannes_asymptote,
     haar_prob_moment,
@@ -28,6 +30,7 @@ from cohlab.analytics import (
     subspace_dimension,
     subspace_threshold,
     typical_l1_upper,
+    variance_l1,
 )
 from cohlab.errors import InvalidArgumentError
 from cohlab.measures import entropy_from_probs, mixedness_from_probs
@@ -408,6 +411,94 @@ class TestL1Bounds:
         # d (d-1)^2 no longer converts to a float, but the bound, about d, does
         d = 10**exponent
         assert abs(typical_l1_upper(d) / float(d) - 1.0) <= 1e-15
+
+
+# pi to 60 digits, to compare a float with an exact combination of 1, pi, pi^2
+PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def at_pi(coeffs):
+    return sum(c * PI**m for m, c in enumerate(coeffs))
+
+
+def dirichlet_moment(d, exponents):
+    """Exact E[prod_i p_i^a_i] over distinct coordinates of Dirichlet(1, ..., 1)
+    in dimension d, for exponents a_i in {1/2, 1, 3/2, 2} of integer sum k:
+    (d-1)! prod_i Gamma(1 + a_i) / (d-1+k)!.  Returned as (c, m) for c pi^m:
+    Gamma(3/2) = sqrt(pi)/2 and Gamma(5/2) = 3 sqrt(pi)/4 come in pairs."""
+    gamma_one_plus = {Fraction(1, 2): Fraction(1, 2), Fraction(3, 2): Fraction(3, 4),
+                      Fraction(1): Fraction(1), Fraction(2): Fraction(2)}
+    value = Fraction(1)
+    halves = 0
+    for a in map(Fraction, exponents):
+        value *= gamma_one_plus[a]
+        halves += a.denominator == 2
+    for j in range(int(sum(map(Fraction, exponents)))):
+        value /= d + j
+    return value, halves // 2
+
+
+def l1_moments_exact(d):
+    """Mean and variance of C_l1 = S^2 - 1, S = sum_i sqrt(p_i), as the rational
+    coefficients [c0, c1, c2] of 1, pi and pi^2, summing E[S^2] and E[S^4]
+    over the index patterns of (i, j) and (i, j, k, l)."""
+
+    def expectation(order, patterns):  # patterns: (number of index tuples, exponents)
+        assert sum(count for count, _ in patterns) == d**order
+        coeffs = [Fraction(0)] * 3
+        for count, exponents in patterns:
+            c, m = dirichlet_moment(d, exponents)
+            coeffs[m] += count * c
+        return coeffs
+
+    h = Fraction(1, 2)
+    es2 = expectation(2, [(d, [1]), (d * (d - 1), [h, h])])
+    es4 = expectation(4, [
+        (d, [2]),
+        (4 * d * (d - 1), [3 * h, h]),
+        (3 * d * (d - 1), [1, 1]),
+        (6 * d * (d - 1) * (d - 2), [1, h, h]),
+        (d * (d - 1) * (d - 2) * (d - 3), [h, h, h, h]),
+    ])
+    assert es2[2] == 0
+    square = [es2[0] ** 2, 2 * es2[0] * es2[1], es2[1] ** 2]
+    return [es2[0] - 1, es2[1], es2[2]], [a - b for a, b in zip(es4, square)]
+
+
+def variance_l1_coeffs(d):
+    # (d-1) [(16 pi - 5 pi^2) d + 32 - 32 pi + 7 pi^2] / (16 (d+1)), by powers of pi
+    return [Fraction(d - 1, d + 1) * c / 16 for c in (32, 16 * d - 32, 7 - 5 * d)]
+
+
+class TestL1Moments:
+    def test_mean_by_quadrature_d2(self):
+        # at d = 2, C_l1 = 2 sqrt(p (1-p)) with p uniform on [0, 1]
+        from scipy import integrate
+
+        value, _ = integrate.quad(lambda p: 2.0 * math.sqrt(p * (1.0 - p)), 0.0, 1.0)
+        assert abs(value - expected_l1(2)) < 1e-10
+        assert expected_l1(2) == math.pi / 4
+
+    def test_matches_exact_dirichlet_moments(self):
+        for d in range(1, 51):
+            mean, variance = l1_moments_exact(d)
+            # the closed forms, coefficient by coefficient
+            assert mean == [0, Fraction(d - 1, 4), 0], d
+            assert variance == variance_l1_coeffs(d), d
+            assert abs(Fraction(expected_l1(d)) - at_pi(mean)) <= 1e-15 * at_pi(mean), d
+            assert abs(Fraction(variance_l1(d)) - at_pi(variance)) <= 1e-14 * at_pi(variance), d
+
+    @pytest.mark.parametrize("d", [10**3, 10**6, 10**12, 10**100])
+    def test_variance_keeps_full_precision_at_large_d(self, d):
+        # the closed form in exact arithmetic: the float one cancels no digits
+        exact = at_pi(variance_l1_coeffs(d))
+        assert abs(Fraction(variance_l1(d)) - exact) <= 1e-14 * exact
+
+    def test_rejects_zero(self):
+        with pytest.raises(InvalidArgumentError):
+            expected_l1(0)
+        with pytest.raises(InvalidArgumentError):
+            variance_l1(0)
 
 
 class TestFannesAsymptote:

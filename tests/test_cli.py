@@ -31,7 +31,7 @@ def run_json(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
     envelope = json.loads(out)
-    assert envelope["schema_version"] == "1"
+    assert envelope["schema_version"] == "2"
     assert envelope["stream_version"] == STREAM_VERSION
     assert "stream_version" not in envelope["payload"]
     assert "timestamp_utc" in envelope
@@ -67,7 +67,7 @@ ENVELOPE_COMMANDS = {
 def test_envelope_carries_stream_version(capsys, command):
     env = run_json(capsys, ENVELOPE_COMMANDS[command])
     assert env["command"] == command
-    assert env["stream_version"] == "9"
+    assert env["stream_version"] == "10"
     assert set(env) == {"schema_version", "stream_version", "command", "timestamp_utc", "payload"}
 
 
@@ -90,10 +90,11 @@ class TestExpect:
         assert abs(payload["expected_classical_purity"] - 2.0 / 101.0) < 1e-15
 
     def test_dim_whose_cube_is_past_the_float_range(self, capsys):
-        # every entry is finite at d = 10^200, the l1 bound too
+        # every entry is finite at d = 10^200, the l1 mean and bound too
         code, out, _ = run_cli(capsys, ["expect", "--dim", str(10**200)])
         assert code == 0
         payload = json.loads(out)["payload"]
+        assert payload["expected_l1"] == pytest.approx(1e200 * math.pi / 4, rel=1e-15)
         assert payload["typical_l1_upper"] == pytest.approx(1e200, rel=1e-15)
         assert all(math.isfinite(v) for v in payload.values() if not isinstance(v, str))
 

@@ -15,8 +15,10 @@ from cohlab import experiments, measures, sampler
 from cohlab.analytics import (
     MIN_DIM_FOR_NONTRIVIAL_SUBSPACE,
     expected_cr,
+    expected_l1,
     subspace_dimension,
     subspace_threshold,
+    typical_l1_upper,
 )
 from cohlab.errors import InvalidArgumentError, VacuousGuaranteeError
 from cohlab.experiments import (
@@ -138,7 +140,6 @@ class TestRunConcentration:
 
     def test_cr_tails_centered_on_analytic_mean(self):
         report = run_concentration(dim=10, trials=2000, master_seed=3, epsilons=(0.1, 2.0))
-        assert report.tails_center == "analytic"
         values_above = report.tails[0][1]
         assert 0.0 <= values_above <= 1.0
         assert report.tails[1][1] == 0.0  # eps = 2.0 > ln 10 - 0 covers everything
@@ -149,14 +150,19 @@ class TestRunConcentration:
         report = run_concentration(dim=2, trials=200, master_seed=3, epsilons=(0.1,))
         assert report.tails[0][2] is None and report.tails[0][3] is None
 
-    def test_l1_reports_empirical_center_and_upper_bound(self):
+    def test_l1_tails_centered_on_expected_l1(self):
         report = run_concentration(dim=8, trials=2000, master_seed=4, epsilons=(0.5,), measure_kind="l1")
-        assert report.analytic_kind == "l1_upper_bound"
-        assert report.tails_center == "empirical"
+        assert report.analytic_mean == expected_l1(8)
+        # trial i is (sum_j sqrt(p_j))^2 - 1 of the diagonal e / sum e of word row i
+        u = word_generator(4, 0).random((2000, 8))
+        e = -np.log(1.0 - u)
+        values = np.sqrt(e / e.sum(axis=1, keepdims=True)).sum(axis=1) ** 2 - 1.0
+        outside = np.count_nonzero(np.abs(values - 7 * math.pi / 4) > 0.5)
+        assert report.tails[0][1] == outside / 2000
         assert report.tails[0][2] is None
         assert report.scaled_mean is None
-        # the dimension-only bound dominates the sampled values' mean
-        assert report.empirical_mean < report.analytic_mean
+        # the paper's dimension-only bound dominates the sampled values' mean
+        assert report.empirical_mean < typical_l1_upper(8)
 
     def test_tail_frequencies_bounded_by_effective_bounds(self):
         report = run_concentration(

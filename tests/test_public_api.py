@@ -27,6 +27,7 @@ PUBLIC_NAMES = [
     "expected_cr",
     "expected_cr_via_beta",
     "expected_cr_via_quadrature",
+    "expected_l1",
     "expected_trace_distance",
     "fannes_asymptote",
     "first_prob_samples",
