@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -258,10 +259,15 @@ def subspace_dimension(d: int, eps: float) -> SubspaceDimension:
     Returns 0 when the formula gives less than 1 (the guarantee is then
     vacuous); the warning flag is set for
     d < :data:`MIN_DIM_FOR_NONTRIVIAL_SUBSPACE` (32923), below which no
-    eps < ln d reaches s >= 2.
+    eps < ln d reaches s >= 2.  Where d is past the float range, s is the
+    exact floor of d times the float (eps/ln d)^2.5 over 16461.
     """
     log_d = _check_subspace_args(d, eps)
-    s = math.floor(d * (eps / log_d) ** 2.5 / SUBSPACE_K_DENOM)
+    ratio = (eps / log_d) ** 2.5
+    try:
+        s = math.floor(d * ratio / SUBSPACE_K_DENOM)
+    except OverflowError:
+        s = math.floor(Fraction(d) * Fraction(ratio) / SUBSPACE_K_DENOM)
     return SubspaceDimension(int(s), d < MIN_DIM_FOR_NONTRIVIAL_SUBSPACE)
 
 

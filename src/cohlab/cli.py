@@ -7,9 +7,9 @@ numeric failure, 4 vacuous guarantee, 5 I/O failure (e.g. an unwritable
 (no NaN or Infinity) that carries the schema version and the stream
 contract version next to the payload; histogram CSV uses
 ``bin_low,bin_high,count`` rows.  Values are in nats unless stated
-otherwise.  The campaigns' chunk and block shapes and their threading are
-those of :mod:`cohlab.experiments`; the payload bytes do not depend on the
-thread count.  A reader that closes stdout early (``| head``) is no I/O
+otherwise.  The campaigns' chunks and their threading are those of
+:mod:`cohlab.experiments`; the payload bytes do not depend on the thread
+count.  A reader that closes stdout early (``| head``) is no I/O
 failure: the unread output is dropped and the command's exit code stands.
 """
 

@@ -11,18 +11,16 @@ compensated summation).  Every campaign runs its chunks through the one
 chunk runner :func:`_run_chunked`.  Chunk partitions depend on the bytes of
 a drawn row alone and chunk results are combined in chunk order, so
 reports are byte-identical whether the runner fills the chunks serially or
-on a thread pool.  Campaigns that draw diagonals draw and evaluate every
-chunk in blocks of rows (:func:`_block_rows`): each block is drawn into the
-rows buffer of the worker that fills the chunk, and the kernels run in its
-work buffer, both one block in size and both living only as long as the
-campaign; the worker writes each kernel's per-row values of the block into
+on a thread pool.  Campaigns that draw diagonals draw each chunk into the
+rows buffer of the worker that fills it and run the kernels in its work
+buffer, both one chunk in size and both living only as long as the
+campaign; the worker writes each kernel's per-row values of the chunk into
 that kernel's array of every trial (:func:`_diagonal_values`).  The
 subspace campaign and the decomposition check project their states through
-one projector (:func:`_project`): chunks of states (128 at s <= 4, 64
-above), one fixed block of frame columns at a time, in row blocks of states
-(32 at s <= 4, 16 above) that fill those buffers, summing each state's
-block entropies in block order, so their bytes depend on d but not on the
-chunks or the row blocks either.
+one projector (:func:`_project`): chunks of states (32 at s <= 4, 16
+above) that fill those buffers, one fixed block of frame columns at a time,
+summing each state's block entropies in block order, so their bytes depend
+on d but not on the chunks either.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from .sampler import (
     _unit_rows,
     ginibre,
     haar_amplitude_rows,
-    haar_prob_blocks,
+    haar_prob_rows,
     haar_unitary_rows,
     positive_qr,
     sample_random_subspace,
@@ -109,14 +107,19 @@ class ConcentrationReport:
 # bytes one chunk of drawn rows may hold, whatever a row is: a state of 16 d
 # bytes, a unitary of 16 d^2, or a subspace state counted per column of one
 # frame block at the 16 bytes of its probabilities and their kernel work
-# (128 states per chunk) for s <= 4, and at 32 bytes above, where the rows
-# buffer holds its real and imaginary parts (64 states per chunk).  A
-# diagonal counts 16 d, its rows and kernel work.  Diagonal and subspace
-# chunks, the unit of dispatch (and of one generator for diagonals), hold
-# one block of rows at a time (_SCRATCH_BYTES).  Every campaign but the
-# matrix check computes per-row values and reduces them in trial order, so
-# the rows per chunk change no payload byte, only the memory a chunk holds
-_CHUNK_BYTES = 1 << 22
+# (32 states per chunk) for s <= 4, and at 32 bytes above, where the rows
+# buffer holds its real and imaginary parts (16 states per chunk).  A
+# diagonal counts 16 d, its rows and kernel work (65 rows at d = 1000).  A
+# diagonal or subspace chunk is the unit of dispatch (and of one generator
+# for diagonals) and fills one worker's two scratch buffers.  Every campaign
+# but the matrix check computes per-row values and reduces them in trial
+# order, so the rows per chunk change no payload byte, only the memory a
+# chunk holds.  Scratch of 0.5, 1, 2 and 4 MiB per worker at d = 1000
+# (laws iterations: concentrate cr, purity and trdist with 20000 trials on 2
+# threads of a 2-CPU machine with 2 MiB of L2 per core; 5 sets of 15
+# interleaved, medians) peaked at 39.8, 40.8, 42.9 and 47.1 MB RSS, while
+# wall and CPU time moved less than the sets spread
+_CHUNK_BYTES = 1 << 20
 
 
 def _chunk_size(row_bytes: int) -> int:
@@ -126,47 +129,35 @@ def _chunk_size(row_bytes: int) -> int:
     return max(1, min(4096, _CHUNK_BYTES // row_bytes))
 
 
-# bytes of each of the two scratch buffers, rows and kernel work, that a
-# worker of a diagonal or subspace campaign owns: it draws and evaluates
-# each chunk in blocks of this many bytes of rows (65 rows at d = 1000, or
-# 32 subspace states of one column block at s <= 4), or of one row where a
-# row is larger.  On a 2-CPU machine with 2 MiB of L2 per core, laws
-# iterations (concentrate cr, purity and trdist at d = 1000 with 20000
-# trials on 2 threads; 5 sets of 15 interleaved, medians) peaked at 39.8,
-# 40.8, 42.9 and 47.1 MB RSS with blocks of 256 KiB, 512 KiB, 1 MiB and
-# 2 MiB (the whole chunk of 262 rows); their wall time, 0.55 s, and CPU
-# time, 1.02-1.06 s, moved less than the sets spread
-_SCRATCH_BYTES = 1 << 19
-
-
-def _block_rows(row_bytes: int) -> int:
-    # per-row values do not depend on their block, so neither does any byte
-    return max(1, _SCRATCH_BYTES // row_bytes)
-
-
 # _run_chunked is serial for rows of fewer bytes than a state of this d
 # (16 d), else it runs one thread per usable CPU up to the chunk count.  On a
-# 2-CPU machine, cr campaigns of 2e7 amplitudes in _CHUNK_BYTES chunks on 2
+# 2-CPU machine, cr campaigns of 2e7 amplitudes in 4 MiB chunks on 2
 # threads against 1 (3 sets of 6 interleaved runs, medians) cost CPU
 # +10..+23% at d=300, +8..+15% at d=350, -1..+6% at d=400, -4..-9% at d=450
 # and d=500, and -4..-10% at d=600 and -12..-16% at d=1000; wall fell 44-54%
 # from d=450 on.  The cutoff is the smallest measured d at which a second
-# thread cost no CPU in every set; unitaries of d >= 22 are past it
+# thread cost no CPU in every set; unitaries of d >= 22 are past it.  On a
+# shared 2-CPU machine the same runs in _CHUNK_BYTES chunks cost CPU
+# +25..+36% at d=300, +13..+27% at d=450 and +18..+34% at d=600, against
+# +22..+34%, +20..+29% and +3..+16% in 4 MiB chunks there, while wall fell
+# 21-37% and 25-42%: no d meets the rule on that machine in either chunk
+# size, so the cutoff stays where it was measured
 _PARALLEL_MIN_DIM = 450
 
 
 # largest array a campaign may request: one drawn row (a state of 16 d
 # bytes, or a unitary of 16 d^2), the least a chunk holds past its one
-# _CHUNK_BYTES budget, a subspace frame (16 d s bytes) or the quadratic-form
-# frame Q that subspace states of s <= 4 are projected onto (8 d s^2 bytes;
-# above s = 4 they are projected through the real form of one column block
-# of the frame at a time), the values of every trial (8 bytes per trial and
-# kernel, a diagonal campaign's kernels counted together), the coefficient
-# rows of a decomposition check's members (16 s bytes each) and its mixing
-# Ginibre matrices, or a histogram with its payload (_HISTOGRAM_BIN_BYTES
-# per bin).  The frame cap bounds the whole frame phase, which
-# orthonormalises the frame in place and needs the frame plus one 512 KiB
-# block of its rows, not the 3-5 frames of a Householder QR.
+# _CHUNK_BYTES budget, a subspace frame (16 d s bytes) together with, for
+# s <= 4, the quadratic-form frame Q its states are projected onto (8 d s^2
+# bytes, built while the frame is alive; above s = 4 they are projected
+# through the real form of one column block of the frame at a time), the
+# values of every trial (8 bytes per trial and kernel, a diagonal
+# campaign's kernels counted together), the coefficient rows of a
+# decomposition check's members (16 s bytes each) and its mixing Ginibre
+# matrices, or a histogram with its payload (_HISTOGRAM_BIN_BYTES per bin).
+# The frame cap bounds the whole frame phase, which orthonormalises the
+# frame in place and needs the frame plus one 512 KiB block of its rows,
+# not the 3-5 frames of a Householder QR, and then holds Q next to it.
 # Larger requests raise MemoryError before anything is allocated (CLI exit
 # 6); every acceptance and golden campaign stays far inside it (the largest
 # frame, d=1e5 and s=6, is 9.6 MB, and the largest projection frame, d=1e5
@@ -175,18 +166,17 @@ MAX_ALLOC_BYTES = 1 << 30
 
 
 # columns of the subspace frame that _project projects and reduces at a
-# time.  A chunk streams the frame from memory once, one block
-# of columns after another, and projects each block in row blocks of
-# _SCRATCH_BYTES of products (32 states at s <= 4, 16 above), which reuse
-# the block of the frame (256 KiB of Q at s = 4) from cache.  Row blocks of
-# rows x cols products, run_subspace_floor(1e5, 0.9 ln d, 2000) on 2 threads
-# of a 2-CPU machine with 2 MiB of L2 per core (2 sets of 9 and 15
-# interleaved repeats, medians against 32 x 8192): 32 x 4096 (1 MiB) -3%
-# and -5% wall, the 512 KiB shapes 32 x 2048 -10% and -13% and 64 x 1024
-# -17% and -11%, the 256 KiB shapes 16 x 2048 +6% and +8% and 32 x 1024 0%
-# and +5%.  The blocks depend on d alone, and a state's C_r is the sum of
-# its block entropies in block order, so neither the rows per chunk, the
-# rows per row block nor the workers change a byte
+# time.  A chunk streams the frame from memory once, one block of columns
+# after another, into 512 KiB of products per scratch buffer (32 states at
+# s <= 4, 16 above).  Chunks of rows x cols products,
+# run_subspace_floor(1e5, 0.9 ln d, 2000) on 2 threads of a 2-CPU machine
+# with 2 MiB of L2 per core (2 sets of 9 and 15 interleaved repeats,
+# medians against 32 x 8192): 32 x 4096 (1 MiB) -3% and -5% wall, the
+# 512 KiB shapes 32 x 2048 -10% and -13% and 64 x 1024 -17% and -11%, the
+# 256 KiB shapes 16 x 2048 +6% and +8% and 32 x 1024 0% and +5%.  The
+# blocks depend on d alone, and a state's C_r is the sum of its block
+# entropies in block order, so neither the rows per chunk nor the workers
+# change a byte
 _BLOCK_COLS = 2048
 
 
@@ -222,12 +212,11 @@ def _run_chunked(n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int 
     another chunk, and the exception reaches the caller.
 
     With ``scratch_cols``, each worker owns two float64 arrays of
-    ``scratch_cols`` columns, rows and work, allocated on its first chunk
-    and dropped when the campaign returns.  They have ``min(size, n)`` rows,
-    or one block of ``_SCRATCH_BYTES`` (:func:`_block_rows`) where that is
-    fewer, and every chunk is filled as ``fill(start, stop, rows, work)``
-    with at most their first ``stop - start`` rows.  ``fill`` may overwrite
-    both but must not return a view of them.
+    ``scratch_cols`` columns and ``min(size, n)`` rows, rows and work,
+    allocated on its first chunk and dropped when the campaign returns; every
+    chunk is filled as ``fill(start, stop, rows, work)`` with their first
+    ``stop - start`` rows.  ``fill`` may overwrite both but must not return
+    a view of them.
     """
     _check_alloc(row_bytes, "one drawn row")
     _check_alloc(8 * n, f"the values of {n} trials")
@@ -248,11 +237,10 @@ def _run_chunked(n: int, fill, row_bytes: int, scratch_cols: int = 0, size: int 
             if scratch_cols and scratch is None:
                 # one allocation for both: once a campaign has freed it,
                 # glibc serves the next from its heap without trimming it, so
-                # a serial laws iteration (3 campaigns of 77 chunks in blocks
-                # of 65 rows at d=1000) takes 15-18 minor faults, against
-                # about 680 for two allocations
-                rows = min(size, n, _block_rows(8 * scratch_cols))
-                scratch = np.empty((2, rows, scratch_cols))
+                # a serial laws iteration (3 campaigns of 308 chunks of 65
+                # rows at d=1000) takes 0-1 minor faults, against 666 for two
+                # allocations
+                scratch = np.empty((2, min(size, n), scratch_cols))
             results[i] = fill(start, stop, *(() if scratch is None else scratch[:, : stop - start]))
 
     workers = 1 if row_bytes < 16 * _PARALLEL_MIN_DIM else min(_usable_cpus(), count)
@@ -291,20 +279,18 @@ def _diagonal_values(dim: int, trials: int, master_seed: int, kernels) -> list[n
 
     Their ``8 len(kernels) trials`` bytes are checked against the cap before
     anything is drawn.  Each chunk of :func:`_run_chunked` is one draw
-    (:func:`~cohlab.sampler.haar_prob_blocks`), made and evaluated in blocks
-    of :func:`_block_rows` rows: ``probs`` and ``work`` are the first rows of
-    the worker's rows and work buffers, which hold one block, and each
-    kernel's values are copied into its array before the next block.
+    (:func:`~cohlab.sampler.haar_prob_rows`) into the worker's rows buffer:
+    ``probs`` and ``work`` are the chunk's rows of its rows and work
+    buffers, and each kernel's values are copied into its array before the
+    next chunk.
     """
     _check_alloc(8 * len(kernels) * trials, f"the values of {trials} trials ({len(kernels)} per trial)")
     values = [np.empty(trials) for _ in kernels]
 
     def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> None:
-        for probs in haar_prob_blocks(master_seed, start, stop, dim, rows):
-            block = slice(start, start + len(probs))
-            for kernel, out in zip(kernels, values):
-                out[block] = kernel(probs, work[: len(probs)])
-            start = block.stop
+        probs = haar_prob_rows(master_seed, start, stop, dim, rows)
+        for kernel, out in zip(kernels, values):
+            out[start:stop] = kernel(probs, work)
 
     _run_chunked(trials, fill, 16 * dim, dim)
     return values
@@ -476,13 +462,12 @@ def _project(frame: np.ndarray, n: int, coefficients) -> np.ndarray:
     quadratic-form frame Q of F (:func:`_quadratic_frame`), and above F
     itself, complex d x s.  Each state's C_r is the sum, in block order, of
     the entropies of its probabilities over fixed blocks of ``_BLOCK_COLS``
-    columns.  A chunk of states is projected one column block at a time, in
-    row blocks of ``_SCRATCH_BYTES`` of products, so every row block reuses
-    the column block of the frame from cache.  With Q a block's
-    probabilities are one real product, coefficient quadratic forms times
-    the block of Q; with F the product with the block's real frame
-    ``[Re F^T; Im F^T]`` gives the real and imaginary parts of the
-    amplitudes, which are squared and folded.
+    columns.  A chunk of states is projected one column block at a time
+    into the worker's rows buffer, which holds the chunk's products of one
+    column block.  With Q a block's probabilities are one real product,
+    coefficient quadratic forms times the block of Q; with F the product
+    with the block's real frame ``[Re F^T; Im F^T]`` gives the real and
+    imaginary parts of the amplitudes, which are squared and folded.
     """
     # product rows per state: its probabilities, or Re psi and Im psi
     if np.iscomplexobj(frame):
@@ -502,21 +487,17 @@ def _project(frame: np.ndarray, n: int, coefficients) -> np.ndarray:
     scratch_cols = per_state * cols
 
     def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
-        c, block = coefficients(start, stop), len(rows)
-        coeffs = [(r, expand(c[r : r + block])) for r in range(0, stop - start, block)]
-        values = np.zeros(stop - start)
+        n, coeff = stop - start, expand(coefficients(start, stop))
+        values = np.zeros(n)
         for lo in range(0, dim, cols):
             width = min(cols, dim - lo)
-            f = frame_block(lo, lo + width)
-            for r, coeff in coeffs:
-                n = len(coeff) // per_state
-                product = _rows_view(rows, per_state * n, width)
-                np.matmul(coeff, f, out=product)
-                if per_state == 1:
-                    probs, spare = product, _rows_view(work, n, width)
-                else:
-                    probs, spare = _abs2_halves(product, _rows_view(work, n, width)), product[:n]
-                values[r : r + n] += measures.entropy_from_probs(probs, work=spare)
+            product = _rows_view(rows, per_state * n, width)
+            np.matmul(coeff, frame_block(lo, lo + width), out=product)
+            if per_state == 1:
+                probs, spare = product, _rows_view(work, n, width)
+            else:
+                probs, spare = _abs2_halves(product, _rows_view(work, n, width)), product[:n]
+            values += measures.entropy_from_probs(probs, work=spare)
         return values
 
     return np.concatenate(_run_chunked(n, fill, 16 * scratch_cols, scratch_cols))
@@ -527,9 +508,10 @@ def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int, rows: i
     the frame :func:`_project` reads: for s <= 4 its quadratic-form frame Q,
     above it the subspace frame itself.
 
-    s < ``min_s``, a frame past the cap, for s <= 4 a quadratic-form frame Q
-    past it, or ``rows`` coefficient rows of 16 s bytes past it, which the
-    caller holds at once, raises before anything is drawn.  No other frame
+    s < ``min_s``, a frame past the cap (for s <= 4 the frame and its
+    quadratic-form frame Q together, as Q is built from the living frame),
+    or ``rows`` coefficient rows of 16 s bytes past it, which the caller
+    holds at once, raises before anything is drawn.  No other frame
     outlives this call.
     """
     s = analytics.subspace_dimension(dim, eps).s
@@ -539,9 +521,11 @@ def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int, rows: i
             f"below the s >= {min_s} this campaign needs; a nontrivial guarantee "
             f"(s >= 2) requires d >= {analytics.MIN_DIM_FOR_NONTRIVIAL_SUBSPACE}"
         )
-    _check_alloc(16 * dim * s, f"a {dim} x {s} subspace frame")
     if _quadratic_form(s):
-        _check_alloc(8 * s * s * dim, f"a {s * s} x {dim} projection frame of an s = {s} subspace")
+        _check_alloc(16 * dim * s + 8 * s * s * dim,
+                     f"a {dim} x {s} subspace frame and its {s * s} x {dim} projection frame")
+    else:
+        _check_alloc(16 * dim * s, f"a {dim} x {s} subspace frame")
     _check_alloc(16 * s * rows, f"the coefficient rows of {rows} states of an s = {s} subspace")
     frame = sample_random_subspace(dim, s, new_generator(master_seed, 0))
     if _quadratic_form(s):

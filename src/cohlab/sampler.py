@@ -19,8 +19,8 @@ Campaigns draw whole batches of rows: standard normals from
 :func:`keyed_rows`, row r from stream ``(master_seed, first + r)`` through
 one generator rekeyed per row (:func:`haar_amplitude_rows`,
 :func:`haar_unitary_rows`), and Haar diagonals from
-:func:`haar_prob_blocks`, one run of words of the campaign stream drawn in
-consecutive blocks of a caller's buffer.
+:func:`haar_prob_rows`, one run of words of the campaign stream drawn into
+a caller's buffer.
 """
 
 from __future__ import annotations
@@ -134,35 +134,26 @@ def haar_amplitude_rows(master_seed: int, first: int, stop: int, dim: int) -> np
     return _unit_rows(keyed_rows(master_seed, first, stop, (2 * dim,)))
 
 
-def haar_prob_blocks(master_seed: int, first: int, stop: int, dim: int, out: np.ndarray):
-    """Diagonals p_i = |psi_i|^2 of Haar states for trials [first, stop), in
-    consecutive blocks of ``len(out)`` rows, the last one shorter where that
-    does not divide ``stop - first``.
+def haar_prob_rows(master_seed: int, first: int, stop: int, dim: int, out: np.ndarray) -> np.ndarray:
+    """Diagonals p_i = |psi_i|^2 of Haar states for trials [first, stop),
+    drawn and normalised in ``out``, a C-contiguous float64 array of ``stop
+    - first`` rows and ``dim`` columns, which is returned.
 
     Row r is ``e / e.sum()`` with ``e = -ln(1 - u)`` and ``u`` the floats
     that ``Generator.random`` makes of words [(first + r) dim, (first + r +
     1) dim) of ``word_generator(master_seed, 0)``: Dirichlet(1, ..., 1), the
     law of a Haar state's diagonal.  ln(1 - u) / sum ln(1 - u) has the bytes
-    of e / e.sum(), so the sign is never taken.
-
-    Each block is drawn and normalised in the first rows of ``out``, a
-    C-contiguous float64 array of ``dim`` columns, and yielded; the next
-    block overwrites it.  One generator is constructed at word
-    ``first * dim`` per call, and each block continues its draw, so the
-    blocks change no byte and cost no extra generator.
+    of e / e.sum(), so the sign is never taken.  One generator is
+    constructed at word ``first * dim`` per call, and none at d = 1.
     """
-    if dim > 1:
-        gen = word_generator(master_seed, first * dim)
-    for start in range(first, stop, len(out) or 1):
-        rows = out[: stop - start]
-        if dim == 1:  # e / e.sum() is 1.0, or 0 / 0 where the word is 0
-            rows.fill(1.0)
-        else:
-            gen.random(out=rows)
-            np.subtract(1.0, rows, out=rows)
-            np.log(rows, out=rows)
-            rows /= rows.sum(axis=1, keepdims=True)
-        yield rows
+    if dim == 1:  # e / e.sum() is 1.0, or 0 / 0 where the word is 0
+        out.fill(1.0)
+        return out
+    word_generator(master_seed, first * dim).random(out=out)
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def haar_unitary_rows(master_seed: int, first: int, stop: int, dim: int) -> np.ndarray:

@@ -343,6 +343,14 @@ class TestSubspaceDimension:
         with pytest.raises(InvalidArgumentError):
             subspace_dimension(2, 0.1)
 
+    @pytest.mark.parametrize("d", [2 * 10**308, 10**400 + 7], ids=["2e308", "1e400"])
+    def test_past_the_float_range_is_the_exact_floor(self, d):
+        # d times the float (eps / ln d)^2.5 is past the float range
+        eps = 0.9 * math.log(d)
+        ratio = Fraction((eps / math.log(d)) ** 2.5)
+        s = subspace_dimension(d, eps).s
+        assert s * SUBSPACE_K_DENOM <= d * ratio < (s + 1) * SUBSPACE_K_DENOM
+
     @given(
         st.integers(min_value=3, max_value=10**7),
         st.floats(min_value=1e-6, max_value=1.0 - 1e-9, allow_nan=False),

@@ -487,6 +487,12 @@ class TestBoundaryExitCodes:
             # s = 4: a frame of 640 MB, inside the cap, but a quadratic-form
             # projection frame of 8 d s^2 bytes (1.28 GB) past it
             ["subspace", "--dim", str(10**7), "--eps-frac", "0.14", "--states", "1"],
+            # s = 4: a frame of 512 MB and a quadratic-form projection frame
+            # of 1.02 GB, each inside the cap, built while both are alive
+            ["subspace", "--dim", str(8 * 10**6), "--eps-frac", "0.15", "--states", "1"],
+            # d past the float range: s is still an exact integer, and its
+            # frame is past the cap
+            ["subspace", "--dim", str(2 * 10**308), "--eps-frac", "0.9", "--states", "2"],
             # a histogram payload of about 650 bytes per bin
             ["concentrate", "--measure", "cr", "--dim", "1000", "--trials", "5", "--bins", str(10**9)],
             # 8 bytes per trial value; the chunk bounds alone would be 3.8e9 tuples
@@ -498,6 +504,8 @@ class TestBoundaryExitCodes:
             "concentrate-past-cap",
             "subspace-past-cap",
             "subspace-projection-past-cap",
+            "subspace-frame-and-projection-past-cap",
+            "subspace-2e308",
             "concentrate-1e9-bins",
             "concentrate-1e12-trials",
         ],
@@ -506,7 +514,7 @@ class TestBoundaryExitCodes:
         def allocate(*args):
             raise AssertionError("a refused request reached the sampler")
 
-        monkeypatch.setattr(experiments, "haar_prob_blocks", allocate)
+        monkeypatch.setattr(experiments, "haar_prob_rows", allocate)
         monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
         code, out, err = run_cli(capsys, argv)
         assert code == 6

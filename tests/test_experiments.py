@@ -78,7 +78,7 @@ class TestConfig:
         def draw(*args):
             raise AssertionError("a refused campaign drew")
 
-        monkeypatch.setattr(experiments, "haar_prob_blocks", draw)
+        monkeypatch.setattr(experiments, "haar_prob_rows", draw)
         with pytest.raises(InvalidArgumentError):
             run_concentration(**{"dim": 4, "trials": 10, "master_seed": 0, **bad})
 
@@ -213,9 +213,9 @@ class TestSubspaceFloor:
         assert report.violations == 0
 
     def test_threads_do_not_change_bytes(self, chunk_workers):
-        # s = 2 projects by the quadratic form, 300 states in chunks of 128,
-        # 128 and 44 (row blocks of 32 and 12); s = 6 by the real form, 150
-        # states in chunks of 64, 64 and 22 (row blocks of 16 and 6)
+        # s = 2 projects by the quadratic form, 300 states in 9 chunks of 32
+        # and one of 12; s = 6 by the real form, 150 states in 9 chunks of 16
+        # and one of 6
         pools = chunk_workers(1)
         for dim, eps_frac, n in ((34000, 0.999, 300), (10**5, 0.999, 150)):
             eps = eps_frac * math.log(dim)
@@ -300,24 +300,24 @@ class TestSubspaceFloor:
         assert report.min_observed_cr == pytest.approx(scalar.min(), rel=1e-14, abs=0)
         assert report.violations == int(np.count_nonzero(scalar < report.threshold))
 
-    def test_chunks_of_128_states_in_row_blocks_of_32_up_to_s4(self, monkeypatch, chunk_workers):
+    def test_chunks_of_32_states_up_to_s4(self, monkeypatch, chunk_workers):
         # s = 2: the quadratic form holds 16 bytes per block column and
-        # state, 4 MiB per chunk and 512 KiB per row block; each of the 17
-        # column blocks is reduced in the row blocks of the chunk
+        # state, 1 MiB per chunk; each chunk is reduced in all 17 column
+        # blocks before the next is drawn
         chunk_workers(1)
         shapes = TestChunkRunner.spy_batches(monkeypatch)
         calls = self.spy_entropy(monkeypatch)
         run_subspace_floor(34000, 0.99 * math.log(34000), 150, 0)
-        assert shapes == [(128, 4), (22, 4)]
+        assert shapes == [(32, 4)] * 4 + [(22, 4)]
         assert [rows for rows, _ in calls] == [32] * 4 * 17 + [22] * 17
 
-    def test_chunks_of_64_states_in_row_blocks_of_16(self, monkeypatch, chunk_workers):
+    def test_chunks_of_16_states_above_s4(self, monkeypatch, chunk_workers):
         # s = 6: the real form holds 32 bytes per block column and state
         chunk_workers(1)
         shapes = TestChunkRunner.spy_batches(monkeypatch)
         calls = self.spy_entropy(monkeypatch)
         run_subspace_floor(10**5, 0.999 * math.log(10**5), 70, 0)
-        assert shapes == [(64, 12), (6, 12)]
+        assert shapes == [(16, 12)] * 4 + [(6, 12)]
         assert [rows for rows, _ in calls] == [16] * 4 * 49 + [6] * 49
 
     def test_real_form_holds_the_frame_and_one_column_block_of_it(self, chunk_workers):
@@ -580,7 +580,7 @@ class TestInequalitySweep:
 
     def test_nan_diagonals_fail_every_check(self, monkeypatch):
         # NaN compares false with every bound, so each check counts the rows
-        # that do not pass it; 300 trials at d = 1000 span 2 chunks and 6 blocks
+        # that do not pass it; 300 trials at d = 1000 span 5 chunks
         class NanWords:
             def random(self, out):
                 out.fill(np.nan)
@@ -596,7 +596,7 @@ class TestInequalitySweep:
         def draw(*args):
             raise AssertionError("a refused campaign drew its diagonals")
 
-        monkeypatch.setattr(experiments, "haar_prob_blocks", draw)
+        monkeypatch.setattr(experiments, "haar_prob_rows", draw)
         with pytest.raises(MemoryError, match=r"the values of 33554433 trials \(4 per trial\)"):
             run_inequality_sweep(2, 2**25 + 1, 0)
 
@@ -639,11 +639,12 @@ class TestChunkRunner:
 
     @pytest.mark.parametrize(
         "dim, rows, pools_made",
-        [(300, 873, []), (1000, 262, [2]), (10**5, 2, [2]), (2 * 8192, 16, [2])],
+        [(300, 218, []), (1000, 65, [2]), (2 * 8192, 4, [2]), (10**5, 1, [2])],
     )
     def test_state_rows_keep_their_chunk_rows_and_workers(self, chunk_workers, dim, rows, pools_made):
-        # laws-d1000 runs 262 rows per chunk on 2 workers and a d = 1e5 state
-        # 2 rows on 2; a state at d = 16384 is 16 rows on 2
+        # laws-d1000 runs 65 rows per chunk on 2 workers and a state at
+        # d = 16384 4 rows on 2; a d = 1e5 state, past the chunk budget, is
+        # a chunk of its own
         pools = chunk_workers(2, experiments._PARALLEL_MIN_DIM)
         sizes = []
         experiments._run_chunked(2 * rows, lambda start, stop: sizes.append(stop - start), 16 * dim)
@@ -721,10 +722,10 @@ class TestChunkRunner:
         return shapes
 
     def test_unitary_chunks_fit_the_byte_budget(self, monkeypatch):
-        # a d = 300 unitary is 1.44 MB of normals, so a 4 MiB chunk holds 2
+        # a d = 150 unitary is 360 kB of normals, so a 1 MiB chunk holds 2
         shapes = self.spy_batches(monkeypatch)
-        ks_distance_u11(300, 20, 0)
-        assert shapes == [(2, 300, 600)] * 10
+        ks_distance_u11(150, 20, 0)
+        assert shapes == [(2, 150, 300)] * 10
 
     def test_matrix_check_keeps_its_fixed_chunk(self, monkeypatch):
         # its chunk sums are added in order, so its chunks are pinned
@@ -760,18 +761,16 @@ _CHUNKED_CAMPAIGNS = {
 
 @pytest.mark.parametrize("campaign", sorted(_CHUNKED_CAMPAIGNS))
 def test_chunk_rows_do_not_change_bytes(campaign, monkeypatch, chunk_workers):
-    # per-row values reduced in trial order: any rows per chunk, and any
-    # rows per block of a chunk, give the same bytes
+    # per-row values reduced in trial order: any rows per chunk give the
+    # same bytes
     run = _CHUNKED_CAMPAIGNS[campaign]
     one, seven = (lambda row_bytes: 1), (lambda row_bytes: 7)
     outputs = set()
     for size in (one, seven, experiments._chunk_size):
         monkeypatch.setattr(experiments, "_chunk_size", size)
-        for block in (one, seven, experiments._block_rows):
-            monkeypatch.setattr(experiments, "_block_rows", block)
-            for cpus in (1, 2):
-                pools = chunk_workers(cpus)
-                outputs.add(run())
+        for cpus in (1, 2):
+            pools = chunk_workers(cpus)
+            outputs.add(run())
     assert pools, "no threaded run used a thread pool"
     assert len(outputs) == 1
 
@@ -814,78 +813,71 @@ def test_quadratic_frame_in_column_blocks_keeps_its_bytes(monkeypatch, dim, s, b
 
 class TestChunkScratch:
     """Each worker draws and evaluates every chunk of a diagonal campaign in
-    blocks, in one rows buffer and one work buffer of one block each."""
+    one rows buffer and one work buffer of one chunk each."""
 
     @staticmethod
-    def spy_blocks(monkeypatch):
-        """For every chunk that haar_prob_blocks draws: the bytes of the
-        worker's scratch and the (address, shape) of each block it yields."""
+    def spy_chunks(monkeypatch):
+        """For every chunk that haar_prob_rows draws: the bytes of the
+        worker's scratch, and the address and shape of the rows drawn."""
         seen = []
-        real = experiments.haar_prob_blocks
+        real = experiments.haar_prob_rows
 
         def spy(master_seed, first, stop, dim, out):
-            blocks = []
-            seen.append((out.base.nbytes, blocks))
-            for rows in real(master_seed, first, stop, dim, out):
-                blocks.append((rows.__array_interface__["data"][0], rows.shape))
-                yield rows
+            seen.append((out.base.nbytes, out.__array_interface__["data"][0], out.shape))
+            return real(master_seed, first, stop, dim, out)
 
-        monkeypatch.setattr(experiments, "haar_prob_blocks", spy)
+        monkeypatch.setattr(experiments, "haar_prob_rows", spy)
         return seen
 
     @pytest.mark.parametrize("cpus, buffers", [(1, {1}), (2, {1, 2})])
     def test_77_chunks_use_one_buffer_per_worker(self, monkeypatch, chunk_workers, cpus, buffers):
-        # 262 diagonals per chunk at d = 1000, each chunk one generator at its
-        # first word and blocks of 65 rows: 65 x 4 + 2, and 65 + 23 in the
-        # last chunk of 88
-        seen = self.spy_blocks(monkeypatch)
+        # 65 diagonals per chunk at d = 1000, each chunk one generator at its
+        # first word: 5000 = 76 x 65 + 60
+        seen = self.spy_chunks(monkeypatch)
         made = []
         word_generator = sampler.word_generator
         monkeypatch.setattr(
             sampler, "word_generator", lambda *args: made.append(args) or word_generator(*args)
         )
         chunk_workers(cpus)
-        run_concentration(dim=1000, trials=20000, master_seed=5)
+        run_concentration(dim=1000, trials=5000, master_seed=5)
         assert len(seen) == 77
-        assert sorted(made) == [(5, 262 * 1000 * k) for k in range(77)]
-        sizes = sorted(tuple(shape[0] for _, shape in blocks) for _, blocks in seen)
-        assert sizes == [(65, 23)] + [(65, 65, 65, 65, 2)] * 76
-        assert len({address for _, blocks in seen for address, _ in blocks}) in buffers
+        assert sorted(made) == [(5, 65 * 1000 * k) for k in range(77)]
+        assert sorted(shape[0] for _, _, shape in seen) == [60] + [65] * 76
+        assert len({address for _, address, _ in seen}) in buffers
 
     @pytest.mark.parametrize("dim, trials", [(1000, 600), (10**5, 5)])
     def test_scratch_per_worker_is_two_blocks(self, monkeypatch, chunk_workers, dim, trials):
-        # a block holds _SCRATCH_BYTES of rows, or one row where a row is
-        # larger: 65 rows at d = 1000 and 1 of the 2 per chunk at d = 1e5
-        seen = self.spy_blocks(monkeypatch)
+        # the rows and work blocks of one chunk each: at most _CHUNK_BYTES
+        # together at d = 1000 (65 rows), or one row each where a row is larger
+        seen = self.spy_chunks(monkeypatch)
         chunk_workers(2)
         run_concentration(dim=dim, trials=trials, master_seed=5, measure_kind="trdist")
-        budget = max(experiments._SCRATCH_BYTES, 8 * dim)
-        assert seen and all(nbytes <= 2 * budget for nbytes, _ in seen)
+        rows = experiments._chunk_size(16 * dim)
+        assert seen and all(nbytes == 16 * dim * rows for nbytes, _, _ in seen)
 
     def test_tail_chunk_uses_a_prefix_of_the_buffer(self, monkeypatch, chunk_workers):
-        # the chunk of 262 ends in a block of 2 rows, and the chunk of 1 is a
-        # block of 1: both are prefixes of the one buffer
-        seen = self.spy_blocks(monkeypatch)
+        # 131 = 2 x 65 + 1: the chunk of 1 is a prefix of the one buffer
+        seen = self.spy_chunks(monkeypatch)
         chunk_workers(1)
-        run_concentration(dim=1000, trials=263, master_seed=5)
-        shapes = [[shape for _, shape in blocks] for _, blocks in seen]
-        assert shapes == [[(65, 1000)] * 4 + [(2, 1000)], [(1, 1000)]]
-        assert len({address for _, blocks in seen for address, _ in blocks}) == 1
+        run_concentration(dim=1000, trials=131, master_seed=5)
+        assert [shape for _, _, shape in seen] == [(65, 1000), (65, 1000), (1, 1000)]
+        assert len({address for _, address, _ in seen}) == 1
 
     @pytest.mark.parametrize("kind", experiments.MEASURE_KINDS)
-    @pytest.mark.parametrize("trials", [1, 261, 262, 263, 20000])
+    @pytest.mark.parametrize("trials", [1, 65, 66, 261, 262, 263, 20000])
     def test_payload_equals_a_fresh_allocation_run(self, monkeypatch, kind, trials):
         config = dict(dim=1000, trials=trials, master_seed=6, epsilons=(0.01,), measure_kind=kind)
         reused = payload_bytes(run_concentration(**config))
-        # reference: every chunk draws into a new array, as one block, and
-        # every kernel makes its own temporary
+        # reference: every chunk draws into a new array, and every kernel
+        # makes its own temporary
         kernel = experiments._MEASURES[kind].kernel
         fresh_kernel = getattr(measures, kernel)
         monkeypatch.setattr(measures, kernel, lambda probs, work: fresh_kernel(probs))
         monkeypatch.setattr(
             experiments,
-            "haar_prob_blocks",
-            lambda seed, first, stop, dim, out: sampler.haar_prob_blocks(
+            "haar_prob_rows",
+            lambda seed, first, stop, dim, out: sampler.haar_prob_rows(
                 seed, first, stop, dim, np.empty((stop - first, dim))
             ),
         )
@@ -912,7 +904,7 @@ class TestChunkScratch:
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("dim", [1, 2, 1000])
     def test_joint_pass_equals_one_pass_per_kernel(self, chunk_workers, cpus, dim):
-        # 600 trials at d = 1000 are chunks of 262 in blocks of 65
+        # 600 trials at d = 1000 are 9 chunks of 65 and one of 15
         chunk_workers(cpus)
         kernels = [getattr(measures, m.kernel) for m in experiments._MEASURES.values()]
         joint = experiments._diagonal_values(dim, 600, 7, kernels)
@@ -929,7 +921,7 @@ class TestChunkScratch:
         run_inequality_sweep(1000, 600, 9)
         assert np.array_equal(samples, kept)
         u = word_generator(8, 0).random((600, 1000))
-        for i in (0, 261, 262, 599):
+        for i in (0, 64, 65, 599):
             e = -np.log(1.0 - u[i])
             assert samples[i] == (e / e.sum())[0]
 

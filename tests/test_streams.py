@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cohlab import sampler
-from cohlab.sampler import haar_prob_blocks, keyed_rows
+from cohlab.sampler import haar_prob_rows, keyed_rows
 from cohlab.streams import STREAM_VERSION, new_generator, stream_setter, word_generator
 
 README = Path(__file__).parents[1] / "README.md"
@@ -167,7 +167,7 @@ def philox_word_generator(seed, word):
 
 def test_haar_prob_rows_are_normalised_exponentials():
     first, stop, dim = 3, 8, 7
-    rows = next(haar_prob_blocks(77, first, stop, dim, np.empty((stop - first, dim))))
+    rows = haar_prob_rows(77, first, stop, dim, np.empty((stop - first, dim)))
     u = campaign_generator(77).random((stop, dim))
     for row, index in zip(rows, range(first, stop)):
         e = -np.log(1.0 - u[index])
@@ -183,8 +183,7 @@ ORACLE_STARTS = [(0, 9), (1, 9), (2, 7), (3, 4), (6, 13)]
 @pytest.mark.parametrize("dim", ORACLE_DIMS)
 @pytest.mark.parametrize("first, stop", ORACLE_STARTS)
 def test_haar_prob_rows_match_the_v6_oracle(dim, first, stop):
-    # the whole batch as one block
-    rows = next(haar_prob_blocks(77, first, stop, dim, np.empty((stop - first, dim))))
+    rows = haar_prob_rows(77, first, stop, dim, np.empty((stop - first, dim)))
     assert rows.tobytes() == v6_diagonals(77, first, stop, dim).tobytes()
 
 
@@ -194,28 +193,29 @@ def test_haar_prob_rows_match_the_v5_oracle(monkeypatch, dim, first, stop):
     # v6 changed the bit generator only: given v5's Philox words, the
     # windows and the transform reproduce v5's bytes
     monkeypatch.setattr(sampler, "word_generator", philox_word_generator)
-    rows = next(haar_prob_blocks(77, first, stop, dim, np.empty((stop - first, dim))))
+    rows = haar_prob_rows(77, first, stop, dim, np.empty((stop - first, dim)))
     assert rows.tobytes() == v5_diagonals(77, first, stop, dim).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 5, 6, 7])
 @pytest.mark.parametrize("block", [1, 3, 4, 9, 20])
 def test_haar_prob_blocks_continue_one_draw(monkeypatch, dim, block):
-    # blocks of 1, 3 and 4 rows start at words first * dim + k * block * dim;
-    # 9 rows are the whole batch and 20 more than it
+    # trials [2, 11) drawn as consecutive blocks of 1, 3 and 4 rows, each by
+    # its own call at words first * dim + k * block * dim, continue the one
+    # draw of the whole batch; 9 rows are the whole batch and 20 more than it
     made = []
     real = sampler.word_generator
     monkeypatch.setattr(sampler, "word_generator", lambda *args: made.append(args) or real(*args))
     first, stop = 2, 11
-    out = np.full((block, dim), np.nan)
-    address = out.__array_interface__["data"][0]
     blocks = []
-    for rows in sampler.haar_prob_blocks(77, first, stop, dim, out):
-        assert rows.__array_interface__["data"][0] == address
-        blocks.append(rows.copy())
-    assert all(len(rows) == block for rows in blocks[:-1])
+    for lo in range(first, stop, block):
+        hi = min(lo + block, stop)
+        out = np.full((hi - lo, dim), np.nan)
+        rows = sampler.haar_prob_rows(77, lo, hi, dim, out)
+        assert rows is out
+        blocks.append(rows)
     assert np.concatenate(blocks).tobytes() == v6_diagonals(77, first, stop, dim).tobytes()
-    assert made == ([(77, first * dim)] if dim > 1 else [])
+    assert made == ([(77, lo * dim) for lo in range(first, stop, block)] if dim > 1 else [])
 
 
 class ZeroWords:
@@ -227,10 +227,10 @@ class ZeroWords:
 
 
 def test_haar_prob_rows_at_d1_are_one_even_for_a_zero_word(monkeypatch):
-    assert (next(haar_prob_blocks(4, 0, 5000, 1, np.empty((5000, 1)))) == 1.0).all()
+    assert (haar_prob_rows(4, 0, 5000, 1, np.empty((5000, 1))) == 1.0).all()
     monkeypatch.setattr(sampler, "word_generator", lambda *args: ZeroWords())
     with np.errstate(invalid="ignore"):
         # 0 / 0 where d > 1
-        assert np.isnan(next(haar_prob_blocks(4, 0, 3, 2, np.empty((3, 2))))).all()
-    rows = next(haar_prob_blocks(4, 0, 3, 1, np.empty((3, 1))))
+        assert np.isnan(haar_prob_rows(4, 0, 3, 2, np.empty((3, 2)))).all()
+    rows = haar_prob_rows(4, 0, 3, 1, np.empty((3, 1)))
     assert rows.shape == (3, 1) and (rows == 1.0).all()
