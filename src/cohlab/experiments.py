@@ -20,7 +20,10 @@ subspace campaign and the decomposition check project their states through
 one projector (:func:`_project`): chunks of states (32 at s <= 4, 16
 above) that fill those buffers, one fixed block of frame columns at a time,
 summing each state's block entropies in block order, so their bytes depend
-on d but not on the chunks either.
+on d but not on the chunks either, one-state chunks included.  The blocks
+are the frame's real column blocks, built once per campaign
+(:func:`_frame_blocks`): the quadratic-form frame's for s <= 4, and above
+it the frame's own rows rewritten in place as real blocks.
 """
 
 from __future__ import annotations
@@ -148,20 +151,21 @@ _PARALLEL_MIN_DIM = 450
 # largest array a campaign may request: one drawn row (a state of 16 d
 # bytes, or a unitary of 16 d^2), the least a chunk holds past its one
 # _CHUNK_BYTES budget, a subspace frame (16 d s bytes) together with, for
-# s <= 4, the quadratic-form frame Q its states are projected onto (8 d s^2
-# bytes, built while the frame is alive; above s = 4 they are projected
-# through the real form of one column block of the frame at a time), the
-# values of every trial (8 bytes per trial and kernel, a diagonal
-# campaign's kernels counted together), the coefficient rows of a
-# decomposition check's members (16 s bytes each) and its mixing Ginibre
-# matrices, or a histogram with its payload (_HISTOGRAM_BIN_BYTES per bin).
-# The frame cap bounds the whole frame phase, which orthonormalises the
-# frame in place and needs the frame plus one 512 KiB block of its rows,
-# not the 3-5 frames of a Householder QR, and then holds Q next to it.
-# Larger requests raise MemoryError before anything is allocated (CLI exit
-# 6); every acceptance and golden campaign stays far inside it (the largest
-# frame, d=1e5 and s=6, is 9.6 MB, and the largest projection frame, d=1e5
-# and s=4, 12.8 MB)
+# s <= 4, the blocks of the quadratic-form frame Q its states are projected
+# onto (8 d s^2 bytes, built while the frame is alive), and above s = 4 the
+# one block of 16 min(d, _BLOCK_COLS) s bytes through which the frame's rows
+# are rewritten in place as its real column blocks, the values of every
+# trial (8 bytes per trial and kernel, a diagonal campaign's kernels counted
+# together), the coefficient rows of a decomposition check's members (16 s
+# bytes each) and its mixing Ginibre matrices, or a histogram with its
+# payload (_HISTOGRAM_BIN_BYTES per bin).  The frame cap bounds the whole
+# frame phase, which orthonormalises the frame in place and needs the frame
+# plus one 512 KiB block of its rows, not the 3-5 frames of a Householder
+# QR, and then holds Q or the rewrite's block next to it.  Larger requests
+# raise MemoryError before anything is allocated (CLI exit 6); every
+# acceptance and golden campaign stays far inside it (the largest frame,
+# d=1e5 and s=6, is 9.6 MB, and the largest projection frame, d=1e5 and
+# s=4, 12.8 MB)
 MAX_ALLOC_BYTES = 1 << 30
 
 
@@ -409,24 +413,6 @@ def _quadratic_form(s: int) -> bool:
     return s * s <= 4 * s
 
 
-def _quadratic_frame(columns: np.ndarray) -> np.ndarray:
-    """The s^2 x d real frame Q of the frame columns F_j: rows |F_j|^2, then
-    2 Re(conj(F_j) F_k) and -2 Im(conj(F_j) F_k) for each j < k.
-
-    Each block of ``_BLOCK_COLS`` columns of Q is the transposed
-    :func:`_quadratic_coefficients` of that block of F's rows, times 1 on
-    the s squared rows and 2, -2 on each pair's; the scaling is exact, and
-    every entry is elementwise, so the blocks change no byte and the pair
-    order of Q's rows is that of M's columns."""
-    dim, s = columns.shape
-    q = np.empty((s * s, dim))
-    scale = np.array([1.0] * s + [2.0, -2.0] * (s * (s - 1) // 2))[:, None]
-    for lo in range(0, dim, _BLOCK_COLS):
-        block = _quadratic_coefficients(columns[lo : lo + _BLOCK_COLS]).T
-        np.multiply(block, scale, out=q[:, lo : lo + _BLOCK_COLS])
-    return q
-
-
 def _quadratic_coefficients(c: np.ndarray) -> np.ndarray:
     """The n x s^2 rows M of coefficient rows c, with ``M @ Q`` the
     probabilities |F c|^2: columns |c_j|^2, then Re(conj(c_j) c_k) and
@@ -453,48 +439,71 @@ def _rows_view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
     return buffer.reshape(-1)[: rows * width].reshape(rows, width)
 
 
-def _project(frame: np.ndarray, n: int, coefficients) -> np.ndarray:
-    """C_r of n states of a subspace, in state order: for each chunk
-    [start, stop) of [0, n), the states F c of the rows c of
-    ``coefficients(start, stop)`` in the frame F.
+def _frame_blocks(frame: np.ndarray) -> list[np.ndarray]:
+    """The real column blocks of a d x s frame F that :func:`_project`
+    reads: one C-contiguous array for each block of ``_BLOCK_COLS`` rows of
+    F, in block order.
 
-    ``frame`` is what the projection reads: for s <= 4 the real s^2 x d
-    quadratic-form frame Q of F (:func:`_quadratic_frame`), and above F
-    itself, complex d x s.  Each state's C_r is the sum, in block order, of
-    the entropies of its probabilities over fixed blocks of ``_BLOCK_COLS``
-    columns.  A chunk of states is projected one column block at a time
-    into the worker's rows buffer, which holds the chunk's products of one
-    column block.  With Q a block's probabilities are one real product,
-    coefficient quadratic forms times the block of Q; with F the product
-    with the block's real frame ``[Re F^T; Im F^T]`` gives the real and
-    imaginary parts of the amplitudes, which are squared and folded.
+    For s <= 4 (:func:`_quadratic_form`) they are the s^2 x w blocks of the
+    quadratic-form frame Q: rows |F_j|^2, then 2 Re(conj(F_j) F_k) and -2
+    Im(conj(F_j) F_k) for each j < k, each block the transposed
+    :func:`_quadratic_coefficients` of its rows of F times 1 on the s
+    squared rows and 2, -2 on each pair's.  The scaling is exact and every
+    entry elementwise, so the pair order of Q's rows is that of M's columns.
+    Above s = 4, each block of F's rows is rewritten in place, through one
+    block-sized temporary, into its 2s x w real frame [Re F^T; Im F^T]: the
+    blocks share F's buffer, and F is spent.
+    """
+    dim, s = frame.shape
+    cols = min(dim, _BLOCK_COLS)
+    if _quadratic_form(s):
+        scale = np.array([1.0] * s + [2.0, -2.0] * (s * (s - 1) // 2))[:, None]
+        return [np.multiply(_quadratic_coefficients(frame[lo : lo + cols]).T, scale, order="C")
+                for lo in range(0, dim, cols)]
+    flat, temp, blocks = frame.reshape(-1).view(np.float64), np.empty(2 * s * cols), []
+    for lo in range(0, dim, cols):
+        rows = frame[lo : lo + cols]
+        real = _rows_view(temp, 2 * s, len(rows))
+        real[:s], real[s:] = rows.real.T, rows.imag.T
+        blocks.append(_rows_view(flat[2 * s * lo :], 2 * s, len(rows)))
+        blocks[-1][...] = real
+    return blocks
+
+
+def _project(s: int, blocks: list[np.ndarray], n: int, coefficients) -> np.ndarray:
+    """C_r of n states of an s-dimensional subspace, in state order: for
+    each chunk [start, stop) of [0, n), the states F c of the rows c of
+    ``coefficients(start, stop)`` in the frame F whose column ``blocks``
+    :func:`_frame_blocks` built.
+
+    Each state's C_r is the sum, in block order, of the entropies of its
+    probabilities over the blocks.  A chunk of states is projected one block
+    at a time into the worker's rows buffer, which holds the chunk's
+    products with one block.  For s <= 4 the product of the coefficient
+    quadratic forms with a block of Q is the block's probabilities; above,
+    the product with a block [Re F^T; Im F^T] gives the real and imaginary
+    parts of the amplitudes, which are squared and folded.
     """
     # product rows per state: its probabilities, or Re psi and Im psi
-    if np.iscomplexobj(frame):
-        dim, per_state, expand = len(frame), 2, _real_coefficients
-
-        def frame_block(lo: int, hi: int) -> np.ndarray:
-            f = frame[lo:hi].T
-            return np.concatenate((f.real, f.imag))
-    else:
-        dim, per_state, expand = frame.shape[1], 1, _quadratic_coefficients
-
-        def frame_block(lo: int, hi: int) -> np.ndarray:
-            return frame[:, lo:hi]
-
-    cols = min(dim, _BLOCK_COLS)
-    # both scratch buffers hold per_state * cols float64 per state
-    scratch_cols = per_state * cols
+    per_state, expand = (1, _quadratic_coefficients) if _quadratic_form(s) else (2, _real_coefficients)
+    # both scratch buffers hold per_state float64 per state and column of
+    # the first block, the widest
+    scratch_cols = per_state * blocks[0].shape[1]
 
     def fill(start: int, stop: int, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
         n, coeff = stop - start, expand(coefficients(start, stop))
+        if len(coeff) == 1:
+            # numpy sends a one-row product to a matrix-vector BLAS call,
+            # whose rounding differs from the matrix products of every
+            # longer chunk: the state is projected twice, the first kept
+            coeff, rows = np.concatenate((coeff, coeff)), np.empty((2, scratch_cols))
         values = np.zeros(n)
-        for lo in range(0, dim, cols):
-            width = min(cols, dim - lo)
-            product = _rows_view(rows, per_state * n, width)
-            np.matmul(coeff, frame_block(lo, lo + width), out=product)
+        for block in blocks:
+            width = block.shape[1]
+            product = _rows_view(rows, len(coeff), width)
+            np.matmul(coeff, block, out=product)
             if per_state == 1:
-                probs, spare = product, _rows_view(work, n, width)
+                probs, spare = product[:n], _rows_view(work, n, width)
             else:
                 probs, spare = _abs2_halves(product, _rows_view(work, n, width)), product[:n]
             values += measures.entropy_from_probs(probs, work=spare)
@@ -505,14 +514,15 @@ def _project(frame: np.ndarray, n: int, coefficients) -> np.ndarray:
 
 def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int, rows: int = 0):
     """The dimension s of a random subspace from stream (master_seed, 0) and
-    the frame :func:`_project` reads: for s <= 4 its quadratic-form frame Q,
-    above it the subspace frame itself.
+    the column blocks of its frame that :func:`_project` reads
+    (:func:`_frame_blocks`).
 
-    s < ``min_s``, a frame past the cap (for s <= 4 the frame and its
-    quadratic-form frame Q together, as Q is built from the living frame),
-    or ``rows`` coefficient rows of 16 s bytes past it, which the caller
-    holds at once, raises before anything is drawn.  No other frame
-    outlives this call.
+    s < ``min_s``, a frame phase past the cap, or ``rows`` coefficient rows
+    of 16 s bytes past it, which the caller holds at once, raises before
+    anything is drawn.  The frame phase holds the frame and, for s <= 4, its
+    quadratic-form frame Q, built from the living frame, or above s = 4 the
+    one-block temporary of the in-place rewrite.  No other frame outlives
+    this call.
     """
     s = analytics.subspace_dimension(dim, eps).s
     if s < min_s:
@@ -525,12 +535,11 @@ def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int, rows: i
         _check_alloc(16 * dim * s + 8 * s * s * dim,
                      f"a {dim} x {s} subspace frame and its {s * s} x {dim} projection frame")
     else:
-        _check_alloc(16 * dim * s, f"a {dim} x {s} subspace frame")
+        cols = min(dim, _BLOCK_COLS)
+        _check_alloc(16 * dim * s + 16 * cols * s,
+                     f"a {dim} x {s} subspace frame and a {2 * s} x {cols} block of its projection frame")
     _check_alloc(16 * s * rows, f"the coefficient rows of {rows} states of an s = {s} subspace")
-    frame = sample_random_subspace(dim, s, new_generator(master_seed, 0))
-    if _quadratic_form(s):
-        frame = _quadratic_frame(frame)
-    return s, frame
+    return s, _frame_blocks(sample_random_subspace(dim, s, new_generator(master_seed, 0)))
 
 
 def subspace_cr_samples(dim: int, eps: float, n_states: int, master_seed: int) -> np.ndarray:
@@ -544,8 +553,8 @@ def subspace_cr_samples(dim: int, eps: float, n_states: int, master_seed: int) -
     if n_states < 1:
         raise InvalidArgumentError(f"n_states must be >= 1, got {n_states}")
     _check_alloc(8 * n_states, f"the values of {n_states} states")
-    s, frame = _random_subspace(dim, eps, master_seed, 1)
-    return _project(frame, n_states, lambda start, stop: haar_amplitude_rows(master_seed, start + 1, stop + 1, s))
+    s, blocks = _random_subspace(dim, eps, master_seed, 1)
+    return _project(s, blocks, n_states, lambda start, stop: haar_amplitude_rows(master_seed, start + 1, stop + 1, s))
 
 
 def run_subspace_floor(
@@ -633,7 +642,7 @@ def _decomposition_averages(
     _check_alloc(16 * m_out * ensemble_size, f"a {m_out} x {ensemble_size} mixing Ginibre matrix")
     _check_alloc(8 * members, f"the values of {members} members")
     # a mixed-state ensemble needs two independent directions
-    s, frame = _random_subspace(dim, eps, master_seed, 2, members)
+    s, blocks = _random_subspace(dim, eps, master_seed, 2, members)
 
     def groups():
         # each ensemble, then each of its re-decompositions
@@ -653,7 +662,7 @@ def _decomposition_averages(
     for i, (w, k) in enumerate(groups()):
         lo, hi = bounds[i], bounds[i] + len(w)
         weights[lo:hi], rows[lo:hi], bounds[i + 1] = w, k, hi
-    values = _project(frame, bounds[-1], lambda start, stop: rows[start:stop])
+    values = _project(s, blocks, bounds[-1], lambda start, stop: rows[start:stop])
     averages = (np.dot(weights[lo:hi], values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
     return np.fromiter(averages, float, len(bounds) - 1)
 

@@ -26,7 +26,8 @@ pin it; the README keeps the history of its versions.  Under version 10:
   entropies over fixed blocks of 2048 frame columns of its probabilities:
   quadratic forms of its coefficients times the frame's for s <= 4, else
   the squared real and imaginary parts of its amplitudes.
-No chunk size or thread count changes a byte.
+No chunk size or thread count changes a byte of any per-state value,
+one-state chunks included, so neither changes a payload.
 """
 
 from __future__ import annotations

@@ -227,9 +227,9 @@ class TestSubspaceFloor:
         assert pools == [2, 2]
 
     def test_frame_is_left_unmodified(self, monkeypatch):
-        # the chunks project states through a real frame built from the
-        # subspace frame into the workers' buffers: the subspace frame itself
-        # must come out as it was drawn
+        # s = 2: the blocks of Q are built from the subspace frame, which
+        # must come out as it was drawn (only above s = 4 is the frame
+        # rewritten, into its own real blocks)
         eps = 0.999 * math.log(34000)
         bases = []
         draw_subspace = experiments.sample_random_subspace
@@ -321,9 +321,10 @@ class TestSubspaceFloor:
         assert [rows for rows, _ in calls] == [16] * 4 * 49 + [6] * 49
 
     def test_real_form_holds_the_frame_and_one_column_block_of_it(self, chunk_workers):
-        # s = 6: each column block's real frame [Re F^T; Im F^T] is built
-        # where the block is projected, so no full real copy of the 9.6 MB
-        # frame sits next to it (a copy took the peak to 2x the frame)
+        # s = 6: the frame's rows are rewritten in place into the real
+        # blocks [Re F^T; Im F^T] through one 196 kB block, so no full real
+        # copy of the 9.6 MB frame sits next to it (a copy took the peak to
+        # 2x the frame)
         chunk_workers(1)
         dim = 10**5
         tracemalloc.start()
@@ -346,6 +347,19 @@ class TestSubspaceFloor:
 
         monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
         with pytest.raises(MemoryError, match="16 x 10000000 projection frame"):
+            run_subspace_floor(dim, eps, 1, 0)
+
+    def test_real_form_counts_its_rewrite_block_against_the_cap(self, monkeypatch):
+        # s = 63 at d = 1064000: the 1.0725 GB frame is inside the cap, but
+        # not with the 2 MB block through which it is rewritten in place
+        dim, eps = 1064000, 0.99 * math.log(1064000)
+        assert 16 * dim * 63 <= experiments.MAX_ALLOC_BYTES < 16 * (dim + 2048) * 63
+
+        def allocate(*args):
+            raise AssertionError("a refused frame reached the sampler")
+
+        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
+        with pytest.raises(MemoryError, match="126 x 2048 block of its projection frame"):
             run_subspace_floor(dim, eps, 1, 0)
 
     def test_oversize_state_count_raises_before_sampling(self, monkeypatch):
@@ -469,8 +483,8 @@ class TestDecompositionCheck:
         # at about 2.4 MB, above the members of 4000 ensembles, so it would
         # hide their growth; the first call also makes one-time allocations
         # of about 1 MB, so it is not measured
-        monkeypatch.setattr(experiments, "_random_subspace", lambda *args: (2, np.zeros((4, 1))))
-        monkeypatch.setattr(experiments, "_project", lambda frame, n, coefficients: np.zeros(n))
+        monkeypatch.setattr(experiments, "_random_subspace", lambda *args: (2, [np.zeros((4, 1))]))
+        monkeypatch.setattr(experiments, "_project", lambda s, blocks, n, coefficients: np.zeros(n))
         peaks = []
         for n_ensembles in (10, 2000, 4000):
             tracemalloc.start()
@@ -487,9 +501,9 @@ class TestDecompositionCheck:
         monkeypatch.setattr(sampler, "ZERO_WEIGHT_DROP", 0.3)
         projected, project = [], experiments._project
 
-        def spy(frame, n, coefficients):
+        def spy(s, blocks, n, coefficients):
             projected.append(n)
-            return project(frame, n, coefficients)
+            return project(s, blocks, n, coefficients)
 
         monkeypatch.setattr(experiments, "_project", spy)
         args = (34000, 0.99 * math.log(34000), 4, 4, 9, 2, 3)
@@ -748,6 +762,11 @@ _CHUNKED_CAMPAIGNS = {
     "subspace-d100000-s6": lambda: payload_bytes(
         run_subspace_floor(10**5, 0.999 * math.log(10**5), 20, 3)
     ),
+    # every state's C_r, not only the least: at s <= 4 a chunk of one state
+    # is projected by the matrix product that longer chunks take
+    "subspace-cr-d34000-s2": lambda: subspace_cr_samples(34000, 0.99 * math.log(34000), 64, 3).tobytes(),
+    "subspace-cr-d100000-s4": lambda: subspace_cr_samples(10**5, 0.9 * math.log(10**5), 64, 3).tobytes(),
+    "subspace-cr-d100000-s6": lambda: subspace_cr_samples(10**5, 0.999 * math.log(10**5), 20, 3).tobytes(),
     # 30 members of 3 ensembles and their re-decompositions, in one projection
     "decomposition-d34000": lambda: experiments._decomposition_averages(
         34000, _SUBSPACE_EPS, 3, 4, 3, 2, 2
@@ -785,14 +804,16 @@ def test_abs2_halves_match_real_and_imaginary_squares(rng):
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
-def test_quadratic_form_gives_the_probabilities(rng, s):
+def test_quadratic_form_gives_the_probabilities(monkeypatch, s):
     # from s = 3 on, several pairs j < k must line up between Q's rows and
     # M's columns, which Q takes from M's expansion of F's rows; the sums run
-    # in another order, so rounding differs
+    # in another order, so rounding differs.  s = 6 is built as Q only where
+    # the one function that picks the form says so
+    monkeypatch.setattr(experiments, "_quadratic_form", lambda s: True)
     frame = sampler.sample_random_subspace(3000, s, new_generator(s, 0))
     c = sampler.haar_amplitude_rows(s, 1, 41, s)
     expected = np.abs(c @ frame.T) ** 2
-    probs = experiments._quadratic_coefficients(c) @ experiments._quadratic_frame(frame)
+    probs = experiments._quadratic_coefficients(c) @ np.hstack(experiments._frame_blocks(frame))
     assert np.abs(probs - expected).max() <= 64 * np.finfo(float).eps * expected.max()
 
 
@@ -808,7 +829,46 @@ def test_quadratic_frame_in_column_blocks_keeps_its_bytes(monkeypatch, dim, s, b
         np.multiply(cross.real, 2.0, out=expected[row])
         np.multiply(cross.imag, -2.0, out=expected[row + 1])
     monkeypatch.setattr(experiments, "_BLOCK_COLS", block_cols)
-    assert experiments._quadratic_frame(frame).tobytes() == expected.tobytes()
+    blocks = experiments._frame_blocks(frame)
+    assert [block.shape for block in blocks] == [
+        (s * s, min(block_cols, dim - lo)) for lo in range(0, dim, block_cols)
+    ]
+    assert all(block.flags.c_contiguous for block in blocks)
+    assert np.hstack(blocks).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("householder", [False, True], ids=["cholesky", "householder"])
+def test_real_frame_blocks_are_the_frame_rewritten_in_place(monkeypatch, householder):
+    # s = 6 at d = 1e5: each block of the frame's rows is rewritten into its
+    # real frame [Re F^T; Im F^T] in the frame's own buffer, so the 49 blocks
+    # tile the frame's bytes in order; also on the Householder route the
+    # sampler takes where Cholesky refuses a Gram
+    refused, drawn = [], []
+    if householder:
+        def refuse(frame):
+            refused.append(frame.shape)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(sampler, "_cholesky_qr", refuse)
+    draw = experiments.sample_random_subspace
+
+    def spy(*args):
+        drawn.append(draw(*args))
+        drawn.append(drawn[-1].copy())
+        return drawn[-2]
+
+    monkeypatch.setattr(experiments, "sample_random_subspace", spy)
+    dim = 10**5
+    s, blocks = experiments._random_subspace(dim, 0.999 * math.log(dim), 7, 1)
+    frame, copy = drawn
+    assert s == 6 and len(refused) == householder and len(blocks) == 49
+    address = frame.__array_interface__["data"][0]
+    assert sum(block.nbytes for block in blocks) == frame.nbytes
+    for lo, block in zip(range(0, dim, 2048), blocks):
+        rows = copy[lo : lo + 2048]
+        assert block.flags.c_contiguous and block.shape == (2 * s, len(rows))
+        assert block.__array_interface__["data"][0] == address + 16 * s * lo
+        assert np.array_equal(block, np.concatenate((rows.real.T, rows.imag.T)))
 
 
 class TestChunkScratch:
