@@ -809,7 +809,7 @@ def test_quadratic_form_gives_the_probabilities(monkeypatch, s):
     # M's columns, which Q takes from M's expansion of F's rows; the sums run
     # in another order, so rounding differs.  s = 6 is built as Q only where
     # the one function that picks the form says so
-    monkeypatch.setattr(experiments, "_quadratic_form", lambda s: True)
+    monkeypatch.setattr(experiments, "_quadratic_form", lambda sub_dim: True)
     frame = sampler.sample_random_subspace(3000, s, new_generator(s, 0))
     c = sampler.haar_amplitude_rows(s, 1, 41, s)
     expected = np.abs(c @ frame.T) ** 2
