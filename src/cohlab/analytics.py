@@ -221,10 +221,7 @@ def _levy_eta2(d: int, eps: float) -> BoundValue:
     # shared form for Lipschitz-constant-2 functionals (purity, trace distance)
     if d < 1:
         raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise InvalidArgumentError(f"epsilon must be finite and positive, got {eps}")
-    exponent = -d * eps * eps / (18.0 * _PI3 * _LN2)
-    return BoundValue.from_log(_LN2 + exponent)
+    return levy_generic(2 * d - 1, eps, 2.0)
 
 
 def levy_bound_purity(d: int, eps: float) -> BoundValue:

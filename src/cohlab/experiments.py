@@ -357,12 +357,10 @@ def run_concentration(
 
     if measure_kind == "cr":
         lo, hi = 0.0, math.log(dim)
-        if hi <= lo:  # d = 1: all values are exactly 0
-            hi = 1.0
     else:
         lo, hi = float(values.min()), float(values.max())
-        if hi <= lo:
-            hi = lo + 1.0
+    if hi <= lo:  # one value throughout, as cr at d = 1
+        hi = lo + 1.0
     counts, edges = np.histogram(values, bins=histogram_bins, range=(lo, hi))
     histogram = [
         (float(edges[i]), float(edges[i + 1]), int(counts[i]))

@@ -17,10 +17,10 @@ holds the frame and one block.
 
 Campaigns draw whole batches of rows: standard normals from
 :func:`keyed_rows`, row r from stream ``(master_seed, first + r)`` through
-one generator rekeyed per row (:func:`haar_amplitude_rows`,
-:func:`haar_unitary_rows`), and Haar diagonals from
-:func:`haar_prob_rows`, one run of words of the campaign stream drawn into
-a caller's buffer.
+one generator that :func:`~cohlab.streams.rekey` points at each row's
+stream (:func:`haar_amplitude_rows`, :func:`haar_unitary_rows`), and Haar
+diagonals from :func:`haar_prob_rows`, one run of words of the campaign
+stream drawn into a caller's buffer.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .streams import new_generator, stream_setter, word_generator
+from .streams import new_generator, rekey, word_generator
 
 _ORTHO_ATOL = 1e-10
 _GRAM_ATOL = 1e-9
@@ -112,14 +112,13 @@ def keyed_rows(master_seed: int, first: int, stop: int, shape: tuple[int, ...]) 
     """Standard normals of the given row shape for streams [first, stop).
 
     Row r draws what ``new_generator(master_seed, first + r)`` draws first.
-    One generator is constructed per call and keyed to each row's stream
-    through one :func:`~cohlab.streams.stream_setter`.
+    One generator is constructed per call and pointed at each row's stream
+    by :func:`~cohlab.streams.rekey`.
     """
     out = np.empty((stop - first, *shape))
     gen = new_generator(master_seed, first)
-    set_stream = stream_setter(gen, master_seed)
     for row, index in enumerate(range(first, stop)):
-        set_stream(index)
+        rekey(gen, master_seed, index)
         gen.standard_normal(out=out[row])
     return out
 

@@ -1,9 +1,10 @@
 """Deterministic random streams, and the stream contract.
 
 A stream ``(master_seed, stream_index)`` is a Philox generator keyed by the
-pair (:func:`new_generator`): equal pairs replay the same draws and distinct
-indices are independent.  :func:`stream_setter` points one generator at
-the start of another stream, drawing what a fresh one would, for less.
+pair: equal pairs replay the same draws and distinct indices are
+independent.  :func:`rekey`, the one definition of a stream's start,
+points any Philox generator there; :func:`new_generator` returns a new
+generator so pointed.
 
 :data:`STREAM_VERSION` names the stream contract: which variates each
 campaign draws from which stream, and the arithmetic that turns them into
@@ -37,62 +38,34 @@ import numpy as np
 STREAM_VERSION = "10"
 
 _UINT64_MASK = (1 << 64) - 1
-# counter and output buffer of a Philox state at the start of a stream
-_ZEROS4 = (0, 0, 0, 0)
 
 
-def _key(master_seed: int, stream_index: int) -> np.ndarray:
-    return np.array(
-        [master_seed & _UINT64_MASK, stream_index & _UINT64_MASK],
-        dtype=np.uint64,
-    )
+def rekey(generator: np.random.Generator, master_seed: int, stream_index: int) -> None:
+    """Point the Philox ``generator`` at the start of stream (master_seed, stream_index).
 
-
-def new_generator(master_seed: int, stream_index: int) -> np.random.Generator:
-    """Fresh generator for the stream keyed by (master_seed, stream_index).
-
+    The start is the key ``(master_seed, stream_index)``, a zero counter, an
+    empty output buffer and no buffered 32-bit half, so whatever the
+    generator drew before, it then draws the stream from its first variate.
     Negative inputs wrap modulo 2**64, matching two's-complement intent.
     """
-    return np.random.Generator(np.random.Philox(key=_key(master_seed, stream_index)))
-
-
-def stream_setter(generator: np.random.Generator, master_seed: int):
-    """A function that points a Philox ``generator`` at the start of stream
-    (master_seed, stream_index) for the ``stream_index`` it is given.
-
-    Each call sets the key, a zero counter and an empty output buffer, and
-    drops any buffered 32-bit half, so whatever the generator drew before,
-    it then draws exactly what ``new_generator(master_seed, stream_index)``
-    would.  Inputs wrap modulo 2**64 as in :func:`new_generator`.
-
-    The state dict is built once, here, and each call swaps only its key
-    tuple; the Philox setter copies the entries out, so reusing the dict is
-    safe.  Its entries are Python ints in tuples, which the setter reads
-    entry by entry: indexing numpy arrays there makes a numpy scalar of each
-    of the 10 entries and triples the cost.  A call costs 0.7-1.1 us against
-    1.6-1.7 us when the whole dict is built for each stream (two sets of
-    medians of 7 timings of 20000 calls on one pinned CPU, 2.1 GHz Xeon,
-    numpy 2.4.6).
-    """
-    bit_generator = generator.bit_generator
-    seed = master_seed & _UINT64_MASK
-    # a Philox state at the start of a stream: zero counter, empty output
-    # buffer, no buffered 32-bit half
-    inner = {"counter": _ZEROS4, "key": (seed, 0)}
-    state = {
+    generator.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": inner,
-        "buffer": _ZEROS4,
+        "state": {
+            "counter": (0, 0, 0, 0),
+            "key": (master_seed & _UINT64_MASK, stream_index & _UINT64_MASK),
+        },
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
 
-    def set_stream(stream_index: int) -> None:
-        inner["key"] = (seed, stream_index & _UINT64_MASK)
-        bit_generator.state = state
 
-    return set_stream
+def new_generator(master_seed: int, stream_index: int) -> np.random.Generator:
+    """Fresh generator for the stream keyed by (master_seed, stream_index)."""
+    generator = np.random.Generator(np.random.Philox(0))  # rekey sets the whole state
+    rekey(generator, master_seed, stream_index)
+    return generator
 
 
 def word_generator(master_seed: int, word: int) -> np.random.Generator:

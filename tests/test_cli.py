@@ -316,7 +316,7 @@ class TestBounds:
         ref = run_json(
             capsys, ["bounds", "--dim", "100", "--eps", "0.05", "--theorem", "3"]
         )["payload"]["bounds"][0]
-        assert abs(entry["log_raw"] - ref["log_raw"]) < 1e-12
+        assert entry["log_raw"] == ref["log_raw"]
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(
@@ -427,6 +427,16 @@ class TestBoundaryExitCodes:
     def test_overflowing_log_bound_exits_3(self, capsys):
         # eps^2 overflows, so log_raw would be -Infinity: not strict JSON
         code, out, err = run_cli(capsys, ["bounds", "--dim", "10", "--eps", "1e200"])
+        assert code == 3
+        assert out == ""
+        assert "numeric failure" in err
+
+    def test_theorem_3_overflows_where_the_generic_bound_does(self, capsys):
+        # theorem 3 is the generic bound at k + 1 = 2d, so 2 d eps^2 overflows
+        # here although d eps^2 = 9e307 does not
+        code, out, err = run_cli(
+            capsys, ["bounds", "--dim", "1000", "--eps", "3e152", "--theorem", "3"]
+        )
         assert code == 3
         assert out == ""
         assert "numeric failure" in err

@@ -6,7 +6,7 @@ import pytest
 
 from cohlab import sampler
 from cohlab.sampler import haar_prob_rows, keyed_rows
-from cohlab.streams import STREAM_VERSION, new_generator, stream_setter, word_generator
+from cohlab.streams import STREAM_VERSION, new_generator, rekey, word_generator
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -67,7 +67,7 @@ WRAPPING_PAIRS = [(-1, 0), (0, -5), ((1 << 64) + 3, 7), (11, (1 << 70) + 2), (-(
 @pytest.mark.parametrize("seed, index", WRAPPING_PAIRS)
 def test_rekey_matches_fresh_generator(seed, index):
     gen = new_generator(99, 12)
-    stream_setter(gen, seed)(index)
+    rekey(gen, seed, index)
     assert np.array_equal(gen.standard_normal(50), new_generator(seed, index).standard_normal(50))
 
 
@@ -78,7 +78,7 @@ def test_rekey_after_partial_consumption(seed, index):
     gen.integers(0, 1000, dtype=np.uint32)  # buffers the other 32-bit half
     gen.random()
     assert gen.bit_generator.state["has_uint32"] == 1
-    stream_setter(gen, seed)(index)
+    rekey(gen, seed, index)
     fresh = new_generator(seed, index)
     u32 = dict(size=5, dtype=np.uint32)
     assert np.array_equal(gen.integers(0, 1 << 32, **u32), fresh.integers(0, 1 << 32, **u32))
@@ -89,16 +89,32 @@ def test_rekey_after_partial_consumption(seed, index):
 @pytest.mark.parametrize("seed, index", WRAPPING_PAIRS)
 def test_stream_setter_matches_fresh_generator(seed, index):
     gen = new_generator(99, 12)
-    set_stream = stream_setter(gen, seed)
-    for i in (index, index + 1, index):  # one setter, the key swapped per call
+    for i in (index, index + 1, index):  # one generator, rekeyed per stream
         gen.standard_normal(7)  # counter moved, output buffer partly used
         gen.integers(0, 1000, dtype=np.uint32)  # buffers the other 32-bit half
-        set_stream(i)
+        rekey(gen, seed, i)
         fresh = new_generator(seed, i)
         u32 = dict(size=5, dtype=np.uint32)
         assert np.array_equal(gen.integers(0, 1 << 32, **u32), fresh.integers(0, 1 << 32, **u32))
         assert np.array_equal(gen.standard_normal(20), fresh.standard_normal(20))
         assert gen.random() == fresh.random()
+
+
+@pytest.mark.parametrize("seed, index", WRAPPING_PAIRS)
+def test_new_generator_starts_where_rekey_points(seed, index):
+    gen = new_generator(99, 12)
+    gen.standard_normal(7)
+    gen.integers(0, 1000, dtype=np.uint32)
+    rekey(gen, seed, index)
+    mask = (1 << 64) - 1
+    # numpy's own keyed construction starts the stream as rekey does
+    keyed = np.random.Philox(key=np.array([seed & mask, index & mask], dtype=np.uint64))
+    states = [g.state for g in (new_generator(seed, index).bit_generator, gen.bit_generator, keyed)]
+    for state in states:
+        assert state["state"]["key"].tolist() == [seed & mask, index & mask]
+        assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+        assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (4, 0, 0)
+        assert state["buffer"].tolist() == [0, 0, 0, 0]
 
 
 WORDS = [0, 1, 2, 3, 4, 5, 6, 7, 4001]
