@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -264,6 +263,10 @@ def subspace_dimension(d: int, eps: float) -> SubspaceDimension:
     try:
         s = math.floor(d * ratio / SUBSPACE_K_DENOM)
     except OverflowError:
+        # imported at its only use, so that importing cohlab does not load
+        # fractions and decimal (2-3 ms)
+        from fractions import Fraction
+
         s = math.floor(Fraction(d) * Fraction(ratio) / SUBSPACE_K_DENOM)
     return SubspaceDimension(int(s), d < MIN_DIM_FOR_NONTRIVIAL_SUBSPACE)
 

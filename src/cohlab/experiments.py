@@ -23,7 +23,9 @@ summing each state's block entropies in block order, so their bytes depend
 on d but not on the chunks either, one-state chunks included.  The blocks
 are the frame's real column blocks, built once per campaign
 (:func:`_frame_blocks`): the quadratic-form frame's for s <= 4, and above
-it the frame's own rows rewritten in place as real blocks.
+it the frame's rows as real blocks.  The frame is drawn and orthonormalised
+as its row blocks, each dropped once its rows are in the column blocks, so
+the whole frame never sits beside them.
 """
 
 from __future__ import annotations
@@ -40,14 +42,15 @@ import numpy as np
 from . import analytics, measures
 from .errors import InvalidArgumentError, VacuousGuaranteeError
 from .sampler import (
+    _FRAME_BLOCK_BYTES,
     _mix_ensemble,
+    _subspace_row_blocks,
     _unit_rows,
     ginibre,
     haar_amplitude_rows,
     haar_prob_rows,
     haar_unitary_rows,
     positive_qr,
-    sample_random_subspace,
 )
 from .streams import new_generator
 
@@ -150,22 +153,24 @@ _PARALLEL_MIN_DIM = 450
 
 # largest array a campaign may request: one drawn row (a state of 16 d
 # bytes, or a unitary of 16 d^2), the least a chunk holds past its one
-# _CHUNK_BYTES budget, a subspace frame (16 d s bytes) together with, for
-# s <= 4, the blocks of the quadratic-form frame Q its states are projected
-# onto (8 d s^2 bytes, built while the frame is alive), and above s = 4 the
-# one block of 16 min(d, _BLOCK_COLS) s bytes through which the frame's rows
-# are rewritten in place as its real column blocks, the values of every
-# trial (8 bytes per trial and kernel, a diagonal campaign's kernels counted
-# together), the coefficient rows of a decomposition check's members (16 s
-# bytes each) and its mixing Ginibre matrices, or a histogram with its
-# payload (_HISTOGRAM_BIN_BYTES per bin).  The frame cap bounds the whole
-# frame phase, which orthonormalises the frame in place and needs the frame
-# plus one 512 KiB block of its rows, not the 3-5 frames of a Householder
-# QR, and then holds Q or the rewrite's block next to it.  Larger requests
-# raise MemoryError before anything is allocated (CLI exit 6); every
-# acceptance and golden campaign stays far inside it (the largest frame,
-# d=1e5 and s=6, is 9.6 MB, and the largest projection frame, d=1e5 and
-# s=4, 12.8 MB)
+# _CHUNK_BYTES budget, the frame phase of a subspace campaign, the values of
+# every trial (8 bytes per trial and kernel, a diagonal campaign's kernels
+# counted together), the coefficient rows of a decomposition check's members
+# (16 s bytes each) and its mixing Ginibre matrices, or a histogram with its
+# payload (_HISTOGRAM_BIN_BYTES per bin).  The frame phase orthonormalises
+# the frame's row blocks in place, holding the frame plus one 512 KiB row
+# block, not the 3-5 frames of a Householder QR, and then builds the column
+# blocks its states are projected onto, dropping each row block once its
+# rows are in them.  So it is charged the larger of the frame (16 d s
+# bytes) and its projection frame (the quadratic-form frame Q of 8 d s^2
+# bytes for s <= 4, the real blocks of 16 d s above), one row block, and
+# four blocks of the projection frame, which bound the temporaries of
+# building one (a block of Q's coefficients and its pair products, or the
+# pieces of a block whose rows span two row blocks; under tracemalloc, at
+# most 3.1 blocks at s <= 4 and 1.2 above).  Larger requests raise
+# MemoryError before anything is allocated (CLI exit 6); every acceptance
+# and golden campaign stays far inside it (the largest frame, d=1e5 and
+# s=6, is 9.6 MB, and the largest projection frame, d=1e5 and s=4, 12.8 MB)
 MAX_ALLOC_BYTES = 1 << 30
 
 
@@ -437,10 +442,10 @@ def _rows_view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
     return buffer.reshape(-1)[: rows * width].reshape(rows, width)
 
 
-def _frame_blocks(frame: np.ndarray) -> list[np.ndarray]:
+def _frame_blocks(frame_rows: list[np.ndarray]) -> list[np.ndarray]:
     """The real column blocks of a d x s frame F that :func:`_project`
-    reads: one C-contiguous array for each block of ``_BLOCK_COLS`` rows of
-    F, in block order.
+    reads: one new C-contiguous array for each block of ``_BLOCK_COLS`` rows
+    of F, in block order, built from ``frame_rows``, F's row blocks in order.
 
     For s <= 4 (:func:`_quadratic_form`) they are the s^2 x w blocks of the
     quadratic-form frame Q: rows |F_j|^2, then 2 Re(conj(F_j) F_k) and -2
@@ -448,23 +453,37 @@ def _frame_blocks(frame: np.ndarray) -> list[np.ndarray]:
     :func:`_quadratic_coefficients` of its rows of F times 1 on the s
     squared rows and 2, -2 on each pair's.  The scaling is exact and every
     entry elementwise, so the pair order of Q's rows is that of M's columns.
-    Above s = 4, each block of F's rows is rewritten in place, through one
-    block-sized temporary, into its 2s x w real frame [Re F^T; Im F^T]: the
-    blocks share F's buffer, and F is spent.
+    Above s = 4 they are the 2s x w real blocks [Re F^T; Im F^T].
+
+    A block whose rows lie in two or more row blocks is built piece by piece
+    from each, and its pieces joined.  Each row block's entry in
+    ``frame_rows`` is set to None once its last row has been used, so where
+    the caller holds no other reference the frame's memory goes as the
+    blocks' comes.
     """
-    dim, s = frame.shape
-    cols = min(dim, _BLOCK_COLS)
+    s = frame_rows[0].shape[1]
     if _quadratic_form(s):
         scale = np.array([1.0] * s + [2.0, -2.0] * (s * (s - 1) // 2))[:, None]
-        return [np.multiply(_quadratic_coefficients(frame[lo : lo + cols]).T, scale, order="C")
-                for lo in range(0, dim, cols)]
-    flat, temp, blocks = frame.reshape(-1).view(np.float64), np.empty(2 * s * cols), []
+
+        def build(rows: np.ndarray) -> np.ndarray:
+            return np.multiply(_quadratic_coefficients(rows).T, scale, order="C")
+    else:
+        def build(rows: np.ndarray) -> np.ndarray:
+            real = np.empty((2 * s, len(rows)))
+            real[:s], real[s:] = rows.real.T, rows.imag.T
+            return real
+
+    dim = sum(map(len, frame_rows))
+    cols, blocks, index, used = min(dim, _BLOCK_COLS), [], 0, 0
     for lo in range(0, dim, cols):
-        rows = frame[lo : lo + cols]
-        real = _rows_view(temp, 2 * s, len(rows))
-        real[:s], real[s:] = rows.real.T, rows.imag.T
-        blocks.append(_rows_view(flat[2 * s * lo :], 2 * s, len(rows)))
-        blocks[-1][...] = real
+        pieces, need = [], min(cols, dim - lo)
+        while need:
+            take = min(need, len(frame_rows[index]) - used)
+            pieces.append(build(frame_rows[index][used : used + take]))
+            used, need = used + take, need - take
+            if used == len(frame_rows[index]):
+                frame_rows[index], index, used = None, index + 1, 0
+        blocks.append(pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1))
     return blocks
 
 
@@ -511,33 +530,46 @@ def _project(s: int, blocks: list[np.ndarray], n: int, coefficients) -> np.ndarr
 
 
 def _random_subspace(dim: int, eps: float, master_seed: int, min_s: int, rows: int = 0):
-    """The dimension s of a random subspace from stream (master_seed, 0) and
-    the column blocks of its frame that :func:`_project` reads
-    (:func:`_frame_blocks`).
+    """The dimension of a random subspace (a
+    :class:`~cohlab.analytics.SubspaceDimension`) and the column blocks of
+    its frame, drawn from stream (master_seed, 0), that :func:`_project`
+    reads (:func:`_frame_blocks`).
 
     s < ``min_s``, a frame phase past the cap, or ``rows`` coefficient rows
     of 16 s bytes past it, which the caller holds at once, raises before
-    anything is drawn.  The frame phase holds the frame and, for s <= 4, its
-    quadratic-form frame Q, built from the living frame, or above s = 4 the
-    one-block temporary of the in-place rewrite.  No other frame outlives
-    this call.
+    anything is drawn.  The frame is drawn and orthonormalised as its row
+    blocks (:func:`~cohlab.sampler._subspace_row_blocks`), and each is
+    dropped once its rows are in the projection blocks, so the frame phase
+    holds at most the frame or the projection blocks, whichever is larger,
+    one row block, and the temporaries of building one projection block.
     """
-    s = analytics.subspace_dimension(dim, eps).s
+    sdim = analytics.subspace_dimension(dim, eps)
+    s = sdim.s
     if s < min_s:
         raise VacuousGuaranteeError(
             f"subspace dimension formula gives s = {s} at dim={dim}, eps={eps:.6g}, "
             f"below the s >= {min_s} this campaign needs; a nontrivial guarantee "
             f"(s >= 2) requires d >= {analytics.MIN_DIM_FOR_NONTRIVIAL_SUBSPACE}"
         )
-    if _quadratic_form(s):
-        _check_alloc(16 * dim * s + 8 * s * s * dim,
-                     f"a {dim} x {s} subspace frame and its {s * s} x {dim} projection frame")
-    else:
-        cols = min(dim, _BLOCK_COLS)
-        _check_alloc(16 * dim * s + 16 * cols * s,
-                     f"a {dim} x {s} subspace frame and a {2 * s} x {cols} block of its projection frame")
+    # float64 rows of the projection frame; the frame's rows have 2 s each
+    width = s * s if _quadratic_form(s) else 2 * s
+    _check_alloc(8 * max(width, 2 * s) * dim + _FRAME_BLOCK_BYTES + 32 * width * min(dim, _BLOCK_COLS),
+                 f"a {dim} x {s} subspace frame and its {width} x {dim} projection frame")
     _check_alloc(16 * s * rows, f"the coefficient rows of {rows} states of an s = {s} subspace")
-    return s, _frame_blocks(sample_random_subspace(dim, s, new_generator(master_seed, 0)))
+    return sdim, _frame_blocks(_subspace_row_blocks(dim, s, new_generator(master_seed, 0)))
+
+
+def _subspace_samples(
+    dim: int, eps: float, n_states: int, master_seed: int
+) -> tuple[analytics.SubspaceDimension, np.ndarray]:
+    """The dimension of one random subspace and the C_r of each sampled
+    Haar state in it, in state order (:func:`subspace_cr_samples`)."""
+    if n_states < 1:
+        raise InvalidArgumentError(f"n_states must be >= 1, got {n_states}")
+    _check_alloc(8 * n_states, f"the values of {n_states} states")
+    sdim, blocks = _random_subspace(dim, eps, master_seed, 1)
+    s = sdim.s
+    return sdim, _project(s, blocks, n_states, lambda start, stop: haar_amplitude_rows(master_seed, start + 1, stop + 1, s))
 
 
 def subspace_cr_samples(dim: int, eps: float, n_states: int, master_seed: int) -> np.ndarray:
@@ -548,11 +580,7 @@ def subspace_cr_samples(dim: int, eps: float, n_states: int, master_seed: int) -
     in chunks.  Raises :class:`~cohlab.errors.VacuousGuaranteeError` when the
     dimension formula yields s = 0.
     """
-    if n_states < 1:
-        raise InvalidArgumentError(f"n_states must be >= 1, got {n_states}")
-    _check_alloc(8 * n_states, f"the values of {n_states} states")
-    s, blocks = _random_subspace(dim, eps, master_seed, 1)
-    return _project(s, blocks, n_states, lambda start, stop: haar_amplitude_rows(master_seed, start + 1, stop + 1, s))
+    return _subspace_samples(dim, eps, n_states, master_seed)[1]
 
 
 def run_subspace_floor(
@@ -566,8 +594,7 @@ def run_subspace_floor(
     Raises :class:`~cohlab.errors.VacuousGuaranteeError` when the dimension
     formula yields s = 0.
     """
-    values = subspace_cr_samples(dim, eps, n_states, master_seed)
-    sdim = analytics.subspace_dimension(dim, eps)
+    sdim, values = _subspace_samples(dim, eps, n_states, master_seed)
     threshold = analytics.subspace_threshold(dim, eps)
     return SubspaceFloorReport(
         dim=dim,
@@ -608,9 +635,10 @@ def _decomposition_averages(
     master_seed: int,
     ensemble_size: int = 2,
     n_redecompositions: int = 5,
-) -> np.ndarray:
-    """The sampled decomposition averages of C_r, in ensemble order: each
-    ensemble's own, then those of its re-decompositions.
+) -> tuple[analytics.SubspaceDimension, np.ndarray]:
+    """The dimension of the random subspace and the sampled decomposition
+    averages of C_r in it, in ensemble order: each ensemble's own, then
+    those of its re-decompositions.
 
     Mixed states are random ensembles of Haar states inside one random
     subspace (stream 0); ensemble e draws from stream e + 1 the coefficients
@@ -640,7 +668,8 @@ def _decomposition_averages(
     _check_alloc(16 * m_out * ensemble_size, f"a {m_out} x {ensemble_size} mixing Ginibre matrix")
     _check_alloc(8 * members, f"the values of {members} members")
     # a mixed-state ensemble needs two independent directions
-    s, blocks = _random_subspace(dim, eps, master_seed, 2, members)
+    sdim, blocks = _random_subspace(dim, eps, master_seed, 2, members)
+    s = sdim.s
 
     def groups():
         # each ensemble, then each of its re-decompositions
@@ -662,7 +691,7 @@ def _decomposition_averages(
         weights[lo:hi], rows[lo:hi], bounds[i + 1] = w, k, hi
     values = _project(s, blocks, bounds[-1], lambda start, stop: rows[start:stop])
     averages = (np.dot(weights[lo:hi], values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return np.fromiter(averages, float, len(bounds) - 1)
+    return sdim, np.fromiter(averages, float, len(bounds) - 1)
 
 
 def run_decomposition_check(
@@ -680,14 +709,14 @@ def run_decomposition_check(
     average diagonal entropy (:func:`_decomposition_averages`) should exceed
     H_d - 1 - eps; ``violations`` counts sampled averages below it.
     """
-    averages = _decomposition_averages(
+    sdim, averages = _decomposition_averages(
         dim, eps, n_ensembles, m_out, master_seed, ensemble_size, n_redecompositions
     )
     threshold = analytics.subspace_threshold(dim, eps)
     return DecompositionCheckReport(
         dim=dim,
         eps=eps,
-        sub_dim=analytics.subspace_dimension(dim, eps).s,
+        sub_dim=sdim.s,
         threshold=threshold,
         n_ensembles=n_ensembles,
         ensemble_size=ensemble_size,

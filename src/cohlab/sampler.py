@@ -10,10 +10,13 @@ O(d^2) cost.  Unitaries, mixing isometries and subspace frames are the Q
 factors of complex Ginibre matrices with a positive real R diagonal; plain
 QR output, whose R diagonal has arbitrary phases, is NOT Haar-distributed.
 Unitaries and isometries come from Householder QR with the R-diagonal
-phase correction (:func:`positive_qr`); a d x s subspace frame, at large d
-the largest array a campaign draws, is orthonormalised in the drawn array
-by two passes of Cholesky QR over fixed blocks of rows, so the frame phase
-holds the frame and one block.
+phase correction (:func:`positive_qr`).  A d x s subspace frame, at large d
+the largest array a campaign draws, is orthonormalised in place by two
+passes of Cholesky QR over fixed blocks of its rows, so the frame phase
+holds the frame and one block: the views of one drawn array
+(:func:`sample_random_subspace`), or for a campaign the blocks themselves,
+each drawn as its own array, which the campaign drops one by one as it
+projects their rows (:func:`_subspace_row_blocks`).
 
 Campaigns draw whole batches of rows: standard normals from
 :func:`keyed_rows`, row r from stream ``(master_seed, first + r)`` through
@@ -68,33 +71,67 @@ def positive_qr(matrix: np.ndarray) -> np.ndarray:
 _FRAME_BLOCK_BYTES = 1 << 19
 
 
+def _block_rows(sub_dim: int) -> int:
+    # rows of every row block of a frame of width sub_dim but the last: fixed
+    # by the width alone, so the Gram's sum order is too
+    return max(1, _FRAME_BLOCK_BYTES // (16 * sub_dim))
+
+
 def _row_blocks(frame: np.ndarray) -> list[np.ndarray]:
-    # fixed by the frame's shape alone, so the Gram's sum order is too
-    rows = max(1, _FRAME_BLOCK_BYTES // (16 * frame.shape[1]))
+    rows = _block_rows(frame.shape[1])
     return [frame[lo : lo + rows] for lo in range(0, len(frame), rows)]
 
 
-def _gram(frame: np.ndarray) -> np.ndarray:
-    """F^H F of a d x s complex frame, summed over its row blocks in block
-    order; each block's conjugate is the only copy."""
-    s = frame.shape[1]
+def _gram(blocks: list[np.ndarray]) -> np.ndarray:
+    """F^H F of a d x s complex frame given as its row blocks, summed in
+    block order; each block's conjugate is the only copy."""
+    s = blocks[0].shape[1]
     gram = np.zeros((s, s), dtype=np.complex128)
-    for block in _row_blocks(frame):
+    for block in blocks:
         gram += block.conj().T @ block
     return gram
 
 
-def _cholesky_qr(frame: np.ndarray) -> None:
-    """Overwrite a d x s frame A with A R^-1, R the upper Cholesky factor
-    (positive real diagonal) of A^H A, one row block at a time.
+def _cholesky_qr(blocks: list[np.ndarray]) -> None:
+    """Overwrite the row blocks of a d x s frame A with those of A R^-1, R
+    the upper Cholesky factor (positive real diagonal) of A^H A.
 
     Raises ``LinAlgError`` before writing anything when the Gram is not
     numerically positive definite.
     """
-    lower = np.linalg.cholesky(_gram(frame))
+    lower = np.linalg.cholesky(_gram(blocks))
     r_inv = np.linalg.inv(lower).conj().T
-    for block in _row_blocks(frame):
+    for block in blocks:
         block[...] = block @ r_inv
+
+
+def _orthonormalise(blocks: list[np.ndarray]) -> None:
+    """Overwrite the row blocks of a d x s Ginibre matrix with those of its Q
+    factor with a positive real R diagonal, the frame of a Haar-random
+    subspace.
+
+    Two passes of Cholesky QR (CholeskyQR2) compute it in the blocks: one
+    pass leaves orthonormality defects near the 1e-10 accepted here on
+    square frames (up to 5.9e-11 at 16 x 16 over 2000 draws), the second
+    takes them below 1e-15.  That factor is unique, so it is the frame
+    :func:`positive_qr` gives, up to rounding.  Where Cholesky refuses a
+    Gram, :func:`positive_qr` orthonormalises the blocks as they stand,
+    joined, and its Q factor, the same, is written back into them.  Either
+    way, a frame whose Gram is further than 1e-10 from the identity, or NaN,
+    raises ``InvalidArgumentError``.
+    """
+    try:
+        _cholesky_qr(blocks)
+        _cholesky_qr(blocks)
+    except np.linalg.LinAlgError:
+        q, lo = positive_qr(np.concatenate(blocks)), 0
+        for block in blocks:
+            block[...], lo = q[lo : lo + len(block)], lo + len(block)
+    defect = np.abs(_gram(blocks) - np.eye(blocks[0].shape[1])).max()
+    if not defect <= _ORTHO_ATOL:  # a NaN defect fails too
+        raise InvalidArgumentError(
+            f"frame columns are not orthonormal: max deviation {defect:.3e}"
+        )
 
 
 def _unit_rows(normals: np.ndarray) -> np.ndarray:
@@ -166,29 +203,28 @@ def sample_random_subspace(dim: int, sub_dim: int, generator: np.random.Generato
     The frame is the Q factor, with a positive real R diagonal, of a dim x
     sub_dim Ginibre matrix drawn from ``generator``, equal in distribution to
     the first sub_dim columns of a Haar unitary.  It is computed in the drawn
-    array by two passes of Cholesky QR (CholeskyQR2): one pass leaves
-    orthonormality defects near the 1e-10 this function accepts on square
-    frames (up to 5.9e-11 at 16 x 16 over 2000 draws), the second takes them
-    below 1e-15.  That factor is unique, so it is the frame
-    :func:`positive_qr` gives, up to rounding.  Where Cholesky refuses a
-    Gram, :func:`positive_qr` orthonormalises the array as it stands, whose
-    Q factor is the same.  Either way, a frame whose Gram is further than
-    1e-10 from the identity, or NaN, raises ``InvalidArgumentError``.
+    array, through the views of its row blocks (:func:`_orthonormalise`).
     """
     if dim < 1 or sub_dim < 1 or sub_dim > dim:
         raise InvalidArgumentError(f"need 1 <= sub_dim <= dim, got sub_dim={sub_dim}, dim={dim}")
     frame = ginibre(generator, dim, sub_dim)
-    try:
-        _cholesky_qr(frame)
-        _cholesky_qr(frame)
-    except np.linalg.LinAlgError:
-        frame = positive_qr(frame)
-    defect = np.abs(_gram(frame) - np.eye(sub_dim)).max()
-    if not defect <= _ORTHO_ATOL:  # a NaN defect fails too
-        raise InvalidArgumentError(
-            f"frame columns are not orthonormal: max deviation {defect:.3e}"
-        )
+    _orthonormalise(_row_blocks(frame))
     return frame
+
+
+def _subspace_row_blocks(dim: int, sub_dim: int, generator: np.random.Generator) -> list[np.ndarray]:
+    """The row blocks of ``sample_random_subspace(dim, sub_dim, generator)``
+    with its bytes, each its own array.
+
+    Each block is drawn by its own :func:`ginibre` call, and sequential draws
+    give the normals of one, so the blocks hold the rows of the one drawn
+    array; they are orthonormalised as its views are.  No array of the whole
+    frame exists, so a caller can drop each block once it has used it.
+    """
+    rows = _block_rows(sub_dim)
+    blocks = [ginibre(generator, min(rows, dim - lo), sub_dim) for lo in range(0, dim, rows)]
+    _orthonormalise(blocks)
+    return blocks
 
 
 def _mix_ensemble(

@@ -18,8 +18,9 @@ pin it; the README keeps the history of its versions.  Under version 10:
 * Unitaries: trial i is the Householder QR factor, with a positive real R
   diagonal, of a Ginibre matrix from stream (master_seed, i).
 * Subspaces: the d x s frame is a Ginibre draw from stream (master_seed, 0),
+  made whole or row block by row block, which gives the same normals, and
   orthonormalised in place by two passes of Cholesky QR, each summing the
-  Gram over fixed row blocks.  Subspace state j has the unit-normalised
+  Gram over those fixed row blocks.  Subspace state j has the unit-normalised
   normals of stream (master_seed, j + 1) as coefficients.  Decomposition
   ensemble e draws from stream (master_seed, e + 1) its state coefficients,
   exponential weights and the Ginibre draw of each mixing isometry, and is

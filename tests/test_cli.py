@@ -497,9 +497,10 @@ class TestBoundaryExitCodes:
             # s = 4: a frame of 640 MB, inside the cap, but a quadratic-form
             # projection frame of 8 d s^2 bytes (1.28 GB) past it
             ["subspace", "--dim", str(10**7), "--eps-frac", "0.14", "--states", "1"],
-            # s = 4: a frame of 512 MB and a quadratic-form projection frame
-            # of 1.02 GB, each inside the cap, built while both are alive
-            ["subspace", "--dim", str(8 * 10**6), "--eps-frac", "0.15", "--states", "1"],
+            # s = 4: the least d whose quadratic-form projection frame, with
+            # one row block of the frame and the temporaries of one block of
+            # it, is past the cap (8 d s^2 = 1.072 GB)
+            ["subspace", "--dim", "8376321", "--eps-frac", "0.15", "--states", "1"],
             # d past the float range: s is still an exact integer, and its
             # frame is past the cap
             ["subspace", "--dim", str(2 * 10**308), "--eps-frac", "0.9", "--states", "2"],
@@ -525,7 +526,7 @@ class TestBoundaryExitCodes:
             raise AssertionError("a refused request reached the sampler")
 
         monkeypatch.setattr(experiments, "haar_prob_rows", allocate)
-        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
+        monkeypatch.setattr(experiments, "_subspace_row_blocks", allocate)
         code, out, err = run_cli(capsys, argv)
         assert code == 6
         assert out == ""

@@ -1,6 +1,7 @@
 """A fresh interpreter runs the CLI without loading scipy, the subspace
 frame's Cholesky QR included; only the quadrature cross-check of the mean
-imports it."""
+imports it.  Nor does it load fractions, which only a subspace dimension
+past the float range needs."""
 
 import json
 import os
@@ -22,11 +23,13 @@ argvs = (
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cohlab.cli.main(argv) for argv in argvs]
 scipy_after_cli = "scipy" in sys.modules
+fractions_after_cli = "fractions" in sys.modules
 from cohlab import analytics
 print(json.dumps({
     "file": cohlab.__file__,
     "codes": codes,
     "scipy_after_cli": scipy_after_cli,
+    "fractions_after_cli": fractions_after_cli,
     "quadrature": analytics.expected_cr_via_quadrature(5),
     "closed_form": analytics.expected_cr(5),
 }))
@@ -44,4 +47,5 @@ def test_cli_runs_without_scipy_until_the_quadrature_route():
     assert SRC in Path(result["file"]).resolve().parents
     assert result["codes"] == [0, 0, 0, 0]
     assert not result["scipy_after_cli"], "importing or running cohlab.cli loaded scipy"
+    assert not result["fractions_after_cli"], "importing or running cohlab.cli loaded fractions"
     assert abs(result["quadrature"] - result["closed_form"]) <= 1e-6

@@ -14,6 +14,7 @@ from scipy import stats
 from cohlab import experiments, measures, sampler
 from cohlab.analytics import (
     MIN_DIM_FOR_NONTRIVIAL_SUBSPACE,
+    SubspaceDimension,
     expected_cr,
     expected_l1,
     subspace_dimension,
@@ -226,23 +227,19 @@ class TestSubspaceFloor:
             assert payload_bytes(a) == payload_bytes(b)
         assert pools == [2, 2]
 
-    def test_frame_is_left_unmodified(self, monkeypatch):
-        # s = 2: the blocks of Q are built from the subspace frame, which
-        # must come out as it was drawn (only above s = 4 is the frame
-        # rewritten, into its own real blocks)
-        eps = 0.999 * math.log(34000)
-        bases = []
-        draw_subspace = experiments.sample_random_subspace
-
-        def spy_subspace(*args):
-            bases.append(draw_subspace(*args))
-            return bases[-1]
-
-        monkeypatch.setattr(experiments, "sample_random_subspace", spy_subspace)
-        first = payload_bytes(run_subspace_floor(34000, eps, 20, 8))
-        fresh = draw_subspace(34000, 2, new_generator(8, 0))
-        assert np.array_equal(bases[0], fresh)
-        assert payload_bytes(run_subspace_floor(34000, eps, 20, 8)) == first
+    def test_frame_is_left_unmodified(self):
+        # s = 2: the campaign's blocks of Q are those built from the frame
+        # that sample_random_subspace draws from stream (8, 0), which
+        # building them leaves as it was drawn; the campaign's own row blocks
+        # are dropped as their rows are used
+        dim, eps = 34000, 0.999 * math.log(34000)
+        sdim, blocks = experiments._random_subspace(dim, eps, 8, 1)
+        frame = sampler.sample_random_subspace(dim, sdim.s, new_generator(8, 0))
+        row_blocks = sampler._row_blocks(frame)
+        expected = experiments._frame_blocks(row_blocks)
+        assert sdim.s == 2 and len(blocks) == len(expected) == 17 and row_blocks == [None] * 3
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(blocks, expected))
+        assert np.array_equal(frame, sampler.sample_random_subspace(dim, 2, new_generator(8, 0)))
 
     @staticmethod
     def spy_entropy(monkeypatch):
@@ -337,29 +334,32 @@ class TestSubspaceFloor:
         assert peak <= 1.3 * 16 * dim * report.sub_dim
 
     def test_oversize_projection_frame_raises_before_sampling(self, monkeypatch):
-        # s = 4 at d = 1e7: the 640 MB subspace frame is inside the cap, but
-        # its quadratic-form frame of 8 d s^2 bytes (1.28 GB) is not
-        dim, eps = 10**7, 0.14 * math.log(10**7)
-        assert 16 * dim * 4 <= experiments.MAX_ALLOC_BYTES < 8 * dim * 16
+        # s = 4 at the least d whose quadratic-form frame of 8 d s^2 bytes,
+        # with one row block of the frame and the temporaries of one block
+        # of Q, is past the cap
+        dim, eps = 8376321, 0.15 * math.log(8376321)
+        assert_just_past_the_cap(dim, 16)
 
         def allocate(*args):
             raise AssertionError("a refused frame reached the sampler")
 
-        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
-        with pytest.raises(MemoryError, match="16 x 10000000 projection frame"):
+        monkeypatch.setattr(experiments, "_subspace_row_blocks", allocate)
+        with pytest.raises(MemoryError, match="16 x 8376321 projection frame"):
             run_subspace_floor(dim, eps, 1, 0)
 
-    def test_real_form_counts_its_rewrite_block_against_the_cap(self, monkeypatch):
-        # s = 63 at d = 1064000: the 1.0725 GB frame is inside the cap, but
-        # not with the 2 MB block through which it is rewritten in place
-        dim, eps = 1064000, 0.99 * math.log(1064000)
-        assert 16 * dim * 63 <= experiments.MAX_ALLOC_BYTES < 16 * (dim + 2048) * 63
+    def test_real_form_counts_its_row_block_against_the_cap(self, monkeypatch):
+        # s = 63 at d = 1056508: the 1.065 GB frame and its real blocks of
+        # the same bytes are each inside the cap, but not with one row block
+        # of the frame and the temporaries of one real block
+        dim, eps = 1056508, 0.995 * math.log(1056508)
+        assert 16 * dim * 63 <= experiments.MAX_ALLOC_BYTES
+        assert_just_past_the_cap(dim, 126)
 
         def allocate(*args):
             raise AssertionError("a refused frame reached the sampler")
 
-        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
-        with pytest.raises(MemoryError, match="126 x 2048 block of its projection frame"):
+        monkeypatch.setattr(experiments, "_subspace_row_blocks", allocate)
+        with pytest.raises(MemoryError, match="126 x 1056508 projection frame"):
             run_subspace_floor(dim, eps, 1, 0)
 
     def test_oversize_state_count_raises_before_sampling(self, monkeypatch):
@@ -367,10 +367,21 @@ class TestSubspaceFloor:
         def allocate(*args):
             raise AssertionError("a refused campaign reached the sampler")
 
-        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
+        monkeypatch.setattr(experiments, "_subspace_row_blocks", allocate)
         n = experiments.MAX_ALLOC_BYTES // 8 + 1
         with pytest.raises(MemoryError, match=f"the values of {n} states"):
             subspace_cr_samples(34000, 0.99 * math.log(34000), n, 0)
+
+
+def assert_just_past_the_cap(dim, width):
+    """The frame phase of a subspace campaign whose projection frame has
+    ``width`` float64 rows, at least the frame's 2 s, is past the cap at
+    ``dim`` and inside it one frame row fewer: the projection frame, one row
+    block of the frame and four blocks of the projection frame."""
+    def frame_phase(d):
+        return 8 * width * d + sampler._FRAME_BLOCK_BYTES + 4 * 8 * width * 2048
+
+    assert frame_phase(dim - 1) <= experiments.MAX_ALLOC_BYTES < frame_phase(dim)
 
 
 def decomposition_averages_in_c_d(dim, eps, n_ensembles, m_out, seed, ensemble_size, n_redecompositions):
@@ -417,8 +428,9 @@ class TestDecompositionCheck:
         eps = eps_frac * math.log(dim)
         assert subspace_dimension(dim, eps).s == sub_dim
         args = (dim, eps, 4, m_out, 9, ensemble_size, 3)
-        averages = experiments._decomposition_averages(*args)
+        sdim, averages = experiments._decomposition_averages(*args)
         oracle = decomposition_averages_in_c_d(*args)
+        assert sdim == subspace_dimension(dim, eps)
         assert averages.shape == oracle.shape == (16,)
         assert np.abs(averages / oracle - 1.0).max() <= 1e-12
 
@@ -431,21 +443,22 @@ class TestDecompositionCheck:
         def allocate(*args):
             raise AssertionError("a refused frame reached the sampler")
 
-        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
+        monkeypatch.setattr(experiments, "_subspace_row_blocks", allocate)
         with pytest.raises(MemoryError, match="subspace frame"):
             run_decomposition_check(10**30, 0.5 * math.log(10**30), 2, 4, 0)
 
     def test_oversize_projection_frame_raises_before_sampling(self, monkeypatch):
-        # s = 4 at d = 1e7: the 640 MB subspace frame is inside the cap, but
-        # its quadratic-form frame of 8 d s^2 bytes (1.28 GB) is not
-        dim, eps = 10**7, 0.14 * math.log(10**7)
-        assert 16 * dim * 4 <= experiments.MAX_ALLOC_BYTES < 8 * dim * 16
+        # s = 4 at the least d whose quadratic-form frame of 8 d s^2 bytes,
+        # with one row block of the frame and the temporaries of one block
+        # of Q, is past the cap
+        dim, eps = 8376321, 0.15 * math.log(8376321)
+        assert_just_past_the_cap(dim, 16)
 
         def allocate(*args):
             raise AssertionError("a refused frame reached the sampler")
 
-        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
-        with pytest.raises(MemoryError, match="16 x 10000000 projection frame"):
+        monkeypatch.setattr(experiments, "_subspace_row_blocks", allocate)
+        with pytest.raises(MemoryError, match="16 x 8376321 projection frame"):
             run_decomposition_check(dim, eps, 1, 2, 0)
 
     @pytest.mark.parametrize(
@@ -468,7 +481,7 @@ class TestDecompositionCheck:
         def allocate(*args):
             raise AssertionError("a refused campaign reached the sampler")
 
-        monkeypatch.setattr(experiments, "sample_random_subspace", allocate)
+        monkeypatch.setattr(experiments, "_subspace_row_blocks", allocate)
         monkeypatch.setattr(experiments, "ginibre", allocate)
         with pytest.raises(MemoryError, match=match):
             experiments._decomposition_averages(
@@ -483,7 +496,9 @@ class TestDecompositionCheck:
         # at about 2.4 MB, above the members of 4000 ensembles, so it would
         # hide their growth; the first call also makes one-time allocations
         # of about 1 MB, so it is not measured
-        monkeypatch.setattr(experiments, "_random_subspace", lambda *args: (2, [np.zeros((4, 1))]))
+        monkeypatch.setattr(
+            experiments, "_random_subspace", lambda *args: (SubspaceDimension(2, False), [np.zeros((4, 1))])
+        )
         monkeypatch.setattr(experiments, "_project", lambda s, blocks, n, coefficients: np.zeros(n))
         peaks = []
         for n_ensembles in (10, 2000, 4000):
@@ -507,7 +522,7 @@ class TestDecompositionCheck:
 
         monkeypatch.setattr(experiments, "_project", spy)
         args = (34000, 0.99 * math.log(34000), 4, 4, 9, 2, 3)
-        averages = experiments._decomposition_averages(*args)
+        _, averages = experiments._decomposition_averages(*args)
         oracle = decomposition_averages_in_c_d(*args)
         assert len(projected) == 1 and projected[0] < 4 * (2 + 3 * 4)
         assert averages.shape == oracle.shape == (16,)
@@ -770,7 +785,7 @@ _CHUNKED_CAMPAIGNS = {
     # 30 members of 3 ensembles and their re-decompositions, in one projection
     "decomposition-d34000": lambda: experiments._decomposition_averages(
         34000, _SUBSPACE_EPS, 3, 4, 3, 2, 2
-    ).tobytes(),
+    )[1].tobytes(),
     # unitaries past the parallel cutoff, in chunks of _chunk_size
     "ks-u11-d24": lambda: ks_distance_u11(24, 600, 3),
     # 3 chunks of the pinned 2048 unitaries, whatever _chunk_size says
@@ -813,7 +828,7 @@ def test_quadratic_form_gives_the_probabilities(monkeypatch, s):
     frame = sampler.sample_random_subspace(3000, s, new_generator(s, 0))
     c = sampler.haar_amplitude_rows(s, 1, 41, s)
     expected = np.abs(c @ frame.T) ** 2
-    probs = experiments._quadratic_coefficients(c) @ np.hstack(experiments._frame_blocks(frame))
+    probs = experiments._quadratic_coefficients(c) @ np.hstack(experiments._frame_blocks([frame]))
     assert np.abs(probs - expected).max() <= 64 * np.finfo(float).eps * expected.max()
 
 
@@ -829,46 +844,63 @@ def test_quadratic_frame_in_column_blocks_keeps_its_bytes(monkeypatch, dim, s, b
         np.multiply(cross.real, 2.0, out=expected[row])
         np.multiply(cross.imag, -2.0, out=expected[row + 1])
     monkeypatch.setattr(experiments, "_BLOCK_COLS", block_cols)
-    blocks = experiments._frame_blocks(frame)
-    assert [block.shape for block in blocks] == [
-        (s * s, min(block_cols, dim - lo)) for lo in range(0, dim, block_cols)
-    ]
-    assert all(block.flags.c_contiguous for block in blocks)
-    assert np.hstack(blocks).tobytes() == expected.tobytes()
+    # the frame in one row block, then in row blocks of 16 kB (341 rows at
+    # s = 3), from which every block of Q is built piece by piece
+    whole = experiments._frame_blocks([frame])
+    monkeypatch.setattr(sampler, "_FRAME_BLOCK_BYTES", 1 << 14)
+    assert len(sampler._row_blocks(frame)) > dim // block_cols + 1
+    for blocks in (whole, experiments._frame_blocks(sampler._row_blocks(frame))):
+        assert [block.shape for block in blocks] == [
+            (s * s, min(block_cols, dim - lo)) for lo in range(0, dim, block_cols)
+        ]
+        assert all(block.flags.c_contiguous for block in blocks)
+        assert np.hstack(blocks).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("householder", [False, True], ids=["cholesky", "householder"])
-def test_real_frame_blocks_are_the_frame_rewritten_in_place(monkeypatch, householder):
-    # s = 6 at d = 1e5: each block of the frame's rows is rewritten into its
-    # real frame [Re F^T; Im F^T] in the frame's own buffer, so the 49 blocks
-    # tile the frame's bytes in order; also on the Householder route the
-    # sampler takes where Cholesky refuses a Gram
-    refused, drawn = [], []
+def test_real_frame_blocks_are_the_frame_rows_in_real_form(monkeypatch, householder):
+    # s = 6 at d = 1e5: each block of 2048 rows of the frame that
+    # sample_random_subspace draws from the same stream is its own real frame
+    # [Re F^T; Im F^T], the 49 blocks in order, though every third or so
+    # gathers its rows from two row blocks of 5461; also on the Householder
+    # route the sampler takes where Cholesky refuses a Gram, for the campaign
+    # and the public frame alike
+    refused = []
     if householder:
-        def refuse(frame):
-            refused.append(frame.shape)
+        def refuse(blocks):
+            refused.append(len(blocks))
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(sampler, "_cholesky_qr", refuse)
-    draw = experiments.sample_random_subspace
-
-    def spy(*args):
-        drawn.append(draw(*args))
-        drawn.append(drawn[-1].copy())
-        return drawn[-2]
-
-    monkeypatch.setattr(experiments, "sample_random_subspace", spy)
     dim = 10**5
-    s, blocks = experiments._random_subspace(dim, 0.999 * math.log(dim), 7, 1)
-    frame, copy = drawn
-    assert s == 6 and len(refused) == householder and len(blocks) == 49
-    address = frame.__array_interface__["data"][0]
-    assert sum(block.nbytes for block in blocks) == frame.nbytes
+    sdim, blocks = experiments._random_subspace(dim, 0.999 * math.log(dim), 7, 1)
+    frame = sampler.sample_random_subspace(dim, 6, new_generator(7, 0))
+    assert sdim.s == 6 and refused == [19, 19] * householder and len(blocks) == 49
     for lo, block in zip(range(0, dim, 2048), blocks):
-        rows = copy[lo : lo + 2048]
-        assert block.flags.c_contiguous and block.shape == (2 * s, len(rows))
-        assert block.__array_interface__["data"][0] == address + 16 * s * lo
-        assert np.array_equal(block, np.concatenate((rows.real.T, rows.imag.T)))
+        rows = frame[lo : lo + 2048]
+        assert block.flags.c_contiguous and block.flags.owndata
+        assert block.shape == (12, len(rows))
+        assert block.tobytes() == np.concatenate((rows.real.T, rows.imag.T)).tobytes()
+
+
+def test_frame_phase_keeps_the_projection_blocks_and_one_row_block():
+    # each row block of the frame is dropped once its rows are in the
+    # projection blocks.  At s = 4 the 6.4 MB frame no longer sits whole
+    # beside the 12.8 MB of Q's blocks (20.5 MB when it did); at s = 6, where
+    # the real blocks hold the frame's bytes, the phase holds the frame, one
+    # row block and small arrays and objects (the Gram and its factors)
+    dim, peaks = 10**5, {}
+    for frac in (0.9, 0.999):
+        tracemalloc.start()
+        try:
+            sdim, blocks = experiments._random_subspace(dim, frac * math.log(dim), 7, 1)
+            peaks[sdim.s] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del blocks
+    assert sorted(peaks) == [4, 6]
+    assert peaks[4] < 8 * dim * 16 + 16 * dim * 4 / 2
+    assert peaks[6] <= 16 * dim * 6 + sampler._FRAME_BLOCK_BYTES + 16 * 1024
 
 
 class TestChunkScratch:

@@ -118,7 +118,7 @@ CASES = {
     # hash every average (s = 2, and s = 6 on the real-form side)
     **{
         name: (lambda dim=dim, frac=frac: _sha(
-            _decomposition_averages(dim, frac * math.log(dim), 3, 4, SEED, 2, 2).tobytes()
+            _decomposition_averages(dim, frac * math.log(dim), 3, 4, SEED, 2, 2)[1].tobytes()
         ))
         for name, dim, frac in (
             ("decomposition-averages-d34000", 34000, 0.99),

@@ -58,11 +58,13 @@ class TestTypes:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(sampler, "ginibre", nan_draw)
-        with pytest.raises(InvalidArgumentError, match="orthonormal"):
-            sample_random_subspace(4, 2, new_generator(0, 0))
+        for draw in (sample_random_subspace, sampler._subspace_row_blocks):
+            with pytest.raises(InvalidArgumentError, match="orthonormal"):
+                draw(4, 2, new_generator(0, 0))
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
-        with pytest.raises(InvalidArgumentError, match="orthonormal"):
-            sample_random_subspace(4, 2, new_generator(0, 0))
+        for draw in (sample_random_subspace, sampler._subspace_row_blocks):
+            with pytest.raises(InvalidArgumentError, match="orthonormal"):
+                draw(4, 2, new_generator(0, 0))
 
     def test_decomposition_rejects_negative_weights(self):
         # the square root of a negative weight is NaN, which fails the
@@ -249,6 +251,23 @@ class TestCholeskyFrame:
         frame = sample_random_subspace(300, 5, new_generator(11, 0))
         assert calls == [5, 5]
         assert np.abs(frame - positive_qr(self.draw(300, 5, 11))).max() <= 1e-12
+
+    @pytest.mark.parametrize("refused", [False, True], ids=["cholesky", "householder"])
+    @pytest.mark.parametrize("dim, sub_dim", [(5, 5), (40000, 3), (100000, 6)])
+    def test_row_blocks_drawn_apart_are_the_frame(self, monkeypatch, refused, dim, sub_dim):
+        # one Ginibre draw per row block continues the stream of the one
+        # draw, and the same blocks are orthonormalised: the bytes are the
+        # frame's, on the Householder route too
+        if refused:
+            def refuse(gram):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+            monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        blocks = sampler._subspace_row_blocks(dim, sub_dim, new_generator(4, 0))
+        frame = sample_random_subspace(dim, sub_dim, new_generator(4, 0))
+        assert [len(block) for block in blocks] == [len(rows) for rows in sampler._row_blocks(frame)]
+        assert all(block.flags.c_contiguous for block in blocks)
+        assert np.concatenate(blocks).tobytes() == frame.tobytes()
 
     def test_frame_phase_holds_the_frame_and_one_block(self):
         # Householder QR copies the frame 3-5 times over, and a
